@@ -8,7 +8,8 @@ criteria, and a block-sequence model emulating infinite direct sums.
 
 __version__ = "0.1.0"
 
-from .numerics import Tolerances, DEFAULT_TOL, eig_hermitian, svd, pinv, spectral_projector
+from .numerics import (Tolerances, DEFAULT_TOL, eig_hermitian, hermitian_eigenvalues,
+                       svd, pinv, spectral_projector)
 from .reports import MarginEntry, MarginReport
 from .subspaces import (Subspace, SubspaceSystem, complement, contains,
                         from_spanning, full_space, intersect, principal_angles,

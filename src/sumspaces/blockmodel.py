@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownFamily
-from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian
+from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian, psd_gap
 from .reports import MarginReport
-from .subspaces import Subspace, SubspaceSystem, from_spanning, sum_span, zero_subspace
+from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, sum_span,
+                        zero_subspace)
 
 
 @dataclass
@@ -49,11 +50,7 @@ class ClosednessVerdict:
 
 def _block_gap(system: SubspaceSystem, subset, tol: Tolerances) -> float:
     total = sum(system.members[j - 1].projector() for j in subset)
-    if np.all(total == 0):
-        return float("inf")
-    w = eig_hermitian(total, tol).eigenvalues
-    nonzero = w[w > 100 * tol.eig_tol]
-    return float(nonzero[0]) if len(nonzero) else float("inf")
+    return psd_gap(total, tol)[0]
 
 
 def certify(BS: BlockSystem, subset, K: int,
@@ -64,6 +61,8 @@ def certify(BS: BlockSystem, subset, K: int,
     of the horizon; "closed_on_horizon" never claims closedness of the true
     infinite object.
     """
+    if K < 1:
+        raise ValueError(f"horizon must be at least 1, got {K}")
     subset = sorted(set(int(j) for j in subset))
     if not subset or subset[0] < 1 or subset[-1] > BS.n_members:
         raise ValueError("subset must be a nonempty subset of 1..n")
@@ -150,7 +149,7 @@ def _sum_as_two_block(system: SubspaceSystem, tol: Tolerances):
     """
     d = system.ambient_dim
     total = sum(system.projectors())
-    spec = eig_hermitian((total + total.conj().T) / 2, tol)
+    spec = eig_hermitian(total, tol)
     w = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
     vecs = spec.eigenvectors
     nz = w > 100 * tol.eig_tol
@@ -177,6 +176,8 @@ def _sum_as_two_block(system: SubspaceSystem, tol: Tolerances):
 
 def sum_as_two(BS: BlockSystem, K: int, tol: Tolerances = DEFAULT_TOL):
     """Per-block pair (M1, M2) with M1 + M2 = sum of the block members."""
+    if K < 1:
+        raise ValueError(f"horizon must be at least 1, got {K}")
     m1_blocks, m2_blocks = [], []
     report = MarginReport()
     eps_used = []
@@ -187,12 +188,8 @@ def sum_as_two(BS: BlockSystem, K: int, tol: Tolerances = DEFAULT_TOL):
         m1_blocks.append(M1)
         m2_blocks.append(M2)
         eps_used.append(eps)
-        target = sum_span(system.members, tol)
-        got = sum_span([M1, M2], tol)
-        ok = (got.dim == target.dim
-              and np.linalg.norm(got.projector() - target.projector(), 2)
-              <= tol.margin_tol)
-        rank_ok = rank_ok and ok
+        rank_ok = rank_ok and equal(sum_span([M1, M2], tol),
+                                    sum_span(system.members, tol), tol)
     report.extras["epsilons"] = eps_used
     report.extras["rank_equality_all_blocks"] = rank_ok
     return m1_blocks, m2_blocks, report

@@ -1,8 +1,10 @@
 """Command-line interface: JSON in, JSON report out.
 
 Exit codes: 0 = analysis completed, 2 = precondition error, 3 = I/O or
-parse error.  Reports are deterministic: re-running with the same request
-and seed reproduces every byte.
+parse error (including entries that are not [re, im] pairs of finite
+numbers); 2 and 3 print {"error": {"type", "message"}}.  Reports are
+deterministic: re-running with the same request and seed reproduces every
+byte.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import SumspacesError
-from .numerics import Tolerances
+from .errors import MalformedInput, SumspacesError
+from .numerics import Tolerances, complex_to_json, hermitian_eigenvalues
 from .reports import MarginReport
 from . import blockmodel, images, paircalc, pairs, reduction, subspaces, systems
 
@@ -39,7 +41,7 @@ def _canonical(value):
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if isinstance(value, complex):
-        return [float(value.real), float(value.imag)]
+        return complex_to_json(value)
     if isinstance(value, (np.floating,)):
         return _canonical(float(value))
     if isinstance(value, (np.integer,)):
@@ -110,7 +112,7 @@ def _cmd_calculus(args, tol):
     return {
         "request": {"command": "calculus", "a": args.a, "b": args.b,
                     "f1": args.f1, "f2": args.f2, "f3": args.f3, "f4": args.f4},
-        "spectrum": [[float(z.real), float(z.imag)] for z in spectrum[order]],
+        "spectrum": complex_to_json(spectrum[order]),
         "margins": {"calculus": paircalc.calculus_criteria(dec, *fs, tol=tol)},
         "provenance": _provenance(args),
     }
@@ -124,8 +126,7 @@ def _cmd_system(args, tol):
         "provenance": _provenance(args),
     }
     P_delta, P_H = systems.dilation(S)
-    prod = P_delta @ P_H @ P_delta
-    w = np.linalg.eigvalsh((prod + prod.conj().T) / 2)
+    w = hermitian_eigenvalues(P_delta @ P_H @ P_delta, tol)
     out["dilation_spectrum"] = [float(v) for v in w]
     if args.alpha:
         alpha = [float(a) for a in args.alpha.split(",")]
@@ -191,7 +192,7 @@ def _cmd_images(args, tol):
             raise SumspacesError("douglas analysis needs exactly two operators [A, B]")
         C, lam = images.douglas_factor(F.members[0], F.members[1], tol)
         return {"request": req,
-                "factor": [[[float(z.real), float(z.imag)] for z in row] for row in C],
+                "factor": complex_to_json(C),
                 "inclusion_lambda": lam,
                 "provenance": _provenance(args)}
     if args.analysis == "sum":
@@ -344,22 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit_error(exc: Exception) -> None:
+    err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = _tolerances(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
-        report = args.func(args, tol)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
+        report = args.func(args, _tolerances(args))
+    except (OSError, json.JSONDecodeError, KeyError, MalformedInput) as exc:
+        _emit_error(exc)
         return 3
     except (SumspacesError, ValueError) as exc:
-        err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
+        _emit_error(exc)
         return 2
     _emit(report, args)
     return 0

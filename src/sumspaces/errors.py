@@ -75,3 +75,7 @@ class DiagonalNotPositive(SumspacesError):
 
 class UnknownFamily(SumspacesError):
     """Unrecognized built-in block family name."""
+
+
+class MalformedInput(SumspacesError):
+    """An input entry is not a pair [re, im] of finite real numbers."""

@@ -7,16 +7,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      NormTooLarge, NotInvertible, RangeConditionViolated,
                      RangeNotIncluded)
-from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, matrix_function,
-                       numerical_rank, operator_norm, pinv,
-                       smallest_nonzero_singular_value, svd)
+from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_json,
+                       eig_hermitian, hermitian_eigenvalues, matrix_function,
+                       numerical_rank, operator_norm, pinv, psd_gap,
+                       singular_values, smallest_nonzero_singular_value,
+                       support_connected)
+from .reduction import independence_certificate
 from .reports import MarginReport
-from .subspaces import Subspace, SubspaceSystem, from_spanning, sum_span
+from .subspaces import SubspaceSystem, from_spanning, sum_span
 
 
 @dataclass
@@ -39,20 +41,14 @@ class OperatorFamily:
         return all(k == "nonnegative" for k in self.kinds)
 
     def to_json(self) -> dict:
-        mats = []
-        for M in self.members:
-            mats.append([[[float(z.real), float(z.imag)] for z in row] for row in M])
-        return {"ambient_dim": self.ambient_dim, "matrices": mats,
+        return {"ambient_dim": self.ambient_dim,
+                "matrices": [complex_to_json(M) for M in self.members],
                 "kind": list(self.kinds)}
 
     @classmethod
     def from_json(cls, data: dict) -> "OperatorFamily":
-        d = int(data["ambient_dim"])
-        members = []
-        for rows in data["matrices"]:
-            members.append(np.array(
-                [[complex(re, im) for re, im in row] for row in rows]))
-        return cls(d, members, list(data.get("kind", [])))
+        members = [complex_from_json(rows, 2) for rows in data["matrices"]]
+        return cls(int(data["ambient_dim"]), members, list(data.get("kind", [])))
 
 
 def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -60,8 +56,8 @@ def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
     Returns (C, inclusion_margin) with C = pinv(B) A, so that ker C = ker A
     and Im C lies in the orthocomplement of ker B.  The inclusion margin is
-    the smallest lambda with A A* <= lambda B B*, computed as a generalized
-    eigenvalue compressed to Im(B).
+    the smallest lambda with A A* <= lambda B B*, which is ||C||^2 by
+    Douglas's range-inclusion lemma (Proc. AMS 17 (1966) 413-415).
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -71,14 +67,7 @@ def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     if resid > tol.margin_tol:
         raise RangeNotIncluded(f"Im(A) outside Im(B) by {resid:.3e}")
     C = pinv(B, tol) @ A
-    if imB.dim == 0:
-        return C, 0.0
-    U = imB.basis
-    M1 = U.conj().T @ (A @ A.conj().T) @ U
-    M2 = U.conj().T @ (B @ B.conj().T) @ U
-    lam = scipy.linalg.eigh((M1 + M1.conj().T) / 2, (M2 + M2.conj().T) / 2,
-                            eigvals_only=True)[-1]
-    return C, float(lam)
+    return C, operator_norm(C) ** 2
 
 
 def sum_of_images(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL):
@@ -90,19 +79,15 @@ def sum_of_images(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL):
     """
     d = F.ambient_dim
     S2 = sum(M @ M.conj().T for M in F.members)
-    root = matrix_function((S2 + S2.conj().T) / 2, lambda x: np.sqrt(max(x, 0.0)), tol)
+    root = matrix_function(S2, lambda x: np.sqrt(max(x, 0.0)), tol)
     image = from_spanning(root, d, tol)
     concat = from_spanning(np.hstack(F.members), d, tol)
     report = MarginReport()
     dist = operator_norm(image.projector() - concat.projector())
     report.extras["range_equality_residual"] = dist
     if F.all_nonnegative():
-        total = sum(F.members)
-        w = eig_hermitian((total + total.conj().T) / 2, tol).eigenvalues
-        nonzero = w[w > 100 * tol.eig_tol]
-        report.add("nonnegative_sum_gap",
-                   float(nonzero[0]) if len(nonzero) else 0.0,
-                   tol.margin_tol, vacuous=len(nonzero) == 0)
+        gap, _ = psd_gap(sum(F.members), tol)
+        report.add("nonnegative_sum_gap", gap, tol.margin_tol, vacuous=np.isinf(gap))
         report.extras["sum_image_dim"] = image.dim
     return image, report
 
@@ -158,8 +143,7 @@ def p_radius(F: OperatorFamily, p: float = 2.0, depth: int = 4,
     if certified:
         verdict = "certified"
     else:
-        stacked = np.vstack(F.members)
-        sv = np.linalg.svd(stacked, compute_uv=False)
+        sv = singular_values(np.vstack(F.members))
         common_kernel = numerical_rank(sv, tol) < d
         stationary = abs(sequence[-1] - 1.0) <= tol.margin_tol
         verdict = "deficient" if (stationary and common_kernel) else "inconclusive"
@@ -173,8 +157,7 @@ def m_membership_identity(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL) -> f
     S^{1/2} = sum_{i,j} a_i^2 S^{-3/2} a_j^2.
     """
     S = sum(M @ M for M in F.members)
-    S = (S + S.conj().T) / 2
-    w = eig_hermitian(S, tol).eigenvalues
+    w = hermitian_eigenvalues(S, tol)
     if w[0] <= tol.margin_tol:
         raise NotInvertible(f"sum of squares has min eigenvalue {w[0]:.3e}")
     half = matrix_function(S, lambda x: np.sqrt(x), tol)
@@ -213,19 +196,10 @@ def build_beta(alpha: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BetaMatrix:
             im = np.imag(alpha[i, j]) - np.imag(alpha[j, i])
             beta[i, j] = beta[j, i] = -0.5 * np.hypot(re, im)
 
-    w, v = np.linalg.eigh(beta)
+    spec = eig_hermitian(beta, tol)
+    w, v = spec.eigenvalues, spec.eigenvectors
     zero_count = int(np.sum(np.abs(w) <= 100 * tol.rank_tol * max(1.0, abs(w[-1]))))
-    # connectivity of the off-diagonal support graph
-    adj = np.abs(beta) > tol.eig_tol
-    np.fill_diagonal(adj, False)
-    seen, stack = {0}, [0]
-    while stack:
-        u = stack.pop()
-        for vtx in np.nonzero(adj[u])[0]:
-            if vtx not in seen:
-                seen.add(int(vtx))
-                stack.append(int(vtx))
-    connected = len(seen) == n
+    connected = support_connected(np.abs(beta) > tol.eig_tol)
 
     kernel_vector = None
     if w[0] > tol.margin_tol:
@@ -301,8 +275,8 @@ def quadratic_projector_criterion(S: SubspaceSystem, alpha,
     comp_total = sum_span(
         [from_spanning(np.eye(d) - Pk, d, tol) for Pk in P], tol)
     if total.dim == d and comp_total.dim == d:
-        s = np.linalg.svd(A, compute_uv=False)
-        report.add("invertibility_margin", float(s[-1]), tol.margin_tol)
+        report.add("invertibility_margin", float(singular_values(A)[-1]),
+                   tol.margin_tol)
     return beta, report
 
 
@@ -329,18 +303,16 @@ def ibap_check(S: SubspaceSystem, F: OperatorFamily,
         if H.dim == 0:
             report.add(f"embedding_margin_{k}", 1.0, tol.margin_tol, vacuous=True)
         else:
-            sv = np.linalg.svd(block, compute_uv=False)
-            report.add(f"embedding_margin_{k}", float(sv[-1]), tol.margin_tol)
+            report.add(f"embedding_margin_{k}", float(singular_values(block)[-1]),
+                       tol.margin_tol)
     stacked = np.hstack(blocks) if blocks else np.zeros((d, 0))
     if stacked.shape[1] == 0:
         report.add("joint_epsilon", 1.0, tol.margin_tol, vacuous=True)
     else:
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        joint = float(sv[-1]) if stacked.shape[1] <= d else 0.0
+        joint = float(singular_values(stacked)[-1]) if stacked.shape[1] <= d else 0.0
         report.add("joint_epsilon", joint, tol.margin_tol)
     ranges = [from_spanning(M.conj().T @ H.basis, d, tol)
               for M, H in zip(F.members, S.members)]
-    from .reduction import independence_certificate
     cert = independence_certificate(SubspaceSystem(d, ranges), tol)
     report.add("range_independence_epsilon", cert.epsilon, tol.margin_tol)
     return report

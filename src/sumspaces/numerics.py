@@ -1,7 +1,16 @@
 """Dense complex linear algebra kernel and the global tolerance policy.
 
-Everything downstream goes through these wrappers so the rank and eigenvalue
-conventions stay in one place.
+This is the only module that calls LAPACK, and the only home of the
+numerical policy wrapped around each decomposition:
+
+- Hermitian input: square shape, asymmetry ||M - M*||_F at most
+  eig_tol * max(1, ||M||_F), explicit symmetrization, ascending eigenvalues
+  with (``eig_hermitian``) or without (``hermitian_eigenvalues``) vectors;
+- rank: singular values above rank_tol times the largest one;
+- zero cutoff 100 * eig_tol for spectra of positive semidefinite sums;
+- independence constant sigma_min^2 of stacked orthonormal bases;
+- errors: a LAPACK failure surfaces as ComputationFailed;
+- the JSON form of complex arrays: [re, im] pairs of finite numbers.
 """
 
 from __future__ import annotations
@@ -10,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationFailed, EigenvalueOnBoundary, NonSquare, NotHermitian
+from .errors import (ComputationFailed, EigenvalueOnBoundary, MalformedInput,
+                     NonSquare, NotHermitian)
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,14 @@ class HermitianSpectrum:
     eigenvectors: np.ndarray
 
 
+def _lapack(routine, *args, **kwargs):
+    """Call a numpy.linalg routine; a LinAlgError becomes ComputationFailed."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationFailed(str(exc)) from exc
+
+
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Explicit symmetrization (M + M*)/2; stops drift accumulation."""
     return (M + M.conj().T) / 2.0
@@ -51,34 +69,48 @@ def operator_norm(M: np.ndarray) -> float:
     """Spectral norm; 0 for empty matrices."""
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(_lapack(np.linalg.norm, M, 2))
+
+
+def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Validated, symmetrized copy of a square, numerically Hermitian matrix."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NonSquare(f"expected square matrix, got shape {M.shape}")
+    asym = np.linalg.norm(M - M.conj().T)
+    if not asym <= tol.eig_tol * max(1.0, np.linalg.norm(M)):
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
+    return hermitize(M)
 
 
 def eig_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonSquare(f"expected square matrix, got shape {M.shape}")
-    if M.shape[0] == 0:
-        return HermitianSpectrum(np.zeros(0), np.zeros((0, 0), dtype=complex))
-    asym = operator_norm(M - M.conj().T)
-    if asym > tol.eig_tol * max(1.0, operator_norm(M)):
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
-    try:
-        w, v = np.linalg.eigh(hermitize(M))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ComputationFailed(str(exc)) from exc
-    return HermitianSpectrum(w, v)
+    return HermitianSpectrum(*_lapack(np.linalg.eigh, _hermitian(M, tol)))
+
+
+def hermitian_eigenvalues(M: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors."""
+    return _lapack(np.linalg.eigvalsh, _hermitian(M, tol))
+
+
+def psd_gap(M: np.ndarray, tol: Tolerances):
+    """Smallest eigenvalue above the zero cutoff 100 * eig_tol (+inf when
+    there is none) and the number of eigenvalues at or below the cutoff."""
+    w = hermitian_eigenvalues(M, tol)
+    kernel_dim = int(np.sum(w <= 100 * tol.eig_tol))
+    gap = float(w[kernel_dim]) if kernel_dim < len(w) else float("inf")
+    return gap, kernel_dim
 
 
 def svd(M: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """Full SVD with descending singular values, plus V (not V*)."""
-    M = np.asarray(M, dtype=complex)
-    try:
-        U, s, Vh = np.linalg.svd(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ComputationFailed(str(exc)) from exc
+    U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=complex))
     return U, s, Vh.conj().T
+
+
+def singular_values(M: np.ndarray) -> np.ndarray:
+    """Descending singular values, min(m, n) of them."""
+    return _lapack(np.linalg.svd, M, compute_uv=False)
 
 
 def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -90,13 +122,21 @@ def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 
 def smallest_nonzero_singular_value(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
     """Smallest singular value above the rank cutoff; +inf when rank 0."""
-    if M.size == 0:
-        return float("inf")
-    s = np.linalg.svd(M, compute_uv=False)
+    s = singular_values(M)
     r = numerical_rank(s, tol)
-    if r == 0:
-        return float("inf")
-    return float(s[r - 1])
+    return float(s[r - 1]) if r else float("inf")
+
+
+def independence_epsilon(stacked: np.ndarray) -> float:
+    """Best eps in ||sum x_i||^2 >= eps sum ||x_i||^2 when the x_i range over
+    members with orthonormal bases stacked side by side: sigma_min^2 of the
+    stack (the block Gram's smallest eigenvalue); 1 if empty, 0 if wide."""
+    rows, cols = stacked.shape
+    if cols == 0:
+        return 1.0
+    if cols > rows:
+        return 0.0
+    return float(singular_values(stacked)[-1] ** 2)
 
 
 def pinv(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -104,7 +144,7 @@ def pinv(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    return np.linalg.pinv(M, rcond=tol.rank_tol)
+    return _lapack(np.linalg.pinv, M, rcond=tol.rank_tol)
 
 
 def spectral_projector(M: np.ndarray, interval, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -130,3 +170,35 @@ def matrix_function(M: np.ndarray, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     vals = np.array([f(x) for x in spec.eigenvalues], dtype=complex)
     V = spec.eigenvectors
     return (V * vals) @ V.conj().T
+
+
+def support_connected(A: np.ndarray) -> bool:
+    """Whether the graph with an edge i-j wherever A[i, j] != 0 is connected
+    (breadth-first search from vertex 0; the diagonal is ignored)."""
+    adj = np.asarray(A) != 0
+    seen = np.arange(adj.shape[0]) == 0
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        reached = adj[frontier].any(axis=0) & ~seen
+        seen |= reached
+        frontier = np.flatnonzero(reached)
+    return bool(seen.all())
+
+
+def complex_to_json(M) -> list:
+    """Complex array (or scalar) as nested [re, im] lists of floats."""
+    M = np.asarray(M)
+    return np.stack([M.real, M.imag], axis=-1).astype(float, copy=False).tolist()
+
+
+def complex_from_json(data, ndim: int) -> np.ndarray:
+    """Decode an ndim-deep nesting of [re, im] pairs into a complex array;
+    MalformedInput unless every entry is a pair of finite real numbers."""
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:  # ragged nesting
+        raise MalformedInput(f"ragged [re, im] entries: {exc}") from exc
+    if (arr.dtype.kind not in "iuf" or arr.ndim != ndim + 1 or arr.shape[-1] != 2
+            or not np.all(np.isfinite(arr))):
+        raise MalformedInput(f"expected {ndim}-deep [re, im] pairs of finite numbers")
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]

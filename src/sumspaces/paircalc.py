@@ -55,23 +55,14 @@ class ScalarFunction:
         return cls(f, None)
 
 
-def _component_values(fs, present):
-    """Spectrum contributions of the four flat components."""
+def _component_values(fs):
+    """Spectrum contributions of the four flat components
+    H1&H2, H1&H2', H1'&H2 and H1'&H2'."""
     f1, f2, f3, f4 = fs
-    values = []
-    if present[0]:  # H1 & H2
-        values.append(f1(1.0) + f2(1.0) + f3(1.0) + f4(1.0))
-    if present[1]:  # H1 & H2'
-        values.append(f1(0.0))
-    if present[2]:  # H1' & H2
-        values.append(f2(0.0))
-    if present[3]:  # H1' & H2'
-        values.append(0.0 + 0.0j)
-    return values
+    return [f1(1.0) + f2(1.0) + f3(1.0) + f4(1.0), f1(0.0), f2(0.0), 0.0 + 0.0j]
 
 
-def build_b(pair: PairDecomposition, f1, f2, f3, f4,
-            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def build_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     """Assemble b blockwise on the canonical components."""
     fs = (f1, f2, f3, f4)
     d = pair.ambient_dim
@@ -104,13 +95,11 @@ def spectrum_of_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     Flat components contribute their scalar values; each generic eigenvalue x
     of a contributes the two roots of lambda^2 - T(x) lambda + D(x) = 0.
     """
-    present = (pair.both.dim > 0, pair.first_only.dim > 0,
-               pair.second_only.dim > 0, pair.neither.dim > 0)
     counts = (pair.both.dim, pair.first_only.dim,
               pair.second_only.dim, pair.neither.dim)
     fs = (f1, f2, f3, f4)
     values = []
-    for value, count in zip(_component_values(fs, (True,) * 4), counts):
+    for value, count in zip(_component_values(fs), counts):
         values.extend([value] * count)
     for x in pair.a_eigenvalues:
         T = f1(x) + f2(x) + x * (f3(x) + f4(x))
@@ -147,7 +136,7 @@ def calculus_criteria(pair: PairDecomposition, f1, f2, f3, f4,
     s11 = f1(1.0) + f2(1.0) + f3(1.0) + f4(1.0)
     report.extras["sum_at_one_nonzero"] = bool(abs(s11) > tol.margin_tol)
 
-    b = build_b(pair, f1, f2, f3, f4, tol)
+    b = build_b(pair, f1, f2, f3, f4)
     sv = smallest_nonzero_singular_value(b, tol)
     report.add("closed_range_margin", sv, tol.margin_tol, vacuous=np.isinf(sv))
     return report

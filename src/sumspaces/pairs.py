@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, operator_norm,
+from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, hermitian_eigenvalues,
+                       independence_epsilon, operator_norm, singular_values,
                        smallest_nonzero_singular_value)
 from .reports import MarginReport
-from .subspaces import Subspace, complement, from_spanning, intersect, sum_span
+from .subspaces import Subspace, complement, from_spanning, intersect
 
 
 @dataclass
@@ -153,7 +154,7 @@ def pair_criteria(H1: Subspace, H2: Subspace,
     else:
         report.add("c1_one_minus_max_a", 1.0 - dec.a_eigenvalues[-1], tol.margin_tol)
 
-    prod_spec = eig_hermitian(P1 @ P2 @ P1, tol).eigenvalues
+    prod_spec = hermitian_eigenvalues(P1 @ P2 @ P1, tol)
     below_one = prod_spec[prod_spec < 1.0 - 100 * tol.eig_tol]
     if len(below_one) == 0:
         report.add("c2_product_spectrum_gap", 1.0, tol.margin_tol)
@@ -195,22 +196,15 @@ def independent_pair_constants(H1: Subspace, H2: Subspace,
     report.add("product_norm_margin", 1.0 - norm_prod, tol.margin_tol)
     report.extras["product_norm"] = norm_prod
 
-    r1, r2 = H1.dim, H2.dim
-    if r1 + r2 == 0:
-        report.add("gram_epsilon", 1.0, tol.margin_tol, vacuous=True)
-    else:
-        cross = H1.basis.conj().T @ H2.basis
-        gram = np.block([[np.eye(r1), cross],
-                         [cross.conj().T, np.eye(r2)]])
-        eps = float(eig_hermitian(gram, tol).eigenvalues[0])
-        report.add("gram_epsilon", eps, tol.margin_tol)
+    eps = independence_epsilon(np.hstack([H1.basis, H2.basis]))
+    report.add("gram_epsilon", eps, tol.margin_tol, vacuous=H1.dim + H2.dim == 0)
 
-    if r2 == 0:
+    if H2.dim == 0:
         report.add("embedding_epsilon", 1.0, tol.margin_tol, vacuous=True)
     else:
         resid = (np.eye(H1.ambient_dim) - P1) @ H2.basis
-        sv = np.linalg.svd(resid, compute_uv=False)
-        report.add("embedding_epsilon", float(sv[-1]), tol.margin_tol)
+        report.add("embedding_epsilon", float(singular_values(resid)[-1]),
+                   tol.margin_tol)
 
     verdict = "satisfied" if norm_prod < 1.0 - tol.margin_tol else "violated"
     report.extras["independent_closed"] = verdict == "satisfied"

@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
                      NotIndependent, SumNotFull)
-from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, operator_norm,
-                       svd, numerical_rank)
+from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, hermitian_eigenvalues,
+                       independence_epsilon, numerical_rank, pinv, svd)
 from .reports import MarginReport
-from .subspaces import (Subspace, SubspaceSystem, from_spanning, intersect,
+from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, intersect,
                         sum_span, zero_subspace)
 from .systems import sum_gap
 from . import pairs as _pairs
@@ -60,14 +60,7 @@ class ReductionResult:
 def independence_certificate(S: SubspaceSystem,
                              tol: Tolerances = DEFAULT_TOL) -> IndependenceCertificate:
     """Smallest eigenvalue of the block Gram of the concatenated bases."""
-    stacked = np.hstack([m.basis for m in S.members])
-    cols = stacked.shape[1]
-    if cols == 0:
-        return IndependenceCertificate(1.0, True)
-    if cols > S.ambient_dim:
-        return IndependenceCertificate(0.0, False)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    eps = float(sv[-1] ** 2)
+    eps = independence_epsilon(np.hstack([m.basis for m in S.members]))
     return IndependenceCertificate(eps, eps > tol.margin_tol)
 
 
@@ -83,11 +76,11 @@ def oblique_projections(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL):
     stacked = np.hstack([m.basis for m in S.members])
     if stacked.shape[1] != S.ambient_dim:
         raise SumNotFull("sum of the members must be the whole space")
-    inv = np.linalg.inv(stacked)
+    inverse = pinv(stacked, tol)
     out = []
     offset = 0
     for m in S.members:
-        rows = inv[offset:offset + m.dim, :]
+        rows = inverse[offset:offset + m.dim, :]
         out.append(m.basis @ rows)
         offset += m.dim
     return out
@@ -131,7 +124,8 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
     tail_rows = Z[offs[m]:, :]
     H = head_rows.conj().T @ head_rows
     T = tail_rows.conj().T @ tail_rows
-    hw, hv = np.linalg.eigh((H + H.conj().T) / 2)
+    spec = eig_hermitian(H, tol)
+    hw, hv = spec.eigenvalues, spec.eigenvectors
     keep = hw > tol.rank_tol * max(1.0, hw[-1])
     if not np.any(keep):
         # every kernel vector has zero head part: condition vacuous
@@ -139,7 +133,7 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
         return report
     W = hv[:, keep] / np.sqrt(hw[keep])
     M = W.conj().T @ T @ W
-    mu = float(np.linalg.eigvalsh((M + M.conj().T) / 2)[0])
+    mu = float(hermitian_eigenvalues(M, tol)[0])
     eps = float(np.sqrt(max(mu, 0.0)))
     report.add("rps_epsilon", eps, tol.margin_tol)
     return report
@@ -179,10 +173,10 @@ def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
                vacuous=np.isinf(closed_gap))
     dom = 3 * (P1 + PM2) + eps * np.eye(d) - P1 - P2
     report.add("domination_slack",
-               float(eig_hermitian(dom, tol).eigenvalues[0]), tol.margin_tol)
+               float(hermitian_eigenvalues(dom, tol)[0]), tol.margin_tol)
     low = P1 + PM2 - (eps / 4.0) * sum_sub.projector()
     report.add("lower_bound_slack",
-               float(eig_hermitian(low, tol).eigenvalues[0]), tol.margin_tol)
+               float(hermitian_eigenvalues(low, tol)[0]), tol.margin_tol)
     return M2, report
 
 
@@ -246,12 +240,9 @@ def reduce_system(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Reduction
     cert_op = sum(w * m.projector() for w, m in zip(weights, reduced))
     B = original_sum.basis
     restricted = B.conj().T @ (cert_op - rhs * np.eye(d)) @ B
-    slack = float(eig_hermitian(restricted, tol).eigenvalues[0]) if B.shape[1] else 0.0
+    slack = float(hermitian_eigenvalues(restricted, tol)[0]) if B.shape[1] else 0.0
 
-    reduced_sum = sum_span(reduced, tol)
-    sum_preserved = (reduced_sum.dim == original_sum.dim
-                     and operator_norm(reduced_sum.projector()
-                                       - original_sum.projector()) <= tol.margin_tol)
+    sum_preserved = equal(sum_span(reduced, tol), original_sum, tol)
     cert = independence_certificate(reduced_sys, tol)
     report = MarginReport()
     report.add("certificate_slack", slack, tol.margin_tol)
@@ -311,11 +302,7 @@ def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> R
 
     reduced_sys = SubspaceSystem(d, reduced)
     cert = independence_certificate(reduced_sys, tol)
-    original_sum = sum_span(S.members, tol)
-    reduced_sum = sum_span(reduced, tol)
-    sum_preserved = (reduced_sum.dim == original_sum.dim
-                     and operator_norm(reduced_sum.projector()
-                                       - original_sum.projector()) <= tol.margin_tol)
+    sum_preserved = equal(sum_span(reduced, tol), sum_span(S.members, tol), tol)
     report = MarginReport()
     report.add("independence_epsilon", cert.epsilon, tol.margin_tol)
     report.extras["sum_preserved"] = sum_preserved

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian, operator_norm, svd
+from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_json,
+                       eig_hermitian, operator_norm, singular_values, svd)
 
 
 @dataclass
@@ -131,8 +132,14 @@ def contains(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     _check_ambient(A, B)
     if B.dim == 0:
         return True
-    resid = (np.eye(A.ambient_dim) - A.projector()) @ B.basis
+    resid = B.basis - A.basis @ (A.basis.conj().T @ B.basis)
     return operator_norm(resid) <= tol.margin_tol
+
+
+def equal(A: Subspace, B: Subspace, tol: Tolerances) -> bool:
+    """Whether A = B within margin_tol; for equal dimensions
+    ||P_A - P_B|| = ||(I - P_A) P_B||, so one containment decides."""
+    return A.dim == B.dim and contains(A, B, tol)
 
 
 def subtract(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -148,18 +155,14 @@ def principal_angles(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) ->
     k = min(A.dim, B.dim)
     if k == 0:
         return np.zeros(0)
-    s = np.linalg.svd(A.basis.conj().T @ B.basis, compute_uv=False)
+    s = singular_values(A.basis.conj().T @ B.basis)
     cosines = np.clip(s, 0.0, 1.0)
     return np.sort(np.arccos(cosines))
 
 
 def subspace_to_json(S: Subspace) -> dict:
     """JSON encoding: vectors are columns, complex entries as [re, im]."""
-    vectors = []
-    for j in range(S.dim):
-        col = S.basis[:, j]
-        vectors.append([[float(z.real), float(z.imag)] for z in col])
-    return {"ambient_dim": S.ambient_dim, "vectors": vectors}
+    return {"ambient_dim": S.ambient_dim, "vectors": complex_to_json(S.basis.T)}
 
 
 def subspace_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -168,12 +171,7 @@ def subspace_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     cols = data.get("vectors", [])
     if not cols:
         return zero_subspace(d)
-    mat = np.zeros((d, len(cols)), dtype=complex)
-    for j, col in enumerate(cols):
-        if len(col) != d:
-            raise DimensionMismatch("vector length does not match ambient_dim")
-        mat[:, j] = [complex(re, im) for re, im in col]
-    return from_spanning(mat, d, tol)
+    return from_spanning(complex_from_json(cols, 2).T, d, tol)
 
 
 def system_to_json(S: SubspaceSystem) -> dict:

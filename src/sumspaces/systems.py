@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GraphDisconnected
-from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian
+from .numerics import (DEFAULT_TOL, Tolerances, hermitian_eigenvalues,
+                       independence_epsilon, psd_gap, support_connected)
 from .reports import MarginReport
-from .subspaces import SubspaceSystem, complement, sum_span
+from .subspaces import SubspaceSystem, complement
+
+MODULUS_SAMPLES = 1024  # random phase vectors in the modulus-form search
 
 
 @dataclass
@@ -50,19 +53,10 @@ class WeightedGraph:
         return out
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj = {v: [] for v in range(1, self.n + 1)}
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen, stack = {1}, [1]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
+        adj = np.zeros((self.n, self.n))
+        for i, j, w in self.edges:
+            adj[i - 1, j - 1] = adj[j - 1, i - 1] = w
+        return support_connected(adj)
 
     @classmethod
     def complete(cls, n: int, weight: float = 1.0) -> "WeightedGraph":
@@ -79,14 +73,9 @@ class WeightedGraph:
 
 def sum_gap(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> MarginReport:
     """Smallest nonzero eigenvalue of P1+...+Pn, plus the full-sum flag."""
-    total = sum(S.projectors())
-    w = eig_hermitian(total, tol).eigenvalues
-    zero_cut = 100 * tol.eig_tol
-    nonzero = w[w > zero_cut]
-    kernel_dim = int(np.sum(w <= zero_cut))
+    gap, kernel_dim = psd_gap(sum(S.projectors()), tol)
     report = MarginReport()
-    report.add("sum_gap", float(nonzero[0]) if len(nonzero) else 0.0,
-               tol.margin_tol, vacuous=len(nonzero) == 0)
+    report.add("sum_gap", gap, tol.margin_tol, vacuous=np.isinf(gap))
     report.extras["sum_dim"] = S.ambient_dim - kernel_dim
     report.extras["kernel_dim"] = kernel_dim
     report.extras["full_sum"] = kernel_dim == 0
@@ -131,16 +120,15 @@ def _complement_quadratic(S: SubspaceSystem, G: WeightedGraph, phases=None):
 
 def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
                             tol: Tolerances = DEFAULT_TOL,
-                            modulus: bool = False, seed: int = 0,
-                            restarts: int = 16, phases_per_restart: int = 64) -> MarginReport:
+                            modulus: bool = False, seed: int = 0) -> MarginReport:
     """Best constant eps in the graph criterion on the complements.
 
     Difference form (exact): the quadratic form
     sum_edges gamma_ij ||x_i - x_j||^2 - eps sum rho-normalized is analyzed as
     the smallest eigenvalue of a Hermitian block operator on +Hk-perp.
     The modulus form 2 sum gamma |(x_i,x_j)| <= sum (rho_i - eps) ||x_i||^2 is
-    not quadratic; its best eps is estimated by random phase search and
-    flagged as an estimate.
+    not quadratic; its best eps is estimated by a search over MODULUS_SAMPLES
+    random phase vectors and flagged as an estimate.
     """
     if G.n != len(S):
         raise DimensionMismatch("graph order must match member count")
@@ -153,18 +141,17 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
         if modulus:
             report.add("modulus_form_epsilon", 1.0, tol.margin_tol, vacuous=True)
         return report
-    exact = float(eig_hermitian(Q, tol).eigenvalues[0])
+    exact = float(hermitian_eigenvalues(Q, tol)[0])
     report.add("difference_form_epsilon", exact, tol.margin_tol)
 
     if modulus:
         rng = np.random.default_rng(seed)
         best = exact
         m = len(G.edges)
-        for _ in range(restarts):
-            for _ in range(phases_per_restart):
-                phases = rng.uniform(0.0, 2 * np.pi, size=m)
-                Qp, _ = _complement_quadratic(S, G, phases)
-                best = min(best, float(eig_hermitian(Qp, tol).eigenvalues[0]))
+        for _ in range(MODULUS_SAMPLES):
+            phases = rng.uniform(0.0, 2 * np.pi, size=m)
+            Qp, _ = _complement_quadratic(S, G, phases)
+            best = min(best, float(hermitian_eigenvalues(Qp, tol)[0]))
         report.add("modulus_form_epsilon", best, tol.margin_tol, estimate=True)
     return report
 
@@ -181,7 +168,7 @@ def linear_combination_check(S: SubspaceSystem, alpha,
     if len(alpha) != len(S) or np.any(alpha <= 0):
         raise DimensionMismatch("alpha must be positive, one weight per member")
     A = sum(a * P for a, P in zip(alpha, S.projectors()))
-    w = eig_hermitian(A, tol).eigenvalues
+    w = hermitian_eigenvalues(A, tol)
     eps, lam_max = float(w[0]), float(w[-1])
     slack = (float(alpha.sum()) - (len(S) - 1) * eps) - lam_max
     report = MarginReport()
@@ -189,14 +176,7 @@ def linear_combination_check(S: SubspaceSystem, alpha,
     report.extras["epsilon"] = eps
     report.extras["lambda_max"] = lam_max
     # independence via the block Gram of the concatenated bases
-    stacked = np.hstack([m.basis for m in S.members])
-    if stacked.shape[1] == 0:
-        gram_eps = 1.0
-    elif stacked.shape[1] > S.ambient_dim:
-        gram_eps = 0.0
-    else:
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        gram_eps = float(sv[-1] ** 2)
+    gram_eps = independence_epsilon(np.hstack([m.basis for m in S.members]))
     report.extras["independence_epsilon"] = gram_eps
     report.extras["applicable"] = bool(eps > tol.margin_tol and gram_eps > tol.margin_tol)
     return report

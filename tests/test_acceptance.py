@@ -216,6 +216,10 @@ def test_12_douglas_factorization():
         C, lam = ss.douglas_factor(A, B)
         assert np.linalg.norm(A - B @ C, 2) <= 1e-8
         assert lam >= -1e-10
+        # lam is the least lambda with A A* <= lambda B B* (Douglas's lemma)
+        AA, BB = A @ A.conj().T, B @ B.conj().T
+        assert np.linalg.eigvalsh(lam * BB - AA)[0] >= -1e-9 * lam
+        assert np.linalg.eigvalsh((1 - 1e-6) * lam * BB - AA)[0] < 0
         # ker C = ker A
         _, sA, VA = np.linalg.svd(A)
         rA = int(np.sum(sA > 1e-10 * sA[0])) if sA.size and sA[0] > 0 else 0

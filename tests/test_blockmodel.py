@@ -27,6 +27,15 @@ def test_certify_validates_subset():
         ss.certify(BS, [4], 10)
 
 
+@pytest.mark.parametrize("K", [0, -3])
+def test_empty_horizon_is_rejected(K):
+    BS = ss.paper_families("one_over_k", {"n": 3})
+    with pytest.raises(ValueError):
+        ss.certify(BS, [1, 2, 3], K)
+    with pytest.raises(ValueError):
+        ss.sum_as_two(BS, K)
+
+
 def test_one_over_k_gap_decay_rate():
     BS = ss.paper_families("one_over_k", {"n": 3})
     v = ss.certify(BS, [1, 2, 3], 100)

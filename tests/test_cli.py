@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +86,47 @@ def test_precondition_error_is_exit_2(tmp_path, capsys):
     code, report = _run(["reduce", "--members", str(sysfile)], capsys)
     assert code == 2
     assert report["error"]["type"] == "GapTooSmall"
+
+
+BAD_ENTRIES = {"bare_float": 0.5, "infinity": [float("inf"), 0.0],
+               "nan": [float("nan"), 0.0], "three_elements": [1.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("entry", list(BAD_ENTRIES), ids=list(BAD_ENTRIES))
+@pytest.mark.parametrize("command", ["pair", "images"])
+def test_malformed_entry_is_input_error(command, entry, pair_files, tmp_path, capsys):
+    if command == "pair":
+        with open(pair_files[1]) as fh:
+            data = json.load(fh)
+        data["vectors"][0][0] = BAD_ENTRIES[entry]
+        argv = ["pair", "--a", pair_files[0], "--b", str(tmp_path / "bad.json")]
+    else:
+        data = ss.OperatorFamily(2, [np.eye(2)], ["nonnegative"]).to_json()
+        data["matrices"][0][1][0] = BAD_ENTRIES[entry]
+        argv = ["images", "--operators", str(tmp_path / "bad.json"),
+                "--analysis", "pradius"]
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    code, report = _run(argv, capsys)
+    assert code == 3
+    assert report["error"]["type"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("argv", [["blocks", "--horizon", "0"],
+                                  ["blocks", "--horizon", "-3"],
+                                  ["sum-as-two", "--horizon", "0"]])
+def test_empty_horizon_is_exit_2(argv, capsys):
+    code, report = _run(argv, capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ss.__file__)))
+    probe = ("import sys, sumspaces.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_blocks_command_family_file(tmp_path, capsys):

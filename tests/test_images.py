@@ -92,6 +92,7 @@ def test_membership_identity_requires_invertible_sum():
 def test_build_beta_classifications():
     pd = np.eye(3, dtype=complex)
     assert ss.build_beta(pd).classification == "positive_definite"
+    assert ss.build_beta(pd).graph_connected is False  # no off-diagonal support
     beta = ss.build_beta(ss.cycle_alpha(3))
     assert beta.classification == "B1B2"
     assert beta.graph_connected

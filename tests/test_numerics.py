@@ -4,6 +4,16 @@ import pytest
 from sumspaces import numerics
 from sumspaces.errors import EigenvalueOnBoundary, NonSquare, NotHermitian
 
+# both Hermitian eigen entry points share one validation and symmetrization
+EIGEN_PATHS = pytest.mark.parametrize(
+    "path", [numerics.eig_hermitian, numerics.hermitian_eigenvalues],
+    ids=["eig_hermitian", "hermitian_eigenvalues"])
+
+
+def _eigenvalues(path, M):
+    out = path(M, numerics.DEFAULT_TOL)
+    return getattr(out, "eigenvalues", out)
+
 
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
@@ -12,27 +22,31 @@ def test_tolerances_must_be_positive():
         numerics.Tolerances(margin_tol=-1e-8)
 
 
-def test_eig_hermitian_ascending_and_unitary(rng):
+@EIGEN_PATHS
+def test_eig_hermitian_ascending_and_unitary(rng, path):
     M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     M = M + M.conj().T
-    spec = numerics.eig_hermitian(M)
-    assert np.all(np.diff(spec.eigenvalues) >= 0)
-    V = spec.eigenvectors
+    w = _eigenvalues(path, M)
+    assert np.all(np.diff(w) >= 0)
+    V = numerics.eig_hermitian(M).eigenvectors
     assert np.allclose(V.conj().T @ V, np.eye(6), atol=1e-12)
-    recon = (V * spec.eigenvalues) @ V.conj().T
+    recon = (V * w) @ V.conj().T
     assert np.linalg.norm(recon - M, 2) <= 1e-10
 
 
-def test_eig_hermitian_rejects_bad_input():
+@EIGEN_PATHS
+def test_eig_hermitian_rejects_bad_input(path):
     with pytest.raises(NonSquare):
-        numerics.eig_hermitian(np.zeros((2, 3)))
+        _eigenvalues(path, np.zeros((2, 3)))
     with pytest.raises(NotHermitian):
-        numerics.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        _eigenvalues(path, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitian):
+        _eigenvalues(path, np.full((2, 2), np.nan))
 
 
-def test_eig_hermitian_empty():
-    spec = numerics.eig_hermitian(np.zeros((0, 0)))
-    assert spec.eigenvalues.shape == (0,)
+@EIGEN_PATHS
+def test_eig_hermitian_empty(path):
+    assert _eigenvalues(path, np.zeros((0, 0))).shape == (0,)
 
 
 def test_numerical_rank_and_smallest_nonzero_sv():
