@@ -13,9 +13,8 @@ from .numerics import (Tolerances, DEFAULT_TOL, eig_hermitian, hermitian_eigenva
 from .reports import MarginEntry, MarginReport
 from .subspaces import (Subspace, SubspaceSystem, complement, contains,
                         from_spanning, full_space, intersect, principal_angles,
-                        projector, subspace_from_json, subspace_to_json,
-                        subtract, sum_span, system_from_json, system_to_json,
-                        zero_subspace)
+                        subspace_from_json, subspace_to_json, subtract,
+                        sum_span, system_from_json, system_to_json, zero_subspace)
 from .pairs import (PairDecomposition, friedrichs_angle, halmos_decompose,
                     independent_pair_constants, pair_criteria)
 from .paircalc import ScalarFunction, build_b, calculus_criteria, spectrum_of_b

@@ -27,9 +27,12 @@ def _tolerances(args) -> Tolerances:
                       margin_tol=args.margin_tol)
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{path}: top level is not a JSON object")
+    return data
 
 
 def _canonical(value):

@@ -12,8 +12,8 @@ from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      NormTooLarge, NotInvertible, RangeConditionViolated,
                      RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_json,
-                       eig_hermitian, hermitian_eigenvalues, matrix_function,
-                       numerical_rank, operator_norm, pinv, psd_gap,
+                       dimension_from_json, eig_hermitian, hermitian_eigenvalues,
+                       matrix_function, numerical_rank, operator_norm, pinv, psd_gap,
                        singular_values, smallest_nonzero_singular_value,
                        support_connected)
 from .reduction import independence_certificate
@@ -48,7 +48,8 @@ class OperatorFamily:
     @classmethod
     def from_json(cls, data: dict) -> "OperatorFamily":
         members = [complex_from_json(rows, 2) for rows in data["matrices"]]
-        return cls(int(data["ambient_dim"]), members, list(data.get("kind", [])))
+        return cls(dimension_from_json(data["ambient_dim"]), members,
+                   list(data.get("kind", [])))
 
 
 def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -123,6 +124,8 @@ def p_radius(F: OperatorFamily, p: float = 2.0, depth: int = 4,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     n = len(F.members)
     d = F.ambient_dim
     total = sum(n ** k for k in range(1, depth + 1))

@@ -10,7 +10,7 @@ numerical policy wrapped around each decomposition:
 - zero cutoff 100 * eig_tol for spectra of positive semidefinite sums;
 - independence constant sigma_min^2 of stacked orthonormal bases;
 - errors: a LAPACK failure surfaces as ComputationFailed;
-- the JSON form of complex arrays: [re, im] pairs of finite numbers.
+- the JSON forms: [re, im] pairs of finite numbers, non-negative dimensions.
 """
 
 from __future__ import annotations
@@ -202,3 +202,10 @@ def complex_from_json(data, ndim: int) -> np.ndarray:
             or not np.all(np.isfinite(arr))):
         raise MalformedInput(f"expected {ndim}-deep [re, im] pairs of finite numbers")
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
+def dimension_from_json(value) -> int:
+    """A dimension read from JSON; MalformedInput unless a non-negative int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise MalformedInput(f"expected a non-negative integer dimension, got {value!r}")
+    return value

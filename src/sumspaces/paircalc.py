@@ -75,12 +75,12 @@ def build_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     r = pair.k_dim
     if r:
         x = pair.a_eigenvalues
+        cs, s2 = pair.cosines * pair.sines, pair.sines ** 2
         fx = [np.array([f(v) for v in x], dtype=complex) for f in fs]
-        s = np.sqrt(x * (1.0 - x))
         top_left = fx[0] + x * (fx[1] + fx[2] + fx[3])
-        top_right = s * (fx[1] + fx[2])
-        bot_left = s * (fx[1] + fx[3])
-        bot_right = (1.0 - x) * fx[1]
+        top_right = cs * (fx[1] + fx[2])
+        bot_left = cs * (fx[1] + fx[3])
+        bot_right = s2 * fx[1]
         Q1, Q2 = pair.k_basis_1, pair.k_basis_2
         b += (Q1 * top_left) @ Q1.conj().T
         b += (Q1 * top_right) @ Q2.conj().T

@@ -7,11 +7,14 @@ Any pair splits the ambient space into the four intersection components
 plus a generic part of the form K + K on which
 
     P1 = [[I, 0], [0, 0]],
-    P2 = [[a, s], [s, I-a]],   s = sqrt(a(I-a)),
+    P2 = [[c^2, cs], [cs, s^2]],
 
-where a is the compression of P2 to the first K copy, with 0 < a < I.
-Everything quantitative about the pair (angles, gaps, closedness margins of
-the infinite-dimensional analogues) is a function of the spectrum of a.
+with c, s the cosines and sines of the generic principal angles: the
+compression a of P2 to the first K copy is c^2, 0 < a < I.  One kernel,
+``subspaces.principal_pairs``, gives the pairs (cosines from an SVD of B1*B2,
+sines below pi/4 from an SVD of (I - P1)Y2).  Sine <= rank_tol puts a pair in
+H1&H2 and cosine <= rank_tol in H1&H2' and H1'&H2; the rest is generic.  The
+cutoffs are absolute, as the bases are orthonormal.
 """
 
 from __future__ import annotations
@@ -20,21 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, hermitian_eigenvalues,
+from .numerics import (DEFAULT_TOL, Tolerances, hermitian_eigenvalues,
                        independence_epsilon, operator_norm, singular_values,
                        smallest_nonzero_singular_value)
 from .reports import MarginReport
-from .subspaces import Subspace, complement, from_spanning, intersect
+from .subspaces import Subspace, complement, principal_pairs
 
 
 @dataclass
 class PairDecomposition:
-    """Five canonical components of a pair plus the generic-part operator a.
+    """Five canonical components of a pair plus the generic angles.
 
-    The K-basis is the eigenbasis of a with ascending eigenvalues, so the
-    decomposition is reproducible up to per-vector phases.  ``k_basis_1`` are
-    the first-copy directions (inside H1), ``k_basis_2`` the matching second
-    copy; ``a_eigenvalues`` all lie strictly inside (0, 1).
+    The K-basis runs through the generic pairs by ascending cosine, unique up
+    to per-vector phases.  ``k_basis_1`` lies inside H1, ``k_basis_2`` is the
+    matching second copy; ``cosines`` and ``sines`` lie strictly inside (0, 1).
     """
 
     ambient_dim: int
@@ -44,20 +46,17 @@ class PairDecomposition:
     neither: Subspace       # H1' & H2'
     k_basis_1: np.ndarray   # d x r, inside H1
     k_basis_2: np.ndarray   # d x r, orthogonal second copy
-    a_eigenvalues: np.ndarray  # ascending, in (0, 1)
+    cosines: np.ndarray     # ascending
+    sines: np.ndarray       # descending, sines^2 + cosines^2 = 1
 
     @property
     def k_dim(self) -> int:
-        return len(self.a_eigenvalues)
+        return len(self.cosines)
 
     @property
-    def a(self) -> np.ndarray:
-        """The operator a in the chosen K-basis (diagonal)."""
-        return np.diag(self.a_eigenvalues).astype(complex)
-
-    def generic_frame(self) -> np.ndarray:
-        """d x 2r isometry [K-copy-1, K-copy-2]."""
-        return np.hstack([self.k_basis_1, self.k_basis_2])
+    def a_eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum of a, the cosines squared."""
+        return self.cosines ** 2
 
     def reconstruct_p1(self) -> np.ndarray:
         P = self.both.projector() + self.first_only.projector()
@@ -65,118 +64,79 @@ class PairDecomposition:
 
     def reconstruct_p2(self) -> np.ndarray:
         P = self.both.projector() + self.second_only.projector()
-        x = self.a_eigenvalues
-        s = np.sqrt(x * (1.0 - x))
-        Q1, Q2 = self.k_basis_1, self.k_basis_2
-        block = (Q1 * x) @ Q1.conj().T + (Q2 * (1.0 - x)) @ Q2.conj().T \
-            + (Q1 * s) @ Q2.conj().T + (Q2 * s) @ Q1.conj().T
-        return P + block
+        Y = self.k_basis_1 * self.cosines + self.k_basis_2 * self.sines
+        return P + Y @ Y.conj().T
 
 
 def halmos_decompose(H1: Subspace, H2: Subspace,
                      tol: Tolerances = DEFAULT_TOL) -> PairDecomposition:
-    """Compute the canonical decomposition of (H1, H2).
-
-    Compression eigenvalues within rank_tol of 0 or 1 are reassigned to the
-    intersection components, enforcing 0 < a < I on the generic part.
-    """
+    """Canonical decomposition of (H1, H2) from its classified principal
+    pairs: a generic pair (x, y) with sine s has second copy (I - P1) y / s,
+    and H1'&H2' is the complement of H1, H1'&H2 and the second copy."""
     d = H1.ambient_dim
-    H1c, H2c = complement(H1, tol), complement(H2, tol)
-    both = intersect(H1, H2, tol)
-    first_only = intersect(H1, H2c, tol)
-    second_only = intersect(H1c, H2, tol)
-    neither = intersect(H1c, H2c, tol)
-
-    P_flat = (both.projector() + first_only.projector()
-              + second_only.projector() + neither.projector())
-    P_gen = np.eye(d) - P_flat
-    # generic part of H1 = first K copy
-    G1 = from_spanning(P_gen @ H1.basis, d, tol, scale=1.0)
-    P2 = H2.projector()
-
-    if G1.dim == 0:
-        return PairDecomposition(d, both, first_only, second_only, neither,
-                                 np.zeros((d, 0), dtype=complex),
-                                 np.zeros((d, 0), dtype=complex), np.zeros(0))
-
-    a = G1.basis.conj().T @ P2 @ G1.basis
-    spec = eig_hermitian(a, tol)
-    x, V = spec.eigenvalues, spec.eigenvectors
-    directions = G1.basis @ V
-
-    near_one = x >= 1.0 - tol.rank_tol
-    near_zero = x <= tol.rank_tol
-    mid = ~(near_one | near_zero)
-    if np.any(near_one):
-        both = from_spanning(np.hstack([both.basis, directions[:, near_one]]), d, tol)
-    if np.any(near_zero):
-        first_only = from_spanning(
-            np.hstack([first_only.basis, directions[:, near_zero]]), d, tol)
-
-    x = x[mid]
-    Q1 = directions[:, mid]
-    # second K copy: unit vectors (P2 - x) u / sqrt(x(1-x)), orthogonal to K
-    s = np.sqrt(x * (1.0 - x))
-    Q2 = (P2 @ Q1 - Q1 * x) / s
-    return PairDecomposition(d, both, first_only, second_only, neither, Q1, Q2, x)
+    pairs = principal_pairs(H1, H2)
+    meet, orth, generic = pairs.classify(tol)
+    generic = np.flatnonzero(generic)[::-1]  # ascending cosines
+    both = Subspace(d, pairs.in_a[:, meet])
+    first_only = Subspace(d, np.hstack([pairs.a_rest, pairs.in_a[:, orth]]))
+    second_only = Subspace(d, np.hstack([pairs.b_rest, pairs.in_b[:, orth]]))
+    c, s = pairs.cos[generic], pairs.sin[generic]
+    Q1, Y = pairs.in_a[:, generic], pairs.in_b[:, generic]
+    Q2 = (Y - H1.basis @ (H1.basis.conj().T @ Y)) / s
+    neither = complement(Subspace(d, np.hstack([H1.basis, second_only.basis, Q2])), tol)
+    return PairDecomposition(d, both, first_only, second_only, neither, Q1, Q2, c, s)
 
 
 def friedrichs_angle(H1: Subspace, H2: Subspace,
                      tol: Tolerances = DEFAULT_TOL) -> float:
-    """Angle between the pair after removing the intersection.
+    """Angle between the pair after removing the intersection: the smallest
+    generic principal angle; pi/2 when there is none (which covers
+    containment, following the definition literally)."""
+    pairs = principal_pairs(H1, H2)
+    angles = np.arctan2(pairs.sin, pairs.cos)[pairs.classify(tol)[2]]
+    return float(angles[0]) if len(angles) else float(np.pi / 2)
 
-    gamma = arccos(sqrt(max sigma(a))); pi/2 when the generic part is empty
-    (which covers containment, following the definition literally).
-    """
-    dec = halmos_decompose(H1, H2, tol)
-    if dec.k_dim == 0:
-        return float(np.pi / 2)
-    c = float(np.sqrt(np.clip(dec.a_eigenvalues[-1], 0.0, 1.0)))
-    return float(np.arccos(c))
+
+def _smallest_sine_squared(dec: PairDecomposition) -> float:
+    """1 - max sigma(a) as s^2 of the smallest generic angle; 1 if none."""
+    return float(dec.sines[-1] ** 2) if dec.k_dim else 1.0
 
 
 def pair_criteria(H1: Subspace, H2: Subspace,
                   tol: Tolerances = DEFAULT_TOL) -> MarginReport:
     """Margins for the equivalent closedness criteria of a pair.
 
-    c1: 1 - max sigma(a); c2: gap of sigma(P1 P2) below 1 (eigenvalue 1
-    excluded); c3: 1 - ||P1 P2 - P_{H1&H2}||; c4: c1 computed for the
-    complement pair; c5: smallest nonzero singular value of (I-P1)P2;
-    c6: smallest nonzero singular value of I - P1 P2.
+    c1: 1 - max sigma(a) = s^2 of the smallest generic angle; c2: gap of
+    sigma(P1 P2) below 1 (the dim(H1&H2) eigenvalues 1 excluded); c3:
+    1 - ||P1 P2 - P_{H1&H2}||; c4: c1 computed for the complement pair; c5:
+    smallest nonzero singular value of (I-P1)P2; c6: smallest singular value
+    of I - P1 P2 after the dim(H1&H2) zero ones.
     """
     d = H1.ambient_dim
     dec = halmos_decompose(H1, H2, tol)
     P1, P2 = H1.projector(), H2.projector()
     report = MarginReport()
+    report.add("c1_one_minus_max_a", _smallest_sine_squared(dec), tol.margin_tol)
 
-    if dec.k_dim == 0:
-        report.add("c1_one_minus_max_a", 1.0, tol.margin_tol)
-    else:
-        report.add("c1_one_minus_max_a", 1.0 - dec.a_eigenvalues[-1], tol.margin_tol)
-
-    prod_spec = hermitian_eigenvalues(P1 @ P2 @ P1, tol)
-    below_one = prod_spec[prod_spec < 1.0 - 100 * tol.eig_tol]
-    if len(below_one) == 0:
-        report.add("c2_product_spectrum_gap", 1.0, tol.margin_tol)
-    else:
-        report.add("c2_product_spectrum_gap", 1.0 - float(below_one[-1]), tol.margin_tol)
+    # the top dim(H1 & H2) eigenvalues of P1 P2 P1 are the eigenvalue 1
+    below_one = hermitian_eigenvalues(P1 @ P2 @ P1, tol)[:d - dec.both.dim]
+    report.add("c2_product_spectrum_gap",
+               1.0 - float(below_one[-1]) if len(below_one) else 1.0, tol.margin_tol)
 
     P_meet = dec.both.projector()
     report.add("c3_product_minus_meet_norm",
                1.0 - operator_norm(P1 @ P2 - P_meet), tol.margin_tol)
 
     dec_c = halmos_decompose(complement(H1, tol), complement(H2, tol), tol)
-    if dec_c.k_dim == 0:
-        report.add("c4_complement_pair", 1.0, tol.margin_tol)
-    else:
-        report.add("c4_complement_pair", 1.0 - dec_c.a_eigenvalues[-1], tol.margin_tol)
+    report.add("c4_complement_pair", _smallest_sine_squared(dec_c), tol.margin_tol)
 
     sv5 = smallest_nonzero_singular_value((np.eye(d) - P1) @ P2, tol)
     report.add("c5_image_closedness", sv5, tol.margin_tol,
                vacuous=np.isinf(sv5))
-    sv6 = smallest_nonzero_singular_value(np.eye(d) - P1 @ P2, tol)
-    report.add("c6_one_minus_product", sv6, tol.margin_tol,
-               vacuous=np.isinf(sv6))
+    # the kernel of I - P1 P2 is H1 & H2: drop exactly that many zeros
+    sv6 = singular_values(np.eye(d) - P1 @ P2)[:d - dec.both.dim]
+    report.add("c6_one_minus_product", float(sv6[-1]) if len(sv6) else 1.0,
+               tol.margin_tol, vacuous=len(sv6) == 0)
     report.extras["k_dim"] = dec.k_dim
     return report
 

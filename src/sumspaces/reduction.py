@@ -24,7 +24,7 @@ from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, hermitian_eigenva
                        independence_epsilon, numerical_rank, pinv, svd)
 from .reports import MarginReport
 from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, intersect,
-                        sum_span, zero_subspace)
+                        subtract, sum_span, zero_subspace)
 from .systems import sum_gap
 from . import pairs as _pairs
 
@@ -191,11 +191,7 @@ def _reduce_recursive(members, eps, tol):
         return [members[0]], [1.0], eps
     H1, H2 = members[0], members[1]
     meet = intersect(H1, H2, tol)
-    if meet.dim:
-        P = np.eye(H1.ambient_dim) - meet.projector()
-        H2p = from_spanning(P @ H2.basis, H1.ambient_dim, tol, scale=1.0)
-    else:
-        H2p = H2
+    H2p = subtract(H2, meet, tol) if meet.dim else H2
     if n == 2:
         return [H1, H2p], [1.0, 1.0], eps / 2.0
     M2, _ = reduce_pair(H1, H2p, eps / 4.0, tol)

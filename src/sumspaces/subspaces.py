@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_json,
-                       eig_hermitian, operator_norm, singular_values, svd)
+                       dimension_from_json, operator_norm, svd)
 
 
 @dataclass
@@ -86,17 +86,10 @@ def from_spanning(vectors: np.ndarray, d: int | None = None,
     return Subspace(d, U[:, :r])
 
 
-def projector(S: Subspace) -> np.ndarray:
-    return S.projector()
-
-
 def complement(S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement: kernel of the projector."""
-    d, r = S.ambient_dim, S.dim
-    if r == 0:
-        return full_space(d)
     U, _, _ = svd(S.basis, tol)
-    return Subspace(d, U[:, r:])
+    return Subspace(S.ambient_dim, U[:, S.dim:])
 
 
 def _check_ambient(A: Subspace, B: Subspace):
@@ -105,15 +98,9 @@ def _check_ambient(A: Subspace, B: Subspace):
 
 
 def intersect(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection computed spectrally: eigenspace of P_A + P_B at eigenvalue 2."""
-    _check_ambient(A, B)
-    d = A.ambient_dim
-    if A.dim == 0 or B.dim == 0:
-        return zero_subspace(d)
-    spec = eig_hermitian(A.projector() + B.projector(), tol)
-    mask = spec.eigenvalues >= 2.0 - 100 * tol.eig_tol
-    cols = spec.eigenvectors[:, mask]
-    return Subspace(d, cols)
+    """Intersection: the principal vectors of A whose sine is at most rank_tol."""
+    pairs = principal_pairs(A, B)
+    return Subspace(A.ambient_dim, pairs.in_a[:, pairs.classify(tol)[0]])
 
 
 def sum_span(subspaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -149,15 +136,52 @@ def subtract(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspac
     return from_spanning(P @ A.basis, A.ambient_dim, tol, scale=1.0)
 
 
-def principal_angles(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Ascending principal angles in [0, pi/2]."""
+@dataclass
+class PrincipalPairs:
+    """Principal pairs of (A, B) by ascending angle: cos, sin and d x k
+    vectors in_a, in_b with in_a* in_b = diag(cos), k = min(dim A, dim B);
+    a_rest and b_rest span the rest of A & B-perp and of A-perp & B."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    in_a: np.ndarray
+    in_b: np.ndarray
+    a_rest: np.ndarray
+    b_rest: np.ndarray
+
+    def classify(self, tol: Tolerances):
+        """Masks of the meet (sin <= rank_tol), the orthogonal pairs (cos <=
+        rank_tol) and the generic rest; absolute, as the bases are orthonormal."""
+        meet, orth = self.sin <= tol.rank_tol, self.cos <= tol.rank_tol
+        return meet, orth, ~(meet | orth)
+
+
+def principal_pairs(A: Subspace, B: Subspace) -> PrincipalPairs:
+    """Cosines from an SVD of A*B.  Below pi/4, where cos = 1 - theta^2/2
+    loses theta, sines from an SVD of (I - P_A) Y, whose right singular
+    vectors re-rotate those pairs (Bjorck & Golub, Math. Comp. 27 (1973);
+    Knyazev & Argentati, SIAM J. Sci. Comput. 23 (2002))."""
     _check_ambient(A, B)
     k = min(A.dim, B.dim)
-    if k == 0:
-        return np.zeros(0)
-    s = singular_values(A.basis.conj().T @ B.basis)
-    cosines = np.clip(s, 0.0, 1.0)
-    return np.sort(np.arccos(cosines))
+    U, cos, V = svd(A.basis.conj().T @ B.basis)
+    X, Y = A.basis @ U, B.basis @ V
+    cos = np.clip(cos, 0.0, 1.0)
+    sin = np.sqrt(1.0 - cos * cos)
+    m = int(np.sum(cos * cos >= 0.5))
+    if m:
+        W = Y[:, :m] - A.basis @ (A.basis.conj().T @ Y[:, :m])
+        _, s, R = svd(W)
+        R = R[:, ::-1]  # ascending sines
+        X[:, :m], Y[:, :m] = X[:, :m] @ R, Y[:, :m] @ R
+        sin[:m] = np.clip(s[::-1], 0.0, 1.0)
+        cos[:m] = np.sqrt(1.0 - sin[:m] * sin[:m])
+    return PrincipalPairs(cos, sin, X[:, :k], Y[:, :k], X[:, k:], Y[:, k:])
+
+
+def principal_angles(A: Subspace, B: Subspace) -> np.ndarray:
+    """Ascending principal angles in [0, pi/2]."""
+    pairs = principal_pairs(A, B)
+    return np.arctan2(pairs.sin, pairs.cos)
 
 
 def subspace_to_json(S: Subspace) -> dict:
@@ -167,7 +191,7 @@ def subspace_to_json(S: Subspace) -> dict:
 
 def subspace_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Decode and re-orthonormalize a JSON subspace."""
-    d = int(data["ambient_dim"])
+    d = dimension_from_json(data["ambient_dim"])
     cols = data.get("vectors", [])
     if not cols:
         return zero_subspace(d)
@@ -180,6 +204,6 @@ def system_to_json(S: SubspaceSystem) -> dict:
 
 
 def system_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> SubspaceSystem:
-    d = int(data["ambient_dim"])
+    d = dimension_from_json(data["ambient_dim"])
     members = [subspace_from_json(m, tol) for m in data["members"]]
     return SubspaceSystem(d, members)

@@ -96,26 +96,30 @@ def dilation(S: SubspaceSystem):
     return P_delta, P_H
 
 
-def _complement_quadratic(S: SubspaceSystem, G: WeightedGraph, phases=None):
-    """Block operator of the (phase-twisted) difference form on +Hk-perp."""
+def _complement_quadratic(S: SubspaceSystem, G: WeightedGraph):
+    """Difference-form operator on +Hk-perp (None if 0) and its phase twist."""
     comps = [complement(m) for m in S.members]
     dims = [c.dim for c in comps]
     total = sum(dims)
     if total == 0:
-        return None, comps
+        return None, None
     offs = np.cumsum([0] + dims)
     rho = G.rho()
-    Q = np.zeros((total, total), dtype=complex)
-    for i in range(len(S)):
-        Q[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = rho[i] * np.eye(dims[i])
-    for idx, (i, j, w) in enumerate(G.edges):
-        a, b = i - 1, j - 1
-        cross = comps[a].basis.conj().T @ comps[b].basis
-        factor = w if phases is None else w * np.exp(1j * phases[idx])
-        block = -factor * cross
-        Q[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = block
-        Q[offs[b]:offs[b + 1], offs[a]:offs[a + 1]] = block.conj().T
-    return Q, comps
+    crosses = [comps[i - 1].basis.conj().T @ comps[j - 1].basis for i, j, _ in G.edges]
+
+    def twisted(phases):
+        Q = np.zeros((total, total), dtype=complex)
+        for i in range(len(S)):
+            Q[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = rho[i] * np.eye(dims[i])
+        for idx, (i, j, w) in enumerate(G.edges):
+            a, b = i - 1, j - 1
+            factor = w if phases is None else w * np.exp(1j * phases[idx])
+            block = -factor * crosses[idx]
+            Q[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = block
+            Q[offs[b]:offs[b + 1], offs[a]:offs[a + 1]] = block.conj().T
+        return Q
+
+    return twisted(None), twisted
 
 
 def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
@@ -135,7 +139,7 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
     if not G.is_connected():
         raise GraphDisconnected("criterion requires a connected graph")
     report = MarginReport()
-    Q, _ = _complement_quadratic(S, G)
+    Q, twisted = _complement_quadratic(S, G)
     if Q is None:
         report.add("difference_form_epsilon", 1.0, tol.margin_tol, vacuous=True)
         if modulus:
@@ -150,7 +154,7 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
         m = len(G.edges)
         for _ in range(MODULUS_SAMPLES):
             phases = rng.uniform(0.0, 2 * np.pi, size=m)
-            Qp, _ = _complement_quadratic(S, G, phases)
+            Qp = twisted(phases)
             best = min(best, float(hermitian_eigenvalues(Qp, tol)[0]))
         report.add("modulus_form_epsilon", best, tol.margin_tol, estimate=True)
     return report

@@ -90,21 +90,29 @@ def test_precondition_error_is_exit_2(tmp_path, capsys):
 
 BAD_ENTRIES = {"bare_float": 0.5, "infinity": [float("inf"), 0.0],
                "nan": [float("nan"), 0.0], "three_elements": [1.0, 0.0, 0.0]}
+# whole-document corruptions: a top level that is not an object, a list dimension
+BAD_DOCUMENTS = {"top_level_list": lambda data: [1, 2],
+                 "ambient_dim_list": lambda data: {**data, "ambient_dim": [2]}}
 
 
-@pytest.mark.parametrize("entry", list(BAD_ENTRIES), ids=list(BAD_ENTRIES))
+@pytest.mark.parametrize("entry", list(BAD_ENTRIES) + list(BAD_DOCUMENTS),
+                         ids=list(BAD_ENTRIES) + list(BAD_DOCUMENTS))
 @pytest.mark.parametrize("command", ["pair", "images"])
 def test_malformed_entry_is_input_error(command, entry, pair_files, tmp_path, capsys):
     if command == "pair":
         with open(pair_files[1]) as fh:
             data = json.load(fh)
-        data["vectors"][0][0] = BAD_ENTRIES[entry]
+        entries = data["vectors"][0]
         argv = ["pair", "--a", pair_files[0], "--b", str(tmp_path / "bad.json")]
     else:
         data = ss.OperatorFamily(2, [np.eye(2)], ["nonnegative"]).to_json()
-        data["matrices"][0][1][0] = BAD_ENTRIES[entry]
+        entries = data["matrices"][0][1]
         argv = ["images", "--operators", str(tmp_path / "bad.json"),
                 "--analysis", "pradius"]
+    if entry in BAD_DOCUMENTS:
+        data = BAD_DOCUMENTS[entry](data)
+    else:
+        entries[0] = BAD_ENTRIES[entry]
     (tmp_path / "bad.json").write_text(json.dumps(data))
     code, report = _run(argv, capsys)
     assert code == 3
@@ -154,6 +162,17 @@ def test_images_pradius_command(tmp_path, capsys):
                          "--analysis", "pradius"], capsys)
     assert code == 0
     assert report["verdict"] == "deficient"
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_images_pradius_depth_below_one_is_exit_2(depth, tmp_path, capsys):
+    opfile = tmp_path / "ops.json"
+    F = ss.OperatorFamily(2, [np.diag([1.0, 0.0])], ["nonnegative"])
+    opfile.write_text(json.dumps(F.to_json()))
+    code, report = _run(["images", "--operators", str(opfile), "--analysis",
+                         "pradius", "--depth", depth], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
 
 
 def test_out_flag_writes_file(pair_files, tmp_path, capsys):

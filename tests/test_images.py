@@ -81,6 +81,13 @@ def test_p_radius_deficient_single_projector():
     assert verdict == "deficient"
 
 
+@pytest.mark.parametrize("depth", [0, -2])
+def test_p_radius_rejects_depth_below_one(depth):
+    F = ss.OperatorFamily(2, [np.diag([1.0, 0.0]).astype(complex)], ["nonnegative"])
+    with pytest.raises(ValueError):
+        ss.p_radius(F, depth=depth)
+
+
 def test_membership_identity_requires_invertible_sum():
     F = ss.OperatorFamily(2, [np.diag([1.0, 0.0]).astype(complex)])
     with pytest.raises(NotInvertible):

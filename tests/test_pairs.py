@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import sumspaces as ss
 
@@ -80,3 +81,61 @@ def test_independent_pair_detects_overlap():
     rep = ss.independent_pair_constants(A, B)
     assert not rep.extras["independent_closed"]
     assert abs(rep.extras["product_norm"] - 1.0) <= 1e-10
+
+
+def _lines_at(theta):
+    H1 = ss.from_spanning(np.array([[1.0], [0.0]]))
+    H2 = ss.from_spanning(np.array([[np.cos(theta)], [np.sin(theta)]]))
+    return H1, H2
+
+
+@pytest.mark.parametrize("theta", [10.0 ** -k for k in range(2, 10)])
+def test_angle_sweep_resolves_small_angles(theta):
+    H1, H2 = _lines_at(theta)
+    assert ss.intersect(H1, H2).dim == 0
+    assert ss.friedrichs_angle(H1, H2) == pytest.approx(theta, rel=1e-6)
+    assert ss.principal_angles(H1, H2) == pytest.approx([theta], rel=1e-6)
+    s = np.sin(theta)
+    t = 1.0 + s * s
+    closed = {  # the margins of one generic 2x2 block, in closed form
+        "c1_one_minus_max_a": s * s,
+        "c2_product_spectrum_gap": s * s,
+        "c3_product_minus_meet_norm": 2.0 * np.sin(theta / 2) ** 2,  # 1 - cos
+        "c4_complement_pair": s * s,
+        "c5_image_closedness": s,
+        "c6_one_minus_product": np.sqrt(2 * s ** 4 / (t + np.sqrt(t * t - 4 * s ** 4))),
+    }
+    rep = ss.pair_criteria(H1, H2)
+    assert rep.extras["k_dim"] == 1
+    margin_tol = ss.DEFAULT_TOL.margin_tol
+    for name, value in closed.items():
+        assert rep.margin(name) == pytest.approx(value, rel=1e-6, abs=1e-15), name
+        assert rep.verdict(name) == ss.MarginReport().add(name, value, margin_tol).verdict
+
+
+def test_angle_below_rank_tol_is_meet():
+    H1, H2 = _lines_at(1e-12)
+    assert ss.intersect(H1, H2).dim == 1
+    assert ss.pair_criteria(H1, H2).extras["k_dim"] == 0
+    assert ss.friedrichs_angle(H1, H2) == np.pi / 2
+
+
+def test_friedrichs_angle_on_planted_meets(rng):
+    for _ in range(30):
+        d = int(rng.integers(3, 12))
+        m = int(rng.integers(1, d))
+        r1 = int(rng.integers(0, d - m + 1))
+        r2 = int(rng.integers(0, d - m - r1 + 1))
+        Q = random_subspace(rng, d, d).basis
+        rest = Q[:, m:]
+        H1 = ss.from_spanning(np.hstack([Q[:, :m], rest @ rng.normal(size=(d - m, r1))]))
+        H2 = ss.from_spanning(np.hstack([Q[:, :m], rest @ rng.normal(size=(d - m, r2))]))
+        assert ss.intersect(H1, H2).dim == m
+        angles = ss.principal_angles(H1, H2)
+        above = angles[np.sin(angles) > ss.DEFAULT_TOL.rank_tol]
+        expected = above[0] if len(above) else np.pi / 2
+        assert abs(ss.friedrichs_angle(H1, H2) - expected) <= 1e-12
+        # c(H1, H2) = c(H1-perp, H2-perp)
+        c = np.cos(ss.friedrichs_angle(H1, H2))
+        c_perp = np.cos(ss.friedrichs_angle(ss.complement(H1), ss.complement(H2)))
+        assert abs(c - c_perp) <= 1e-12
