@@ -22,7 +22,7 @@ def main():
     print(f"  H1 & H2        : {dec.both.dim}")
     print(f"  H1 & H2-perp   : {dec.first_only.dim}")
     print(f"  H1-perp & H2   : {dec.second_only.dim}")
-    print(f"  H1-perp&H2-perp: {dec.neither.dim}")
+    print(f"  H1-perp&H2-perp: {dec.neither_dim}")
     print(f"  generic K + K  : 2 x {dec.k_dim}")
     print(f"  a eigenvalues  : {np.round(dec.a_eigenvalues, 6)}")
 

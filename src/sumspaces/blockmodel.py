@@ -22,18 +22,16 @@ from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, sum_span
 
 @dataclass
 class BlockSystem:
-    """Deterministic generator k -> SubspaceSystem plus a materialization cache."""
+    """Deterministic generator k -> SubspaceSystem; each call builds block k
+    afresh, so a walk over k = 1..K keeps one block alive at a time."""
 
     generator: object  # callable k >= 1 -> SubspaceSystem
     n_members: int
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def block(self, k: int) -> SubspaceSystem:
-        if k not in self._cache:
-            self._cache[k] = self.generator(k)
-        return self._cache[k]
+        return self.generator(k)
 
 
 @dataclass

@@ -17,14 +17,10 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedInput, SumspacesError
-from .numerics import Tolerances, complex_to_json, hermitian_eigenvalues
+from .numerics import (DEFAULT_TOL, Tolerances, complex_to_json,
+                       dimension_from_json, hermitian_eigenvalues, real_from_json)
 from .reports import MarginReport
 from . import blockmodel, images, paircalc, pairs, reduction, subspaces, systems
-
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(rank_tol=args.rank_tol, eig_tol=args.eig_tol,
-                      margin_tol=args.margin_tol)
 
 
 def _load_json(path: str) -> dict:
@@ -74,13 +70,6 @@ def _emit(report: dict, args) -> None:
                     sys.stderr.write(f"  {e.criterion}: {e.margin} ({e.verdict})\n")
 
 
-def _provenance(args) -> dict:
-    return {"version": __version__,
-            "tolerances": {"rank_tol": args.rank_tol, "eig_tol": args.eig_tol,
-                           "margin_tol": args.margin_tol},
-            "seed": args.seed}
-
-
 def _poly(text: str) -> paircalc.ScalarFunction:
     coeffs = []
     for part in text.split(","):
@@ -101,7 +90,6 @@ def _cmd_pair(args, tol):
         "friedrichs_angle": angle,
         "margins": {"pair_criteria": pairs.pair_criteria(A, B, tol),
                     "independent_pair": pairs.independent_pair_constants(A, B, tol)},
-        "provenance": _provenance(args),
     }
 
 
@@ -117,7 +105,6 @@ def _cmd_calculus(args, tol):
                     "f1": args.f1, "f2": args.f2, "f3": args.f3, "f4": args.f4},
         "spectrum": complex_to_json(spectrum[order]),
         "margins": {"calculus": paircalc.calculus_criteria(dec, *fs, tol=tol)},
-        "provenance": _provenance(args),
     }
 
 
@@ -126,7 +113,6 @@ def _cmd_system(args, tol):
     out = {
         "request": {"command": "system", "members": args.members},
         "margins": {"sum_gap": systems.sum_gap(S, tol)},
-        "provenance": _provenance(args),
     }
     P_delta, P_H = systems.dilation(S)
     w = hermitian_eigenvalues(P_delta @ P_H @ P_delta, tol)
@@ -149,7 +135,6 @@ def _cmd_graph(args, tol):
         "request": {"command": "graph", "members": args.members,
                     "graph": args.graph, "modulus": args.modulus},
         "margins": {"complement_graph": report},
-        "provenance": _provenance(args),
     }
 
 
@@ -164,7 +149,6 @@ def _cmd_reduce(args, tol):
                         "members": args.members, "eps": args.eps},
             "artifacts": {"m2": subspaces.subspace_to_json(M2)},
             "margins": {"reduce_pair": report},
-            "provenance": _provenance(args),
         }
     if args.mode == "preserve-sum":
         result = reduction.reduce_preserving_sum(S, tol)
@@ -183,7 +167,6 @@ def _cmd_reduce(args, tol):
             "numerically_vacuous": result.numerically_vacuous,
         },
         "margins": {"reduction": result.report},
-        "provenance": _provenance(args),
     }
 
 
@@ -196,22 +179,19 @@ def _cmd_images(args, tol):
         C, lam = images.douglas_factor(F.members[0], F.members[1], tol)
         return {"request": req,
                 "factor": complex_to_json(C),
-                "inclusion_lambda": lam,
-                "provenance": _provenance(args)}
+                "inclusion_lambda": lam}
     if args.analysis == "sum":
         image, report = images.sum_of_images(F, tol)
         return {"request": req,
                 "artifacts": {"image": subspaces.subspace_to_json(image)},
-                "margins": {"sum_of_images": report},
-                "provenance": _provenance(args)}
+                "margins": {"sum_of_images": report}}
     if args.analysis == "pradius":
         seq, verdict = images.p_radius(F, p=args.p, depth=args.depth, tol=tol)
         return {"request": req, "sequence": [float(v) for v in seq],
-                "verdict": verdict, "provenance": _provenance(args)}
+                "verdict": verdict}
     if args.analysis == "membership":
         residual = images.m_membership_identity(F, tol)
-        return {"request": req, "residual": residual,
-                "provenance": _provenance(args)}
+        return {"request": req, "residual": residual}
     raise SumspacesError(f"unknown analysis {args.analysis}")
 
 
@@ -228,7 +208,6 @@ def _cmd_blocks(args, tol):
                     "trend_slope": verdict.trend_slope,
                     "trend_residual": verdict.trend_residual,
                     "gaps": [g if np.isfinite(g) else "inf" for g in verdict.gaps]},
-        "provenance": _provenance(args),
     }
 
 
@@ -236,9 +215,12 @@ def _family_from_args(args) -> blockmodel.BlockSystem:
     if args.family_file:
         spec = _load_json(args.family_file)
         name = spec["family"]
-        params = dict(spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise MalformedInput("family params must be a JSON object")
+        params = {key: real_from_json(value) for key, value in params.items()}
         if "n" in spec:
-            params.setdefault("n", spec["n"])
+            params.setdefault("n", dimension_from_json(spec["n"]))
         return blockmodel.paper_families(name, params)
     params = {}
     if args.n is not None:
@@ -257,7 +239,6 @@ def _cmd_sum_as_two(args, tol):
             "m2_dims": [s.dim for s in m2],
         },
         "margins": {"sum_as_two": report},
-        "provenance": _provenance(args),
     }
 
 
@@ -268,9 +249,9 @@ def _add_common(parser, suppress: bool) -> None:
                         help="seed for sampled estimators")
     parser.add_argument("--verbose", action="store_true",
                         default=d(False))
-    parser.add_argument("--rank-tol", type=float, default=d(1e-10))
-    parser.add_argument("--eig-tol", type=float, default=d(1e-10))
-    parser.add_argument("--margin-tol", type=float, default=d(1e-8))
+    parser.add_argument("--rank-tol", type=float, default=d(DEFAULT_TOL.rank_tol))
+    parser.add_argument("--eig-tol", type=float, default=d(DEFAULT_TOL.eig_tol))
+    parser.add_argument("--margin-tol", type=float, default=d(DEFAULT_TOL.margin_tol))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,13 +338,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args, _tolerances(args))
+        tol = Tolerances(args.rank_tol, args.eig_tol, args.margin_tol)
+        report = args.func(args, tol)
     except (OSError, json.JSONDecodeError, KeyError, MalformedInput) as exc:
         _emit_error(exc)
         return 3
     except (SumspacesError, ValueError) as exc:
         _emit_error(exc)
         return 2
+    report["provenance"] = {"version": __version__, "tolerances": vars(tol), "seed": args.seed}
     _emit(report, args)
     return 0
 

@@ -93,8 +93,7 @@ def sum_of_images(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL):
     return image, report
 
 
-def product_bound(F: OperatorFamily, x: np.ndarray,
-                  tol: Tolerances = DEFAULT_TOL) -> float:
+def product_bound(F: OperatorFamily, x: np.ndarray) -> float:
     """Slack of the product inequality for nonnegative T_k with ||T_k|| < 2.
 
     With E = (I - T_n) ... (I - T_1) and omega = max ||T_k||:

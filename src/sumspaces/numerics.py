@@ -10,11 +10,12 @@ numerical policy wrapped around each decomposition:
 - zero cutoff 100 * eig_tol for spectra of positive semidefinite sums;
 - independence constant sigma_min^2 of stacked orthonormal bases;
 - errors: a LAPACK failure surfaces as ComputationFailed;
-- the JSON forms: [re, im] pairs of finite numbers, non-negative dimensions.
+- the JSON forms: [re, im] pairs and reals, all finite; non-negative dimensions.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ def psd_gap(M: np.ndarray, tol: Tolerances):
     return gap, kernel_dim
 
 
-def svd(M: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def svd(M: np.ndarray):
     """Full SVD with descending singular values, plus V (not V*)."""
     U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=complex))
     return U, s, Vh.conj().T
@@ -202,6 +203,14 @@ def complex_from_json(data, ndim: int) -> np.ndarray:
             or not np.all(np.isfinite(arr))):
         raise MalformedInput(f"expected {ndim}-deep [re, im] pairs of finite numbers")
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
+def real_from_json(value):
+    """A finite int or float read from JSON, unchanged; else MalformedInput."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:  # NaN, inf, ints past float
+        raise MalformedInput(f"expected a finite real number, got {value!r}")
+    return value
 
 
 def dimension_from_json(value) -> int:

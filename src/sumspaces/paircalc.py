@@ -96,7 +96,7 @@ def spectrum_of_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     of a contributes the two roots of lambda^2 - T(x) lambda + D(x) = 0.
     """
     counts = (pair.both.dim, pair.first_only.dim,
-              pair.second_only.dim, pair.neither.dim)
+              pair.second_only.dim, pair.neither_dim)
     fs = (f1, f2, f3, f4)
     values = []
     for value, count in zip(_component_values(fs), counts):

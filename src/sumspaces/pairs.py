@@ -27,12 +27,12 @@ from .numerics import (DEFAULT_TOL, Tolerances, hermitian_eigenvalues,
                        independence_epsilon, operator_norm, singular_values,
                        smallest_nonzero_singular_value)
 from .reports import MarginReport
-from .subspaces import Subspace, complement, principal_pairs
+from .subspaces import PrincipalPairs, Subspace, complement, principal_pairs
 
 
 @dataclass
 class PairDecomposition:
-    """Five canonical components of a pair plus the generic angles.
+    """Frames of H1&H2, H1&H2', H1'&H2 and K + K, dim(H1'&H2') and the angles.
 
     The K-basis runs through the generic pairs by ascending cosine, unique up
     to per-vector phases.  ``k_basis_1`` lies inside H1, ``k_basis_2`` is the
@@ -43,7 +43,7 @@ class PairDecomposition:
     both: Subspace          # H1 & H2
     first_only: Subspace    # H1 & H2'
     second_only: Subspace   # H1' & H2
-    neither: Subspace       # H1' & H2'
+    neither_dim: int        # dim(H1' & H2')
     k_basis_1: np.ndarray   # d x r, inside H1
     k_basis_2: np.ndarray   # d x r, orthogonal second copy
     cosines: np.ndarray     # ascending
@@ -71,8 +71,8 @@ class PairDecomposition:
 def halmos_decompose(H1: Subspace, H2: Subspace,
                      tol: Tolerances = DEFAULT_TOL) -> PairDecomposition:
     """Canonical decomposition of (H1, H2) from its classified principal
-    pairs: a generic pair (x, y) with sine s has second copy (I - P1) y / s,
-    and H1'&H2' is the complement of H1, H1'&H2 and the second copy."""
+    pairs: a generic pair (x, y) with sine s has second copy (I - P1) y / s;
+    H1'&H2' is what H1, H1'&H2 and the second copy leave, kept as a dimension."""
     d = H1.ambient_dim
     pairs = principal_pairs(H1, H2)
     meet, orth, generic = pairs.classify(tol)
@@ -83,8 +83,15 @@ def halmos_decompose(H1: Subspace, H2: Subspace,
     c, s = pairs.cos[generic], pairs.sin[generic]
     Q1, Y = pairs.in_a[:, generic], pairs.in_b[:, generic]
     Q2 = (Y - H1.basis @ (H1.basis.conj().T @ Y)) / s
-    neither = complement(Subspace(d, np.hstack([H1.basis, second_only.basis, Q2])), tol)
-    return PairDecomposition(d, both, first_only, second_only, neither, Q1, Q2, c, s)
+    # a rank_tol below rounding leaves the meet generic, so it is counted twice
+    neither_dim = max(d - H1.dim - second_only.dim - len(c), 0)
+    return PairDecomposition(d, both, first_only, second_only, neither_dim, Q1, Q2, c, s)
+
+
+def _smallest_generic(pairs: PrincipalPairs, tol: Tolerances):
+    """(cos, sin) of the smallest generic principal angle; (0, 1) if none."""
+    generic = np.flatnonzero(pairs.classify(tol)[2])
+    return (pairs.cos[generic[0]], pairs.sin[generic[0]]) if len(generic) else (0.0, 1.0)
 
 
 def friedrichs_angle(H1: Subspace, H2: Subspace,
@@ -92,14 +99,8 @@ def friedrichs_angle(H1: Subspace, H2: Subspace,
     """Angle between the pair after removing the intersection: the smallest
     generic principal angle; pi/2 when there is none (which covers
     containment, following the definition literally)."""
-    pairs = principal_pairs(H1, H2)
-    angles = np.arctan2(pairs.sin, pairs.cos)[pairs.classify(tol)[2]]
-    return float(angles[0]) if len(angles) else float(np.pi / 2)
-
-
-def _smallest_sine_squared(dec: PairDecomposition) -> float:
-    """1 - max sigma(a) as s^2 of the smallest generic angle; 1 if none."""
-    return float(dec.sines[-1] ** 2) if dec.k_dim else 1.0
+    c, s = _smallest_generic(principal_pairs(H1, H2), tol)
+    return float(np.arctan2(s, c))
 
 
 def pair_criteria(H1: Subspace, H2: Subspace,
@@ -113,31 +114,34 @@ def pair_criteria(H1: Subspace, H2: Subspace,
     of I - P1 P2 after the dim(H1&H2) zero ones.
     """
     d = H1.ambient_dim
-    dec = halmos_decompose(H1, H2, tol)
+    pairs = principal_pairs(H1, H2)
+    meet, _, generic = pairs.classify(tol)
+    M = pairs.in_a[:, meet]
     P1, P2 = H1.projector(), H2.projector()
     report = MarginReport()
-    report.add("c1_one_minus_max_a", _smallest_sine_squared(dec), tol.margin_tol)
+    report.add("c1_one_minus_max_a", float(_smallest_generic(pairs, tol)[1] ** 2),
+               tol.margin_tol)
 
     # the top dim(H1 & H2) eigenvalues of P1 P2 P1 are the eigenvalue 1
-    below_one = hermitian_eigenvalues(P1 @ P2 @ P1, tol)[:d - dec.both.dim]
+    below_one = hermitian_eigenvalues(P1 @ P2 @ P1, tol)[:d - M.shape[1]]
     report.add("c2_product_spectrum_gap",
                1.0 - float(below_one[-1]) if len(below_one) else 1.0, tol.margin_tol)
 
-    P_meet = dec.both.projector()
     report.add("c3_product_minus_meet_norm",
-               1.0 - operator_norm(P1 @ P2 - P_meet), tol.margin_tol)
+               1.0 - operator_norm(P1 @ P2 - M @ M.conj().T), tol.margin_tol)
 
-    dec_c = halmos_decompose(complement(H1, tol), complement(H2, tol), tol)
-    report.add("c4_complement_pair", _smallest_sine_squared(dec_c), tol.margin_tol)
+    pairs_c = principal_pairs(complement(H1), complement(H2))
+    report.add("c4_complement_pair", float(_smallest_generic(pairs_c, tol)[1] ** 2),
+               tol.margin_tol)
 
     sv5 = smallest_nonzero_singular_value((np.eye(d) - P1) @ P2, tol)
     report.add("c5_image_closedness", sv5, tol.margin_tol,
                vacuous=np.isinf(sv5))
     # the kernel of I - P1 P2 is H1 & H2: drop exactly that many zeros
-    sv6 = singular_values(np.eye(d) - P1 @ P2)[:d - dec.both.dim]
+    sv6 = singular_values(np.eye(d) - P1 @ P2)[:d - M.shape[1]]
     report.add("c6_one_minus_product", float(sv6[-1]) if len(sv6) else 1.0,
                tol.margin_tol, vacuous=len(sv6) == 0)
-    report.extras["k_dim"] = dec.k_dim
+    report.extras["k_dim"] = int(generic.sum())
     return report
 
 

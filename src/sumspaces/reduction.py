@@ -114,7 +114,7 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
     if stacked.shape[1] == 0:
         report.add("rps_epsilon", 1.0, tol.margin_tol, vacuous=True)
         return report
-    U, s, V = svd(stacked, tol)
+    U, s, V = svd(stacked)
     r = numerical_rank(s, tol)
     Z = V[:, r:]  # orthonormal basis of the kernel, in block coordinates
     if Z.shape[1] == 0:
@@ -282,7 +282,7 @@ def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> R
         summap[:, offs[k]:offs[k + 1]] = m.basis
     P1 = S.members[0].projector()
     constraint = (np.eye(d) - P1) @ summap
-    _, s, V = svd(constraint, tol)
+    _, s, V = svd(constraint)
     # columns are projections of unit vectors: rank cutoff on absolute scale
     r = int(np.sum(s > tol.rank_tol * max(s[0] if len(s) else 0.0, 1.0)))
     N = V[:, r:]

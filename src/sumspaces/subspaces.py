@@ -80,15 +80,15 @@ def from_spanning(vectors: np.ndarray, d: int | None = None,
     d = vectors.shape[0]
     if vectors.shape[1] == 0 or not np.any(vectors):
         return zero_subspace(d)
-    U, s, _ = svd(vectors, tol)
+    U, s, _ = svd(vectors)
     reference = s[0] if scale is None else max(s[0], scale)
     r = int(np.sum(s > tol.rank_tol * reference)) if reference > 0 else 0
     return Subspace(d, U[:, :r])
 
 
-def complement(S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+def complement(S: Subspace) -> Subspace:
     """Orthogonal complement: kernel of the projector."""
-    U, _, _ = svd(S.basis, tol)
+    U, _, _ = svd(S.basis)
     return Subspace(S.ambient_dim, U[:, S.dim:])
 
 

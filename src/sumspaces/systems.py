@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GraphDisconnected
-from .numerics import (DEFAULT_TOL, Tolerances, hermitian_eigenvalues,
-                       independence_epsilon, psd_gap, support_connected)
+from .errors import DimensionMismatch, GraphDisconnected, MalformedInput
+from .numerics import (DEFAULT_TOL, Tolerances, dimension_from_json,
+                       hermitian_eigenvalues, independence_epsilon, psd_gap,
+                       real_from_json, support_connected)
 from .reports import MarginReport
 from .subspaces import SubspaceSystem, complement
 
@@ -59,8 +60,8 @@ class WeightedGraph:
         return support_connected(adj)
 
     @classmethod
-    def complete(cls, n: int, weight: float = 1.0) -> "WeightedGraph":
-        edges = [(i, j, weight) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    def complete(cls, n: int) -> "WeightedGraph":
+        edges = [(i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         return cls(n, edges)
 
     def to_json(self) -> dict:
@@ -68,7 +69,12 @@ class WeightedGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeightedGraph":
-        return cls(int(data["n"]), [tuple(e) for e in data["edges"]])
+        edges = data["edges"]
+        if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 3
+                                                for e in edges)):
+            raise MalformedInput("graph edges must be a list of [i, j, w] triples")
+        return cls(dimension_from_json(data["n"]),
+                   [tuple(map(real_from_json, e)) for e in edges])
 
 
 def sum_gap(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> MarginReport:

@@ -182,3 +182,58 @@ def test_out_flag_writes_file(pair_files, tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["request"]["command"] == "pair"
+
+
+def _members_file(tmp_path, n):
+    path = tmp_path / "members.json"
+    e = np.eye(n)
+    path.write_text(json.dumps(ss.system_to_json(ss.SubspaceSystem(
+        n, [ss.from_spanning(e[:, [k]]) for k in range(n)]))))
+    return str(path)
+
+
+BAD_GRAPHS = {"n_list": {"n": [2], "edges": [[1, 2, 1.0]]},
+              "n_string": {"n": "2", "edges": [[1, 2, 1.0]]},
+              "edges_number": {"n": 2, "edges": 5},
+              "edge_pair": {"n": 2, "edges": [[1, 2]]},
+              "edge_string": {"n": 2, "edges": ["12x"]},
+              "weight_string": {"n": 2, "edges": [[1, 2, "1"]]},
+              "weight_nan": {"n": 2, "edges": [[1, 2, float("nan")]]},
+              "weight_past_float": {"n": 2, "edges": [[1, 2, 10 ** 400]]}}
+
+
+@pytest.mark.parametrize("graph", list(BAD_GRAPHS))
+def test_malformed_graph_file_is_input_error(graph, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(BAD_GRAPHS[graph]))
+    code, report = _run(["graph", "--members", _members_file(tmp_path, 2),
+                         "--graph", str(path)], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "MalformedInput"
+
+
+BAD_FAMILIES = {"n_list": {"family": "one_over_k", "n": [3]},
+                "params_list": {"family": "halmos_accumulating", "params": [1]},
+                "rate_string": {"family": "halmos_accumulating", "params": {"rate": "x"}},
+                "n_param_string": {"family": "one_over_k", "params": {"n": "x"}},
+                "rate_infinite": {"family": "halmos_accumulating",
+                                  "params": {"rate": float("inf")}}}
+
+
+@pytest.mark.parametrize("command", ["blocks", "sum-as-two"])
+@pytest.mark.parametrize("family", list(BAD_FAMILIES))
+def test_malformed_family_file_is_input_error(family, command, tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(BAD_FAMILIES[family]))
+    code, report = _run([command, "--family-file", str(path), "--horizon", "5"], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "MalformedInput"
+
+
+def test_graph_file_is_read(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[1, 2, 2]]}))
+    code, report = _run(["graph", "--members", _members_file(tmp_path, 2),
+                         "--graph", str(path)], capsys)
+    assert code == 0
+    assert report["margins"]["complement_graph"]["entries"][0]["margin"] == pytest.approx(2.0)

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,14 @@ def test_matrix_function_square_root():
     M = np.diag([4.0, 9.0]).astype(complex)
     R = numerics.matrix_function(M, np.sqrt)
     assert np.allclose(R, np.diag([2.0, 3.0]))
+
+
+LAPACK_CALL = re.compile(r"np\.linalg\.(eigh|eigvalsh|svd|pinv|inv)\b"
+                         r"|np\.linalg\.norm\([^)]*,\s*2\)|scipy")
+
+
+def test_only_numerics_calls_lapack():
+    package = pathlib.Path(numerics.__file__).parent
+    calling = sorted(path.name for path in package.glob("*.py")
+                     if LAPACK_CALL.search(path.read_text(encoding="utf-8")))
+    assert calling == ["numerics.py"]

@@ -11,11 +11,64 @@ def test_decomposition_components_are_orthogonal(rng):
         H1, H2 = random_pair(rng, 3, 9)
         dec = ss.halmos_decompose(H1, H2)
         frame = np.hstack([dec.both.basis, dec.first_only.basis,
-                           dec.second_only.basis, dec.neither.basis,
-                           dec.k_basis_1, dec.k_basis_2])
-        assert frame.shape[1] == H1.ambient_dim
+                           dec.second_only.basis, dec.k_basis_1, dec.k_basis_2])
+        assert frame.shape[1] + dec.neither_dim == H1.ambient_dim
         gram = frame.conj().T @ frame
         assert np.linalg.norm(gram - np.eye(frame.shape[1]), 2) <= 1e-10
+
+
+def _planted_meet_pair(rng, d, m, r1, r2):
+    """H1, H2 sharing the m leading columns of a random unitary; the rest of
+    each is a random combination of the next r1 + r2 columns, so the last
+    d - m - r1 - r2 columns lie in H1'&H2'."""
+    Q = random_subspace(rng, d, d).basis
+    rest = Q[:, m:m + r1 + r2]
+    H1 = ss.from_spanning(np.hstack([Q[:, :m], rest @ rng.normal(size=(r1 + r2, r1))]))
+    H2 = ss.from_spanning(np.hstack([Q[:, :m], rest @ rng.normal(size=(r1 + r2, r2))]))
+    return H1, H2
+
+
+def test_neither_dim_is_codimension_of_the_sum(rng):
+    pairs = [random_pair(rng, 2, 12) for _ in range(20)]
+    for _ in range(20):  # planted meets, most with r1 + r2 > d
+        d = int(rng.integers(3, 12))
+        m = int(rng.integers(1, d))
+        r1 = int(rng.integers(0, d - m + 1))
+        r2 = int(rng.integers(0, d - m - r1 + 1))
+        pairs.append(_planted_meet_pair(rng, d, m, r1, r2))
+    assert sum(H1.dim + H2.dim > H1.ambient_dim for H1, H2 in pairs) >= 10
+    for H1, H2 in pairs:
+        dec = ss.halmos_decompose(H1, H2)
+        assert dec.neither_dim == H1.ambient_dim - ss.sum_span([H1, H2]).dim
+    # with rank_tol below rounding the meet reads as generic; the sum is all of C^6
+    H1, H2 = _planted_meet_pair(rng, 6, 3, 2, 1)
+    assert ss.halmos_decompose(H1, H2, ss.Tolerances(rank_tol=1e-30)).neither_dim == 0
+
+
+def _count_full_svds(monkeypatch, fn, *args):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *rest, **kwargs):
+        calls.append(kwargs.get("compute_uv", rest[1] if len(rest) > 1 else True))
+        return svd(a, *rest, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        fn(*args)
+    return sum(map(bool, calls))
+
+
+def test_full_svd_counts_on_a_planted_meet(monkeypatch):
+    # meets on both sides: dim(H1&H2) = 2 and dim(H1'&H2') = 2 in C^9, so the
+    # pair and the complement pair each need the sine SVD of principal_pairs
+    H1, H2 = _planted_meet_pair(np.random.default_rng(5), 9, 2, 3, 2)
+    assert ss.intersect(H1, H2).dim == 2
+    assert ss.intersect(ss.complement(H1), ss.complement(H2)).dim == 2
+    # principal_pairs: cosine and sine SVDs; no frame for H1'&H2'
+    assert _count_full_svds(monkeypatch, ss.halmos_decompose, H1, H2) == 2
+    # principal_pairs of the pair and of the complement pair, two complements
+    assert _count_full_svds(monkeypatch, ss.pair_criteria, H1, H2) == 6
 
 
 def test_a_eigenvalues_strictly_inside_unit_interval(rng):
