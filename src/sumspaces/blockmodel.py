@@ -122,6 +122,8 @@ def paper_families(name: str, params: dict | None = None) -> BlockSystem:
     params = dict(params or {})
     if name == "one_over_k":
         n = int(params.get("n", 3))
+        if n < 1:
+            raise ValueError(f"one_over_k needs n >= 1, got {n}")
         return BlockSystem(lambda k: _one_over_k_block(n, k), n,
                            "one_over_k", {"n": n})
     if name == "halmos_accumulating":

@@ -74,10 +74,9 @@ def _poly(text: str) -> paircalc.ScalarFunction:
     coeffs = []
     for part in text.split(","):
         part = part.strip()
-        if "j" in part:
-            coeffs.append(complex(part))
-        else:
-            coeffs.append(float(part))
+        coeffs.append(complex(part) if "j" in part else float(part))
+        if not np.isfinite(coeffs[-1]):
+            raise ValueError(f"polynomial coefficient {part!r} is not finite")
     return paircalc.ScalarFunction.from_poly(coeffs)
 
 
@@ -218,7 +217,8 @@ def _family_from_args(args) -> blockmodel.BlockSystem:
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise MalformedInput("family params must be a JSON object")
-        params = {key: real_from_json(value) for key, value in params.items()}
+        params = {key: dimension_from_json(value) if key == "n" else real_from_json(value)
+                  for key, value in params.items()}
         if "n" in spec:
             params.setdefault("n", dimension_from_json(spec["n"]))
         return blockmodel.paper_families(name, params)

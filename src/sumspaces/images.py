@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
-                     NormTooLarge, NotInvertible, RangeConditionViolated,
-                     RangeNotIncluded)
+                     MalformedInput, NormTooLarge, NotInvertible,
+                     RangeConditionViolated, RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_json,
                        dimension_from_json, eig_hermitian, hermitian_eigenvalues,
                        matrix_function, numerical_rank, operator_norm, pinv, psd_gap,
@@ -18,7 +18,7 @@ from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_js
                        support_connected)
 from .reduction import independence_certificate
 from .reports import MarginReport
-from .subspaces import SubspaceSystem, from_spanning, sum_span
+from .subspaces import SubspaceSystem, complement, from_spanning, sum_span
 
 
 @dataclass
@@ -47,9 +47,15 @@ class OperatorFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "OperatorFamily":
-        members = [complex_from_json(rows, 2) for rows in data["matrices"]]
-        return cls(dimension_from_json(data["ambient_dim"]), members,
-                   list(data.get("kind", [])))
+        matrices = data["matrices"]
+        if not isinstance(matrices, list):
+            raise MalformedInput("operator matrices must be a list")
+        kinds = data.get("kind", ["general"] * len(matrices))
+        if not (isinstance(kinds, list) and len(kinds) == len(matrices)
+                and all(k in ("nonnegative", "general") for k in kinds)):
+            raise MalformedInput('kind must give "nonnegative" or "general" per matrix')
+        members = [complex_from_json(rows, 2) for rows in matrices]
+        return cls(dimension_from_json(data["ambient_dim"]), members, kinds)
 
 
 def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -121,7 +127,7 @@ def p_radius(F: OperatorFamily, p: float = 2.0, depth: int = 4,
     returns the sequence a_{k,p}^{1/k}; some value below 1 certifies that the
     images of T_1..T_n sum to the whole space.
     """
-    if p < 1:
+    if not p >= 1:  # also rejects NaN
         raise ValueError("p must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -274,8 +280,7 @@ def quadratic_projector_criterion(S: SubspaceSystem, alpha,
     report.extras["beta_classification"] = beta.classification
     report.extras["beta_graph_connected"] = beta.graph_connected
 
-    comp_total = sum_span(
-        [from_spanning(np.eye(d) - Pk, d, tol) for Pk in P], tol)
+    comp_total = sum_span([complement(m) for m in S.members], tol)
     if total.dim == d and comp_total.dim == d:
         report.add("invertibility_margin", float(singular_values(A)[-1]),
                    tol.margin_tol)
@@ -313,8 +318,7 @@ def ibap_check(S: SubspaceSystem, F: OperatorFamily,
     else:
         joint = float(singular_values(stacked)[-1]) if stacked.shape[1] <= d else 0.0
         report.add("joint_epsilon", joint, tol.margin_tol)
-    ranges = [from_spanning(M.conj().T @ H.basis, d, tol)
-              for M, H in zip(F.members, S.members)]
+    ranges = [from_spanning(block, d, tol) for block in blocks]
     cert = independence_certificate(SubspaceSystem(d, ranges), tol)
     report.add("range_independence_epsilon", cert.epsilon, tol.margin_tol)
     return report

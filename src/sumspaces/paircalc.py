@@ -67,10 +67,10 @@ def build_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     fs = (f1, f2, f3, f4)
     d = pair.ambient_dim
     b = np.zeros((d, d), dtype=complex)
-    s11 = f1(1.0) + f2(1.0) + f3(1.0) + f4(1.0)
-    b += s11 * pair.both.projector()
-    b += f1(0.0) * pair.first_only.projector()
-    b += f2(0.0) * pair.second_only.projector()
+    both, first_only, second_only, _ = _component_values(fs)
+    b += both * pair.both.projector()
+    b += first_only * pair.first_only.projector()
+    b += second_only * pair.second_only.projector()
 
     r = pair.k_dim
     if r:
@@ -133,7 +133,7 @@ def calculus_criteria(pair: PairDecomposition, f1, f2, f3, f4,
         report.add("invertibility_margin", float(np.abs(spectrum).min()), tol.margin_tol)
     else:
         report.add("invertibility_margin", 1.0, tol.margin_tol, vacuous=True)
-    s11 = f1(1.0) + f2(1.0) + f3(1.0) + f4(1.0)
+    s11 = _component_values((f1, f2, f3, f4))[0]
     report.extras["sum_at_one_nonzero"] = bool(abs(s11) > tol.margin_tol)
 
     b = build_b(pair, f1, f2, f3, f4)

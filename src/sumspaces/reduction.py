@@ -21,11 +21,10 @@ import numpy as np
 from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
                      NotIndependent, SumNotFull)
 from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, hermitian_eigenvalues,
-                       independence_epsilon, numerical_rank, pinv, svd)
+                       independence_epsilon, numerical_rank, pinv, psd_gap, svd)
 from .reports import MarginReport
 from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, intersect,
                         subtract, sum_span, zero_subspace)
-from .systems import sum_gap
 from . import pairs as _pairs
 
 
@@ -139,6 +138,21 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
     return report
 
 
+def _shrink(H1: Subspace, H2: Subspace, eps: float, tol: Tolerances):
+    """(M2, delta) of the shrink in ``reduce_pair``, without its report.
+    M2 keeps no part of H2 & H1, so the meet drops out by construction."""
+    dec = _pairs.halmos_decompose(H2, H1, tol)  # H2 in the flat role
+    delta = 1.0 - eps / 2.0
+    x = dec.a_eigenvalues
+    if np.any(np.abs(x - delta) <= tol.eig_tol):
+        delta += 10 * tol.eig_tol
+        if np.any(np.abs(x - delta) <= tol.eig_tol):
+            raise EigenvalueOnBoundary("delta collides with sigma(a) twice")
+    keep = x < delta
+    pieces = [dec.first_only.basis, dec.k_basis_1[:, keep]]
+    return from_spanning(np.hstack(pieces), H1.ambient_dim, tol), delta
+
+
 def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
                 tol: Tolerances = DEFAULT_TOL):
     """Shrink H2 to M2 so that H1 + M2 is closed with explicit inequalities.
@@ -153,28 +167,17 @@ def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     d = H1.ambient_dim
-    dec = _pairs.halmos_decompose(H2, H1, tol)  # H2 in the flat role
-    delta = 1.0 - eps / 2.0
-    x = dec.a_eigenvalues
-    if np.any(np.abs(x - delta) <= tol.eig_tol):
-        delta += 10 * tol.eig_tol
-        if np.any(np.abs(x - delta) <= tol.eig_tol):
-            raise EigenvalueOnBoundary("delta collides with sigma(a) twice")
-    keep = x < delta
-    pieces = [dec.first_only.basis, dec.k_basis_1[:, keep]]  # H2 & H1-perp part
-    M2 = from_spanning(np.hstack(pieces), d, tol)
-
+    M2, delta = _shrink(H1, H2, eps, tol)
     P1, P2, PM2 = H1.projector(), H2.projector(), M2.projector()
     report = MarginReport()
     report.extras["delta"] = delta
-    sum_sub = sum_span([H1, M2], tol)
-    closed_gap = sum_gap(SubspaceSystem(d, [H1, M2]), tol).margin("sum_gap")
+    closed_gap, _ = psd_gap(P1 + PM2, tol)
     report.add("closed_margin", closed_gap, tol.margin_tol,
                vacuous=np.isinf(closed_gap))
     dom = 3 * (P1 + PM2) + eps * np.eye(d) - P1 - P2
     report.add("domination_slack",
                float(hermitian_eigenvalues(dom, tol)[0]), tol.margin_tol)
-    low = P1 + PM2 - (eps / 4.0) * sum_sub.projector()
+    low = P1 + PM2 - (eps / 4.0) * sum_span([H1, M2], tol).projector()
     report.add("lower_bound_slack",
                float(hermitian_eigenvalues(low, tol)[0]), tol.margin_tol)
     return M2, report
@@ -190,13 +193,12 @@ def _reduce_recursive(members, eps, tol):
     if n == 1:
         return [members[0]], [1.0], eps
     H1, H2 = members[0], members[1]
-    meet = intersect(H1, H2, tol)
-    H2p = subtract(H2, meet, tol) if meet.dim else H2
     if n == 2:
+        meet = intersect(H1, H2, tol)
+        H2p = subtract(H2, meet, tol) if meet.dim else H2
         return [H1, H2p], [1.0, 1.0], eps / 2.0
-    M2, _ = reduce_pair(H1, H2p, eps / 4.0, tol)
-    H1M2 = sum_span([H1, M2], tol)
-    inner_members = [H1M2] + list(members[2:])
+    M2, _ = _shrink(H1, H2, eps / 4.0, tol)
+    inner_members = [sum_span([H1, M2], tol)] + list(members[2:])
     inner_red, inner_w, inner_rhs = _reduce_recursive(inner_members, eps / 24.0, tol)
     scale = eps / 16.0
     reduced = [H1, M2] + inner_red[1:]
@@ -214,6 +216,43 @@ def c_constant(n: int) -> Fraction:
     return c
 
 
+def _certified_core(S: SubspaceSystem, tol: Tolerances):
+    """The reduction theorem on S: the gap eps of sum P_k, the recursion and
+    the certificate slack on the sum span of S.
+
+    Returns (reduced members, weights, eps, rhs, slack, sum span of S).
+    """
+    d = S.ambient_dim
+    eps, _ = psd_gap(sum(S.projectors()), tol)
+    if not np.isfinite(eps) or eps <= tol.margin_tol:
+        if np.isinf(eps):
+            eps = 0.0
+        raise GapTooSmall(f"gap {eps} below margin_tol")
+    eps = min(eps, 1.0 - 10 * tol.eig_tol)
+    reduced, weights, rhs = _reduce_recursive(list(S.members), eps, tol)
+    original_sum = sum_span(S.members, tol)
+    cert_op = sum(w * m.projector() for w, m in zip(weights, reduced))
+    B = original_sum.basis
+    restricted = B.conj().T @ (cert_op - rhs * np.eye(d)) @ B
+    slack = float(hermitian_eigenvalues(restricted, tol)[0]) if B.shape[1] else 0.0
+    return reduced, weights, eps, rhs, slack, original_sum
+
+
+def _assemble(reduced, weights, eps, rhs, slack, original_sum: Subspace,
+              report: MarginReport, tol: Tolerances) -> ReductionResult:
+    """ReductionResult of the reduced members, with the independence epsilon
+    and the sum preservation against ``original_sum`` added to ``report``."""
+    reduced_sys = SubspaceSystem(original_sum.ambient_dim, reduced)
+    sum_preserved = equal(sum_span(reduced, tol), original_sum, tol)
+    cert = independence_certificate(reduced_sys, tol)
+    report.add("independence_epsilon", cert.epsilon, tol.margin_tol)
+    report.extras["sum_preserved"] = sum_preserved
+    return ReductionResult(
+        reduced=reduced_sys, weights=weights, c_n=c_constant(len(reduced)),
+        epsilon=eps, rhs=rhs, certificate_slack=slack, sum_preserved=sum_preserved,
+        numerically_vacuous=rhs < tol.margin_tol, report=report)
+
+
 def reduce_system(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionResult:
     """Shrink H2..Hn to an independent system with a certificate.
 
@@ -221,35 +260,10 @@ def reduce_system(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Reduction
     certificate inequality is evaluated on the sum span when the sum is not
     the whole space.
     """
-    d = S.ambient_dim
-    gap_rep = sum_gap(S, tol)
-    eps = gap_rep.margin("sum_gap")
-    if not np.isfinite(eps) or eps <= tol.margin_tol:
-        if np.isinf(eps):
-            eps = 0.0
-        raise GapTooSmall(f"gap {eps} below margin_tol")
-    eps_used = min(eps, 1.0 - 10 * tol.eig_tol)
-    reduced, weights, rhs = _reduce_recursive(list(S.members), eps_used, tol)
-
-    original_sum = sum_span(S.members, tol)
-    reduced_sys = SubspaceSystem(d, reduced)
-    cert_op = sum(w * m.projector() for w, m in zip(weights, reduced))
-    B = original_sum.basis
-    restricted = B.conj().T @ (cert_op - rhs * np.eye(d)) @ B
-    slack = float(hermitian_eigenvalues(restricted, tol)[0]) if B.shape[1] else 0.0
-
-    sum_preserved = equal(sum_span(reduced, tol), original_sum, tol)
-    cert = independence_certificate(reduced_sys, tol)
+    reduced, weights, eps, rhs, slack, original_sum = _certified_core(S, tol)
     report = MarginReport()
     report.add("certificate_slack", slack, tol.margin_tol)
-    report.add("independence_epsilon", cert.epsilon, tol.margin_tol)
-    report.extras["sum_preserved"] = sum_preserved
-    n = len(S)
-    c_n = c_constant(n)
-    return ReductionResult(
-        reduced=reduced_sys, weights=weights, c_n=c_n, epsilon=eps_used,
-        rhs=rhs, certificate_slack=slack, sum_preserved=sum_preserved,
-        numerically_vacuous=rhs < tol.margin_tol, report=report)
+    return _assemble(reduced, weights, eps, rhs, slack, original_sum, report, tol)
 
 
 def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionResult:
@@ -261,12 +275,11 @@ def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> R
     blocks are pulled back to the original ambient space.
     """
     n, d = len(S), S.ambient_dim
-    dims = [m.dim for m in S.members]
-    if sum(dims) == 0:
+    summap = np.hstack([m.basis for m in S.members])
+    if summap.shape[1] == 0:
         result = ReductionResult(reduced=S, sum_preserved=True)
         result.report.extras["sum_preserved"] = True
         return result
-    offs = np.cumsum([0] + dims)
 
     def embed(k: int, cols: np.ndarray) -> np.ndarray:
         out = np.zeros((n * d, cols.shape[1]), dtype=complex)
@@ -275,11 +288,7 @@ def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> R
 
     tilde = [Subspace(n * d, embed(k, m.basis)) for k, m in enumerate(S.members)]
     # G1 = Delta0 + Htilde_1 = {(x_1..x_n): x_k in H_k, sum x_k in H_1}
-    W = np.zeros((n * d, sum(dims)), dtype=complex)
-    summap = np.zeros((d, sum(dims)), dtype=complex)
-    for k, m in enumerate(S.members):
-        W[k * d:(k + 1) * d, offs[k]:offs[k + 1]] = m.basis
-        summap[:, offs[k]:offs[k + 1]] = m.basis
+    W = np.hstack([t.basis for t in tilde])
     P1 = S.members[0].projector()
     constraint = (np.eye(d) - P1) @ summap
     _, s, V = svd(constraint)
@@ -289,22 +298,11 @@ def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> R
     G1 = from_spanning(W @ N, n * d, tol)
 
     embedded = SubspaceSystem(n * d, [G1] + tilde[1:])
-    inner = reduce_system(embedded, tol)
+    inner, _, eps, rhs, slack, _ = _certified_core(embedded, tol)
     reduced = [S.members[0]]
-    for k, Mt in enumerate(inner.reduced.members[1:], start=1):
+    for k, Mt in enumerate(inner[1:], start=1):
         block = Mt.basis[k * d:(k + 1) * d, :]
         reduced.append(from_spanning(block, d, tol, scale=1.0) if Mt.dim
                        else zero_subspace(d))
-
-    reduced_sys = SubspaceSystem(d, reduced)
-    cert = independence_certificate(reduced_sys, tol)
-    sum_preserved = equal(sum_span(reduced, tol), sum_span(S.members, tol), tol)
-    report = MarginReport()
-    report.add("independence_epsilon", cert.epsilon, tol.margin_tol)
-    report.extras["sum_preserved"] = sum_preserved
-    return ReductionResult(
-        reduced=reduced_sys, weights=[1.0] * n, c_n=inner.c_n,
-        epsilon=inner.epsilon, rhs=inner.rhs,
-        certificate_slack=inner.certificate_slack,
-        sum_preserved=sum_preserved,
-        numerically_vacuous=inner.numerically_vacuous, report=report)
+    return _assemble(reduced, [1.0] * n, eps, rhs, slack, sum_span(S.members, tol),
+                     MarginReport(), tol)

@@ -38,9 +38,9 @@ class MarginReport:
     extras: dict = field(default_factory=dict)
 
     def add(self, criterion: str, margin: float, margin_tol: float,
-            vacuous: bool = False, estimate: bool = False, note: str = "") -> MarginEntry:
+            vacuous: bool = False, estimate: bool = False) -> MarginEntry:
         if vacuous:
-            entry = MarginEntry(criterion, math.inf, "satisfied", note or "vacuous")
+            entry = MarginEntry(criterion, math.inf, "satisfied", "vacuous")
         else:
             margin = float(margin)
             if margin > margin_tol:
@@ -49,9 +49,7 @@ class MarginReport:
                 verdict = "violated"
             else:
                 verdict = "borderline"
-            if estimate:
-                note = (note + " " if note else "") + "estimate"
-            entry = MarginEntry(criterion, margin, verdict, note)
+            entry = MarginEntry(criterion, margin, verdict, "estimate" if estimate else "")
         self.entries.append(entry)
         return entry
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MalformedInput
 from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_json,
                        dimension_from_json, operator_norm, svd)
 
@@ -205,5 +205,7 @@ def system_to_json(S: SubspaceSystem) -> dict:
 
 def system_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> SubspaceSystem:
     d = dimension_from_json(data["ambient_dim"])
-    members = [subspace_from_json(m, tol) for m in data["members"]]
-    return SubspaceSystem(d, members)
+    members = data["members"]
+    if not (isinstance(members, list) and all(isinstance(m, dict) for m in members)):
+        raise MalformedInput("system members must be a list of subspace objects")
+    return SubspaceSystem(d, [subspace_from_json(m, tol) for m in members])

@@ -74,7 +74,8 @@ class WeightedGraph:
                                                 for e in edges)):
             raise MalformedInput("graph edges must be a list of [i, j, w] triples")
         return cls(dimension_from_json(data["n"]),
-                   [tuple(map(real_from_json, e)) for e in edges])
+                   [(dimension_from_json(i), dimension_from_json(j), real_from_json(w))
+                    for i, j, w in edges])
 
 
 def sum_gap(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> MarginReport:

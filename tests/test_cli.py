@@ -199,7 +199,8 @@ BAD_GRAPHS = {"n_list": {"n": [2], "edges": [[1, 2, 1.0]]},
               "edge_string": {"n": 2, "edges": ["12x"]},
               "weight_string": {"n": 2, "edges": [[1, 2, "1"]]},
               "weight_nan": {"n": 2, "edges": [[1, 2, float("nan")]]},
-              "weight_past_float": {"n": 2, "edges": [[1, 2, 10 ** 400]]}}
+              "weight_past_float": {"n": 2, "edges": [[1, 2, 10 ** 400]]},
+              "vertex_fraction": {"n": 2, "edges": [[1.5, 2, 1]]}}
 
 
 @pytest.mark.parametrize("graph", list(BAD_GRAPHS))
@@ -217,7 +218,8 @@ BAD_FAMILIES = {"n_list": {"family": "one_over_k", "n": [3]},
                 "rate_string": {"family": "halmos_accumulating", "params": {"rate": "x"}},
                 "n_param_string": {"family": "one_over_k", "params": {"n": "x"}},
                 "rate_infinite": {"family": "halmos_accumulating",
-                                  "params": {"rate": float("inf")}}}
+                                  "params": {"rate": float("inf")}},
+                "n_param_fraction": {"family": "one_over_k", "params": {"n": 2.5}}}
 
 
 @pytest.mark.parametrize("command", ["blocks", "sum-as-two"])
@@ -228,6 +230,49 @@ def test_malformed_family_file_is_input_error(family, command, tmp_path, capsys)
     code, report = _run([command, "--family-file", str(path), "--horizon", "5"], capsys)
     assert code == 3
     assert report["error"]["type"] == "MalformedInput"
+
+
+_EYE2 = ss.OperatorFamily(2, [np.eye(2)]).to_json()["matrices"][0]
+BAD_SYSTEMS = {"members_number": {"ambient_dim": 2, "members": 5},
+               "members_string": {"ambient_dim": 2, "members": ["x"]}}
+BAD_OPERATORS = {"matrices_number": {"ambient_dim": 2, "matrices": 5},
+                 "kind_number": {"ambient_dim": 2, "matrices": [_EYE2], "kind": 5},
+                 "kind_unknown": {"ambient_dim": 2, "matrices": [_EYE2], "kind": ["x"]},
+                 "kind_short": {"ambient_dim": 2, "matrices": [_EYE2, _EYE2],
+                                "kind": ["nonnegative"]}}
+
+
+@pytest.mark.parametrize("name", list(BAD_SYSTEMS) + list(BAD_OPERATORS))
+def test_malformed_system_or_operator_file_is_input_error(name, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if name in BAD_SYSTEMS:
+        path.write_text(json.dumps(BAD_SYSTEMS[name]))
+        argv = ["reduce", "--members", str(path)]
+    else:
+        path.write_text(json.dumps(BAD_OPERATORS[name]))
+        argv = ["images", "--operators", str(path), "--analysis", "sum"]
+    code, report = _run(argv, capsys)
+    assert code == 3
+    assert report["error"]["type"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("case", ["p_nan", "f1_nan", "n_zero", "family_n_zero"])
+def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
+    a, b = pair_files
+    path = tmp_path / "input.json"
+    if case == "p_nan":
+        path.write_text(json.dumps(ss.OperatorFamily(2, [np.eye(2)]).to_json()))
+        argv = ["images", "--operators", str(path), "--analysis", "pradius", "--p", "nan"]
+    elif case == "f1_nan":
+        argv = ["calculus", "--a", a, "--b", b, "--f1", "nan"]
+    elif case == "n_zero":
+        argv = ["sum-as-two", "--n", "0", "--horizon", "5"]
+    else:
+        path.write_text(json.dumps({"family": "one_over_k", "n": 0}))
+        argv = ["sum-as-two", "--family-file", str(path), "--horizon", "5"]
+    code, report = _run(argv, capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
 
 
 def test_graph_file_is_read(tmp_path, capsys):

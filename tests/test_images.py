@@ -129,6 +129,15 @@ def test_quadratic_projector_criterion_shapes(rng):
     assert rep.extras["beta_classification"] == "B1B2"
 
 
+def test_quadratic_projector_criterion_needs_complements_to_sum(rng):
+    # a full member has complement 0 and a line in C^3 a plane, so the sum of
+    # the complements is not C^3 and the invertibility margin does not apply
+    full = ss.from_spanning(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    line = ss.from_spanning(np.array([[1.0], [1.0], [0.0]]))
+    _, rep = ss.quadratic_projector_criterion(ss.SubspaceSystem(3, [full, line]), np.eye(2))
+    assert "invertibility_margin" not in {e.criterion for e in rep.entries}
+
+
 def test_ibap_check_orthogonal_decomposition():
     e = np.eye(2, dtype=complex)
     S = ss.SubspaceSystem(2, [ss.from_spanning(e[:, [0]]),

@@ -91,6 +91,13 @@ def test_reduce_system_requires_gap():
         ss.reduce_system(S)
 
 
+def _planted_meet(rng, d, n):
+    """n members of C^d; the first two share a random line."""
+    line = random_subspace(rng, d, 1)
+    pair = [ss.sum_span([line, random_subspace(rng, d, 2)]) for _ in range(2)]
+    return ss.SubspaceSystem(d, pair + [random_subspace(rng, d, 2) for _ in range(n - 2)])
+
+
 def test_reduce_system_certificate_holds(rng):
     S = random_system(rng, 5, 3, rmax=2)
     gap = ss.sum_gap(S).margin("sum_gap")
@@ -102,6 +109,48 @@ def test_reduce_system_certificate_holds(rng):
     assert res.certificate_slack >= -1e-8
     assert res.c_n == Fraction(1, 768)
     assert res.rhs == pytest.approx(float(res.c_n) * res.epsilon ** 2)
+    # a planted H1 & H2, which the shrink for n >= 3 drops without intersecting
+    for n in (3, 4):
+        S = _planted_meet(rng, 8, n)
+        assert ss.intersect(S.members[0], S.members[1]).dim == 1
+        res = ss.reduce_system(S)
+        assert ss.independence_certificate(res.reduced).independent
+        assert res.sum_preserved
+        assert res.certificate_slack >= -1e-8
+        assert res.c_n == ss.c_constant(n)
+
+
+def _count_factorizations(monkeypatch):
+    """Count full SVDs and eigvalsh calls made through np.linalg."""
+    counts = {"svd": 0, "eigvalsh": 0}
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+    def counted_svd(*args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return counts
+
+
+@pytest.mark.parametrize("reduce, expected",
+                         [(ss.reduce_system, {"svd": 9, "eigvalsh": 2}),
+                          (ss.reduce_preserving_sum, {"svd": 14, "eigvalsh": 2})],
+                         ids=["system", "preserve_sum"])
+def test_reduction_factorization_counts(reduce, expected, monkeypatch):
+    # each decomposition once: one gap, one certificate slack, no discarded
+    # pair report and no meet above the last recursion level
+    gen = np.random.default_rng(7)
+    S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (3, 4, 3)])
+    counts = _count_factorizations(monkeypatch)
+    reduce(S)
+    assert counts == expected
 
 
 def test_reduce_preserving_sum_pair_case(rng):
