@@ -43,6 +43,8 @@ def main():
     print("\ncomplete-graph complement certificate:")
     for e in rep.entries:
         print(f"  {e.criterion:25s} {e.margin:12.6g}  {e.verdict}  {e.note}")
+    print(f"  modulus-form constant in [{rep.margin('modulus_form_lower_bound'):.6g}, "
+          f"{rep.margin('modulus_form_epsilon'):.6g}]; the lower end is certified")
 
     alpha = rng.uniform(0.5, 1.5, size=n)
     lc = ss.linear_combination_check(S, alpha)

@@ -102,7 +102,10 @@ def _one_over_k_block(n: int, k: int) -> SubspaceSystem:
 
 def _halmos_block(rate, k: int) -> SubspaceSystem:
     """Block k: a pair of lines in C^2 with compression eigenvalue 1 - rate(k)."""
-    x = 1.0 - float(rate(k))
+    r = float(rate(k))
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"halmos_accumulating rate({k}) = {r} is outside [0, 1]")
+    x = 1.0 - r
     H1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
     v = np.array([[np.sqrt(x)], [np.sqrt(1.0 - x)]], dtype=complex)
     return SubspaceSystem(2, [H1, from_spanning(v, 2)])
@@ -120,6 +123,8 @@ def _compact_triple_block(k: int) -> SubspaceSystem:
 def paper_families(name: str, params: dict | None = None) -> BlockSystem:
     """Built-in block families exhibiting non-closed infinite sums."""
     params = dict(params or {})
+    if name in ("halmos_accumulating", "compact_triple") and "n" in params:
+        raise ValueError(f"{name} has a fixed member count and takes no n")
     if name == "one_over_k":
         n = int(params.get("n", 3))
         if n < 1:
@@ -130,6 +135,8 @@ def paper_families(name: str, params: dict | None = None) -> BlockSystem:
         rate = params.get("rate", lambda k: 1.0 / k)
         if isinstance(rate, (int, float)):
             c = float(rate)
+            if not 0.0 <= c <= 1.0:
+                raise ValueError(f"halmos_accumulating rate {rate} is outside [0, 1]")
             rate = lambda k: c / k
         return BlockSystem(lambda k: _halmos_block(rate, k), 2,
                            "halmos_accumulating", params)

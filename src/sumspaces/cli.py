@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--members", required=True)
     p.add_argument("--graph", default=None, help="graph JSON (default: complete)")
     p.add_argument("--modulus", action="store_true",
-                   help="also estimate the modulus-form constant")
+                   help="also bracket the modulus-form constant")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("reduce", parents=[common],

@@ -102,8 +102,11 @@ def spectrum_of_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     for value, count in zip(_component_values(fs), counts):
         values.extend([value] * count)
     for x in pair.a_eigenvalues:
-        T = f1(x) + f2(x) + x * (f3(x) + f4(x))
-        D = (1.0 - x) * (f1(x) * f2(x) - x * f3(x) * f4(x))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            T = f1(x) + f2(x) + x * (f3(x) + f4(x))
+            D = (1.0 - x) * (f1(x) * f2(x) - x * f3(x) * f4(x))
+        if not (np.isfinite(T) and np.isfinite(D)):
+            raise ValueError(f"T(x) = {T} or D(x) = {D} is not finite at x = {x}")
         values.extend(np.roots([1.0, -T, D]))
     return np.array(values, dtype=complex)
 

@@ -53,6 +53,14 @@ def test_halmos_accumulating_pair_vanishes():
     assert single.inf_gap == pytest.approx(1.0)
 
 
+def test_halmos_accumulating_refuses_rate_outside_unit_interval():
+    with pytest.raises(ValueError, match="rate 1.5"):
+        ss.paper_families("halmos_accumulating", {"rate": 1.5})
+    BS = ss.paper_families("halmos_accumulating", {"rate": lambda k: 1.0 - 2.0 / k})
+    with pytest.raises(ValueError, match=r"rate\(1\) = -1.0"):
+        ss.certify(BS, [1, 2], 5)
+
+
 def test_compact_triple_subset_verdicts():
     BS = ss.paper_families("compact_triple")
     assert ss.certify(BS, [2, 3], 60).status == "gap_vanishing"

@@ -256,7 +256,19 @@ def test_malformed_system_or_operator_file_is_input_error(name, tmp_path, capsys
     assert report["error"]["type"] == "MalformedInput"
 
 
-@pytest.mark.parametrize("case", ["p_nan", "f1_nan", "n_zero", "family_n_zero"])
+BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},
+                       "rate_two": {"family": "halmos_accumulating", "params": {"rate": 2}},
+                       "rate_negative": {"family": "halmos_accumulating",
+                                         "params": {"rate": -1}},
+                       "halmos_n": {"family": "halmos_accumulating", "n": 2},
+                       "compact_triple_n_param": {"family": "compact_triple",
+                                                  "params": {"n": 3}}}
+
+
+@pytest.mark.parametrize("case", ["p_nan", "f1_nan", "n_zero", "family_n_zero",
+                                  "rate_two", "rate_negative", "halmos_n",
+                                  "compact_triple_n_param", "compact_triple_n",
+                                  "f_overflow"])
 def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     a, b = pair_files
     path = tmp_path / "input.json"
@@ -265,14 +277,20 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
         argv = ["images", "--operators", str(path), "--analysis", "pradius", "--p", "nan"]
     elif case == "f1_nan":
         argv = ["calculus", "--a", a, "--b", b, "--f1", "nan"]
+    elif case == "f_overflow":  # finite coefficients, T(x) and D(x) overflow
+        argv = ["calculus", "--a", a, "--b", b, "--f1", "1e300", "--f2", "1e300"]
     elif case == "n_zero":
         argv = ["sum-as-two", "--n", "0", "--horizon", "5"]
+    elif case == "compact_triple_n":
+        argv = ["blocks", "--family", "compact_triple", "--n", "7", "--horizon", "5"]
     else:
-        path.write_text(json.dumps({"family": "one_over_k", "n": 0}))
+        path.write_text(json.dumps(BAD_NUMBER_FAMILIES[case]))
         argv = ["sum-as-two", "--family-file", str(path), "--horizon", "5"]
     code, report = _run(argv, capsys)
     assert code == 2
     assert report["error"]["type"] == "ValueError"
+    if case.startswith("rate"):
+        assert "rate" in report["error"]["message"]
 
 
 def test_graph_file_is_read(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 import sumspaces as ss
 from sumspaces.errors import DimensionMismatch, GraphDisconnected
 
-from conftest import multiset_distance, random_system
+from conftest import multiset_distance, random_subspace, random_system
 
 
 def test_weighted_graph_validation():
@@ -79,6 +79,25 @@ def test_modulus_estimate_is_seed_deterministic(rng):
                                     modulus=True, seed=11)
     assert r1.margin("modulus_form_epsilon") == r2.margin("modulus_form_epsilon")
     assert "estimate" in r1.entry("modulus_form_epsilon").note
+
+
+def test_modulus_bracket_factorization_counts(monkeypatch):
+    # eigvalsh for the difference form and the lower bound only; the descent
+    # takes one eigh per evaluation (a 1024-phase search made 1025 eigvalsh)
+    gen = np.random.default_rng(16)
+    S = ss.SubspaceSystem(16, [random_subspace(gen, 16, r) for r in (5, 7, 9, 11)])
+    counts = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, routine):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return routine(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    ss.complement_graph_margin(S, ss.WeightedGraph.complete(4), modulus=True, seed=1)
+    assert counts["eigvalsh"] <= 2 and counts["eigh"] <= 120, counts
 
 
 def test_linear_combination_check_validation(rng):
