@@ -145,8 +145,11 @@ def p_radius(F: OperatorFamily, p: float = 2.0, depth: int = 4,
             for Ai in A:
                 nxt.append(Ai @ prod)
         current = nxt
-        mean = sum(operator_norm(M) ** p for M in current) / (n ** k)
-        sequence.append(mean ** (1.0 / (p * k)))
+        # powers of norm / top <= 1 cannot overflow or lose the top term; p = inf gives the max
+        norms = np.array([operator_norm(M) for M in current])
+        top = norms.max()
+        sequence.append(float(top ** (1.0 / k) * np.mean((norms / top) ** p) ** (1.0 / (p * k)))
+                        if top else 0.0)
     certified = any(v < 1.0 - tol.margin_tol for v in sequence)
     if certified:
         verdict = "certified"

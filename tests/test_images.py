@@ -81,6 +81,27 @@ def test_p_radius_deficient_single_projector():
     assert verdict == "deficient"
 
 
+@pytest.mark.parametrize("p", [1e20, np.inf])
+@pytest.mark.parametrize("line", [(1.0, 8.0), (1.0, 2.0)], ids=["norm_below_1", "norm_above_1"])
+def test_p_radius_deficient_at_huge_p(line, p):
+    # two copies of a line projector: the images span only the line, and
+    # ||I - P|| evaluates to 1 -+ 2e-16, which a huge p must not under- or overflow
+    v = np.array(line)[:, None] / np.linalg.norm(line)
+    F = ss.OperatorFamily(2, [v @ v.T, v @ v.T])
+    seq, verdict = ss.p_radius(F, p=p, depth=4)
+    assert verdict == "deficient"
+    assert seq == pytest.approx([1.0] * 4, abs=1e-15)
+
+
+def test_p_radius_at_infinite_p_is_the_max_norm_limit():
+    F = ss.OperatorFamily(2, [np.diag([0.5, 0.5]), np.diag([0.75, 0.25])])
+    # the words in I - T_i are diag(0.5^a 0.25^b, 0.5^a 0.75^b), a + b = k: the
+    # largest norm is 0.75^k, from the second member's powers
+    seq, verdict = ss.p_radius(F, p=np.inf, depth=3)
+    assert seq == pytest.approx([0.75] * 3, abs=1e-15)
+    assert verdict == "certified"
+
+
 @pytest.mark.parametrize("depth", [0, -2])
 def test_p_radius_rejects_depth_below_one(depth):
     F = ss.OperatorFamily(2, [np.diag([1.0, 0.0]).astype(complex)], ["nonnegative"])

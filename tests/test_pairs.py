@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -45,30 +47,34 @@ def test_neither_dim_is_codimension_of_the_sum(rng):
     assert ss.halmos_decompose(H1, H2, ss.Tolerances(rank_tol=1e-30)).neither_dim == 0
 
 
-def _count_full_svds(monkeypatch, fn, *args):
-    calls = []
-    svd = np.linalg.svd
+def _count_lapack(monkeypatch, fn, *args):
+    """Calls of fn into np.linalg: full SVDs ("svd"), "eigh", "eigvalsh", "norm"."""
+    calls = collections.Counter()
 
-    def counted(a, *rest, **kwargs):
-        calls.append(kwargs.get("compute_uv", rest[1] if len(rest) > 1 else True))
-        return svd(a, *rest, **kwargs)
+    def counting(name, routine):
+        def counted(a, *rest, **kwargs):
+            if name != "svd" or kwargs.get("compute_uv", rest[1] if len(rest) > 1 else True):
+                calls[name] += 1
+            return routine(a, *rest, **kwargs)
+        return counted
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "svd", counted)
+        for name in ("svd", "eigh", "eigvalsh", "norm"):
+            patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         fn(*args)
-    return sum(map(bool, calls))
+    return calls
 
 
 def test_full_svd_counts_on_a_planted_meet(monkeypatch):
-    # meets on both sides: dim(H1&H2) = 2 and dim(H1'&H2') = 2 in C^9, so the
-    # pair and the complement pair each need the sine SVD of principal_pairs
+    # meets on both sides: dim(H1&H2) = 2 and dim(H1'&H2') = 2 in C^9, so
+    # principal_pairs needs its sine SVD
     H1, H2 = _planted_meet_pair(np.random.default_rng(5), 9, 2, 3, 2)
     assert ss.intersect(H1, H2).dim == 2
     assert ss.intersect(ss.complement(H1), ss.complement(H2)).dim == 2
-    # principal_pairs: cosine and sine SVDs; no frame for H1'&H2'
-    assert _count_full_svds(monkeypatch, ss.halmos_decompose, H1, H2) == 2
-    # principal_pairs of the pair and of the complement pair, two complements
-    assert _count_full_svds(monkeypatch, ss.pair_criteria, H1, H2) == 6
+    # principal_pairs: cosine and sine SVDs and nothing else; no frame for
+    # H1'&H2', no d x d eigensolve, SVD or norm
+    for fn in (ss.halmos_decompose, ss.pair_criteria, ss.independent_pair_constants):
+        assert _count_lapack(monkeypatch, fn, H1, H2) == {"svd": 2}, fn.__name__
 
 
 def test_a_eigenvalues_strictly_inside_unit_interval(rng):
@@ -101,11 +107,27 @@ def test_pair_criteria_complement_symmetry(rng):
     for _ in range(10):
         H1, H2 = random_pair(rng, 2, 8)
         rep = ss.pair_criteria(H1, H2)
-        # in finite dimensions c1 and the complement-pair margin agree
-        assert abs(rep.margin("c1_one_minus_max_a")
-                   - rep.margin("c4_complement_pair")) <= 1e-8
+        rep_c = ss.pair_criteria(ss.complement(H1), ss.complement(H2))
+        # c4 is c1 of the complement pair
+        assert abs(rep.margin("c4_complement_pair")
+                   - rep_c.margin("c1_one_minus_max_a")) <= 1e-8
         assert rep.all_satisfied() or any(
             e.verdict != "satisfied" for e in rep.entries)
+
+
+def test_c5_uses_the_absolute_cutoff():
+    # H1 = H2: (I - P1) P2 = 0, so no nonzero singular value is left
+    line = ss.from_spanning(np.array([[1.0], [1.0], [0.0]]))
+    assert ss.pair_criteria(line, line).entry("c5_image_closedness").note == "vacuous"
+    # a planted meet and one generic angle of 1e-6 in C^4
+    Q = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
+    theta = 1e-6
+    H1 = ss.from_spanning(Q[:, :2])
+    H2 = ss.from_spanning(np.hstack([Q[:, :1], np.cos(theta) * Q[:, 1:2]
+                                     + np.sin(theta) * Q[:, 2:3]]))
+    rep = ss.pair_criteria(H1, H2)
+    assert rep.extras["k_dim"] == 1
+    assert rep.margin("c5_image_closedness") == pytest.approx(np.sin(theta), rel=1e-8)
 
 
 def test_pair_criteria_45_degree_values():
@@ -162,7 +184,7 @@ def test_angle_sweep_resolves_small_angles(theta):
     assert rep.extras["k_dim"] == 1
     margin_tol = ss.DEFAULT_TOL.margin_tol
     for name, value in closed.items():
-        assert rep.margin(name) == pytest.approx(value, rel=1e-6, abs=1e-15), name
+        assert rep.margin(name) == pytest.approx(value, rel=1e-6, abs=0), name
         assert rep.verdict(name) == ss.MarginReport().add(name, value, margin_tol).verdict
 
 

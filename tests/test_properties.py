@@ -1,9 +1,11 @@
 """Property tests over hypothesis-drawn inputs (derandomized, fixed budget).
 
-The modulus-form bracket of ``complement_graph_margin`` is compared with
-oracles built here with plain numpy: complement bases from a full SVD of the
-spanning vectors, the closed-form lower bound, and a sampled search over
-random edge phases.
+The pair margins of ``pair_criteria`` and ``independent_pair_constants`` are
+compared with their d x d projector formulas, evaluated here with plain
+numpy on pairs with a planted canonical decomposition.  The modulus-form
+bracket of ``complement_graph_margin`` is compared with oracles built here
+with plain numpy: complement bases from a full SVD of the spanning vectors,
+the closed-form lower bound, and a sampled search over random edge phases.
 """
 
 import itertools
@@ -14,6 +16,93 @@ from hypothesis import given, settings, strategies as st
 import sumspaces as ss
 
 SAMPLES = 1024  # random phase vectors in the sampled oracle
+RANK_TOL = ss.DEFAULT_TOL.rank_tol
+
+
+@st.composite
+def planted_pairs(draw):
+    """(B1, B2, X, neither): orthonormal bases of a pair in C^d, 2 <= d <= 12,
+    built from the columns of a random unitary: an exact meet X, generic
+    angles log-uniform in [1e-8, pi/2], orthogonal pairs, both rests and the
+    dimension of H1'&H2'; each basis is then mixed by a random unitary."""
+    d = draw(st.integers(2, 12))
+    free = d
+    counts = []
+    for width in (1, 2, 2, 1, 1):  # meet, generic, orthogonal, a_rest, b_rest
+        counts.append(draw(st.integers(0, min(3, free // width))))
+        free -= width * counts[-1]
+    meet, generic, orth, a_rest, b_rest = counts
+    angles = [np.exp(draw(st.floats(np.log(1e-8), np.log(np.pi / 2))))
+              for _ in range(generic)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def unitary(n):
+        return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    Q = unitary(d)
+    cols = iter(Q.T)
+    shared = [next(cols) for _ in range(meet)]
+    h1, h2 = list(shared), list(shared)
+    for theta in angles:
+        u, v = next(cols), next(cols)
+        h1.append(u)
+        h2.append(np.cos(theta) * u + np.sin(theta) * v)
+    for _ in range(orth):
+        h1.append(next(cols))
+        h2.append(next(cols))
+    h1 += [next(cols) for _ in range(a_rest)]
+    h2 += [next(cols) for _ in range(b_rest)]
+    B1, B2 = (np.array(h, dtype=complex).reshape(-1, d).T for h in (h1, h2))
+    X = np.array(shared, dtype=complex).reshape(-1, d).T
+    return B1 @ unitary(B1.shape[1]), B2 @ unitary(B2.shape[1]), X, free
+
+
+def _gap_below_one(P, Q, ones):
+    """1 - the largest eigenvalue of P Q P below its top ``ones``; 1 if none."""
+    w = np.linalg.eigvalsh(P @ Q @ P)[:len(P) - ones]
+    return 1.0 - w[-1] if len(w) else 1.0
+
+
+def _projector_margins(B1, B2, X, neither):
+    """The nine pair margins from d x d projector products (inf = vacuous)."""
+    d, meet = X.shape
+    I = np.eye(d)
+    P1, P2 = B1 @ B1.conj().T, B2 @ B2.conj().T
+    M = P1 @ P2
+    sv5 = np.linalg.svd((I - P1) @ P2, compute_uv=False)
+    sv5 = sv5[sv5 > RANK_TOL]  # absolute cutoff: P2 and I - P1 have norm <= 1
+    sv6 = np.linalg.svd(I - M, compute_uv=False)[:d - meet]
+    stacked = np.hstack([B1, B2])  # gram: sigma_min^2, 0 if wide, vacuous if empty
+    if not stacked.size:
+        gram = np.inf
+    else:
+        gram = 0.0 if stacked.shape[1] > d else np.linalg.svd(stacked, compute_uv=False)[-1] ** 2
+    embed = np.linalg.svd((I - P1) @ B2, compute_uv=False)
+    return {
+        "c1_one_minus_max_a": _gap_below_one(P1, P2, meet),
+        "c2_product_spectrum_gap": _gap_below_one(P1, P2, meet),
+        "c3_product_minus_meet_norm": 1.0 - np.linalg.norm(M - X @ X.conj().T, 2),
+        "c4_complement_pair": _gap_below_one(I - P1, I - P2, neither),
+        "c5_image_closedness": sv5[-1] if len(sv5) else np.inf,
+        "c6_one_minus_product": sv6[-1] if len(sv6) else np.inf,
+        "product_norm_margin": 1.0 - np.linalg.norm(M, 2),
+        "gram_epsilon": gram,
+        "embedding_epsilon": embed[-1] if len(embed) else np.inf,
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(planted_pairs())
+def test_pair_margins_match_projector_formulas(case):
+    B1, B2, X, neither = case
+    d = len(B1)
+    H1, H2 = ss.Subspace(d, B1), ss.Subspace(d, B2)
+    reports = [ss.pair_criteria(H1, H2), ss.independent_pair_constants(H1, H2)]
+    got = {e.criterion: e.margin for rep in reports for e in rep.entries}
+    expected = _projector_margins(B1, B2, X, neither)
+    assert got.keys() == expected.keys()
+    for name, value in expected.items():
+        assert got[name] == value or abs(got[name] - value) <= 1e-12, name
 
 
 @st.composite
