@@ -16,7 +16,7 @@ from .subspaces import (Subspace, SubspaceSystem, complement, contains,
                         subspace_from_json, subspace_to_json, subtract,
                         sum_span, system_from_json, system_to_json, zero_subspace)
 from .pairs import (PairDecomposition, friedrichs_angle, halmos_decompose,
-                    independent_pair_constants, pair_criteria)
+                    independent_pair_constants, pair_criteria, pair_report)
 from .paircalc import ScalarFunction, build_b, calculus_criteria, spectrum_of_b
 from .systems import (WeightedGraph, complement_graph_margin, dilation,
                       linear_combination_check, sum_gap)

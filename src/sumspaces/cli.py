@@ -83,12 +83,11 @@ def _poly(text: str) -> paircalc.ScalarFunction:
 def _cmd_pair(args, tol):
     A = subspaces.subspace_from_json(_load_json(args.a), tol)
     B = subspaces.subspace_from_json(_load_json(args.b), tol)
-    angle = pairs.friedrichs_angle(A, B, tol)
+    angle, criteria, independent = pairs.pair_report(A, B, tol)
     return {
         "request": {"command": "pair", "a": args.a, "b": args.b},
         "friedrichs_angle": angle,
-        "margins": {"pair_criteria": pairs.pair_criteria(A, B, tol),
-                    "independent_pair": pairs.independent_pair_constants(A, B, tol)},
+        "margins": {"pair_criteria": criteria, "independent_pair": independent},
     }
 
 

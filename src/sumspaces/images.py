@@ -11,8 +11,8 @@ import numpy as np
 from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      MalformedInput, NormTooLarge, NotInvertible,
                      RangeConditionViolated, RangeNotIncluded)
-from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_json,
-                       dimension_from_json, eig_hermitian, hermitian_eigenvalues,
+from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
+                       complex_to_json, eig_hermitian, hermitian_eigenvalues,
                        matrix_function, numerical_rank, operator_norm, pinv, psd_gap,
                        singular_values, smallest_nonzero_singular_value,
                        support_connected)
@@ -55,7 +55,7 @@ class OperatorFamily:
                 and all(k in ("nonnegative", "general") for k in kinds)):
             raise MalformedInput('kind must give "nonnegative" or "general" per matrix')
         members = [complex_from_json(rows, 2) for rows in matrices]
-        return cls(dimension_from_json(data["ambient_dim"]), members, kinds)
+        return cls(ambient_dim_from_json(data), members, kinds)
 
 
 def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):

@@ -10,7 +10,8 @@ numerical policy wrapped around each decomposition:
 - zero cutoff 100 * eig_tol for spectra of positive semidefinite sums;
 - independence constant sigma_min^2 of stacked orthonormal bases;
 - errors: a LAPACK failure surfaces as ComputationFailed;
-- the JSON forms: [re, im] pairs and reals, all finite; non-negative dimensions.
+- the JSON forms: [re, im] pairs and reals, all finite; non-negative dimensions,
+  positive ambient dimensions.
 """
 
 from __future__ import annotations
@@ -218,3 +219,12 @@ def dimension_from_json(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise MalformedInput(f"expected a non-negative integer dimension, got {value!r}")
     return value
+
+
+def ambient_dim_from_json(data: dict) -> int:
+    """The ``ambient_dim`` of a subspace, system or operator file; MalformedInput
+    unless a positive int."""
+    d = dimension_from_json(data["ambient_dim"])
+    if d == 0:
+        raise MalformedInput("ambient_dim must be positive, got 0")
+    return d

@@ -107,8 +107,23 @@ def spectrum_of_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
             D = (1.0 - x) * (f1(x) * f2(x) - x * f3(x) * f4(x))
         if not (np.isfinite(T) and np.isfinite(D)):
             raise ValueError(f"T(x) = {T} or D(x) = {D} is not finite at x = {x}")
-        values.extend(np.roots([1.0, -T, D]))
+        values.extend(_quadratic_roots(T, D))
     return np.array(values, dtype=complex)
+
+
+def _quadratic_roots(T, D):
+    """Roots of lambda^2 - T lambda + D = 0 by the stable quadratic formula:
+    q = (T + sigma sqrt(T^2 - 4D))/2 with the sign sigma that makes |q|
+    largest, then q and D/q; q = 0 only when T = D = 0, and then both roots
+    are 0.  T^2 - 4D is formed after dividing by max(|T|, sqrt|D|)^2, so it
+    cannot overflow."""
+    scale = max(abs(T), np.sqrt(abs(D)))
+    if scale == 0:
+        return [0j, 0j]
+    t = T / scale
+    root = np.sqrt(complex(t * t - 4.0 * (D / scale) / scale))
+    q = scale * (t + root if abs(t + root) >= abs(t - root) else t - root) / 2.0
+    return [q, D / q]
 
 
 def calculus_criteria(pair: PairDecomposition, f1, f2, f3, f4,

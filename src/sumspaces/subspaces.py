@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput
-from .numerics import (DEFAULT_TOL, Tolerances, complex_from_json, complex_to_json,
-                       dimension_from_json, operator_norm, svd)
+from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
+                       complex_to_json, operator_norm, singular_values, svd)
 
 
 @dataclass
@@ -137,23 +137,31 @@ def subtract(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspac
 
 
 @dataclass
-class PrincipalPairs:
-    """Principal pairs of (A, B) by ascending angle: cos, sin and d x k
-    vectors in_a, in_b with in_a* in_b = diag(cos), k = min(dim A, dim B);
-    a_rest and b_rest span the rest of A & B-perp and of A-perp & B."""
+class PrincipalValues:
+    """Principal cosines and sines of (A, B) by ascending angle, k = min(dim A,
+    dim B) of each, and b_rest_dim = dim B - k, the dimension of the rest of
+    B, which lies in A-perp."""
 
     cos: np.ndarray
     sin: np.ndarray
-    in_a: np.ndarray
-    in_b: np.ndarray
-    a_rest: np.ndarray
-    b_rest: np.ndarray
+    b_rest_dim: int
 
     def classify(self, tol: Tolerances):
         """Masks of the meet (sin <= rank_tol), the orthogonal pairs (cos <=
         rank_tol) and the generic rest; absolute, as the bases are orthonormal."""
         meet, orth = self.sin <= tol.rank_tol, self.cos <= tol.rank_tol
         return meet, orth, ~(meet | orth)
+
+
+@dataclass
+class PrincipalPairs(PrincipalValues):
+    """The principal values with d x k vectors in_a, in_b, in_a* in_b =
+    diag(cos); a_rest and b_rest span the rest of A & B-perp and of A-perp & B."""
+
+    in_a: np.ndarray
+    in_b: np.ndarray
+    a_rest: np.ndarray
+    b_rest: np.ndarray
 
 
 def principal_pairs(A: Subspace, B: Subspace) -> PrincipalPairs:
@@ -175,13 +183,29 @@ def principal_pairs(A: Subspace, B: Subspace) -> PrincipalPairs:
         X[:, :m], Y[:, :m] = X[:, :m] @ R, Y[:, :m] @ R
         sin[:m] = np.clip(s[::-1], 0.0, 1.0)
         cos[:m] = np.sqrt(1.0 - sin[:m] * sin[:m])
-    return PrincipalPairs(cos, sin, X[:, :k], Y[:, :k], X[:, k:], Y[:, k:])
+    return PrincipalPairs(cos, sin, B.dim - k, X[:, :k], Y[:, :k], X[:, k:], Y[:, k:])
+
+
+def principal_values(A: Subspace, B: Subspace) -> PrincipalValues:
+    """``principal_pairs`` without the vectors, from singular values alone:
+    cosines from sigma(A*B), and below pi/4 the m smallest sines from
+    sigma((I - P_A) B), which are the k sines and a 1 per rest dimension."""
+    _check_ambient(A, B)
+    k = min(A.dim, B.dim)
+    M = A.basis.conj().T @ B.basis
+    cos = np.clip(singular_values(M), 0.0, 1.0)
+    sin = np.sqrt(1.0 - cos * cos)
+    m = int(np.sum(cos * cos >= 0.5))
+    if m:
+        sin[:m] = np.clip(singular_values(B.basis - A.basis @ M)[::-1][:m], 0.0, 1.0)
+        cos[:m] = np.sqrt(1.0 - sin[:m] * sin[:m])
+    return PrincipalValues(cos, sin, B.dim - k)
 
 
 def principal_angles(A: Subspace, B: Subspace) -> np.ndarray:
     """Ascending principal angles in [0, pi/2]."""
-    pairs = principal_pairs(A, B)
-    return np.arctan2(pairs.sin, pairs.cos)
+    values = principal_values(A, B)
+    return np.arctan2(values.sin, values.cos)
 
 
 def subspace_to_json(S: Subspace) -> dict:
@@ -191,7 +215,7 @@ def subspace_to_json(S: Subspace) -> dict:
 
 def subspace_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Decode and re-orthonormalize a JSON subspace."""
-    d = dimension_from_json(data["ambient_dim"])
+    d = ambient_dim_from_json(data)
     cols = data.get("vectors", [])
     if not cols:
         return zero_subspace(d)
@@ -204,7 +228,7 @@ def system_to_json(S: SubspaceSystem) -> dict:
 
 
 def system_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> SubspaceSystem:
-    d = dimension_from_json(data["ambient_dim"])
+    d = ambient_dim_from_json(data)
     members = data["members"]
     if not (isinstance(members, list) and all(isinstance(m, dict) for m in members)):
         raise MalformedInput("system members must be a list of subspace objects")

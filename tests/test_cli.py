@@ -239,7 +239,8 @@ BAD_OPERATORS = {"matrices_number": {"ambient_dim": 2, "matrices": 5},
                  "kind_number": {"ambient_dim": 2, "matrices": [_EYE2], "kind": 5},
                  "kind_unknown": {"ambient_dim": 2, "matrices": [_EYE2], "kind": ["x"]},
                  "kind_short": {"ambient_dim": 2, "matrices": [_EYE2, _EYE2],
-                                "kind": ["nonnegative"]}}
+                                "kind": ["nonnegative"]},
+                 "ambient_dim_zero": {"ambient_dim": 0, "matrices": []}}
 
 
 @pytest.mark.parametrize("name", list(BAD_SYSTEMS) + list(BAD_OPERATORS))
@@ -300,3 +301,25 @@ def test_graph_file_is_read(tmp_path, capsys):
                          "--graph", str(path)], capsys)
     assert code == 0
     assert report["margins"]["complement_graph"]["entries"][0]["margin"] == pytest.approx(2.0)
+
+
+_EMPTY_SUBSPACE = {"ambient_dim": 0, "vectors": []}
+_EMPTY_SYSTEM = {"ambient_dim": 0, "members": [_EMPTY_SUBSPACE, _EMPTY_SUBSPACE]}
+
+
+@pytest.mark.parametrize("argv", [["pair", "--a", "{f}", "--b", "{f}"],
+                                  ["calculus", "--a", "{f}", "--b", "{f}", "--f1", "1"],
+                                  ["system", "--members", "{f}"],
+                                  ["graph", "--members", "{f}"],
+                                  ["reduce", "--members", "{f}", "--mode", "pair"],
+                                  ["reduce", "--members", "{f}"]],
+                         ids=["pair", "calculus", "system", "graph", "reduce_pair",
+                              "reduce_system"])
+def test_zero_ambient_dim_is_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_EMPTY_SUBSPACE if argv[0] in ("pair", "calculus")
+                               else _EMPTY_SYSTEM))
+    code, report = _run([arg.format(f=path) for arg in argv], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "MalformedInput"
+    assert "ambient_dim" in report["error"]["message"]

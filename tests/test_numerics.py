@@ -79,7 +79,7 @@ def test_matrix_function_square_root():
     assert np.allclose(R, np.diag([2.0, 3.0]))
 
 
-LAPACK_CALL = re.compile(r"np\.linalg\.(eigh|eigvalsh|svd|pinv|inv)\b"
+LAPACK_CALL = re.compile(r"np\.linalg\.(eigh?|eigvalsh?|svd|pinv|inv)\b|np\.roots\b"
                          r"|np\.linalg\.norm\([^)]*,\s*2\)|scipy")
 
 
@@ -88,3 +88,10 @@ def test_only_numerics_calls_lapack():
     calling = sorted(path.name for path in package.glob("*.py")
                      if LAPACK_CALL.search(path.read_text(encoding="utf-8")))
     assert calling == ["numerics.py"]
+
+
+@pytest.mark.parametrize("call", ["np.roots([1.0, -T, D])", "np.linalg.eig(M)",
+                                  "np.linalg.eigvals(M)", "np.linalg.eigh(M)",
+                                  "np.linalg.eigvalsh(M)", "np.linalg.norm(M, 2)"])
+def test_lapack_call_pattern_matches(call):
+    assert LAPACK_CALL.search(call)

@@ -1,9 +1,11 @@
 import collections
+import json
 
 import numpy as np
 import pytest
 
 import sumspaces as ss
+from sumspaces.cli import main
 
 from conftest import random_pair, random_subspace
 
@@ -48,13 +50,15 @@ def test_neither_dim_is_codimension_of_the_sum(rng):
 
 
 def _count_lapack(monkeypatch, fn, *args):
-    """Calls of fn into np.linalg: full SVDs ("svd"), "eigh", "eigvalsh", "norm"."""
+    """Calls of fn into np.linalg: full SVDs ("svd"), singular-value-only SVDs
+    ("svdvals"), "eigh", "eigvalsh", "norm"."""
     calls = collections.Counter()
 
     def counting(name, routine):
         def counted(a, *rest, **kwargs):
-            if name != "svd" or kwargs.get("compute_uv", rest[1] if len(rest) > 1 else True):
-                calls[name] += 1
+            values_only = name == "svd" and not kwargs.get(
+                "compute_uv", rest[1] if len(rest) > 1 else True)
+            calls["svdvals" if values_only else name] += 1
             return routine(a, *rest, **kwargs)
         return counted
 
@@ -65,16 +69,35 @@ def _count_lapack(monkeypatch, fn, *args):
     return calls
 
 
-def test_full_svd_counts_on_a_planted_meet(monkeypatch):
+def _planted_meet_with_sine_svd():
     # meets on both sides: dim(H1&H2) = 2 and dim(H1'&H2') = 2 in C^9, so
-    # principal_pairs needs its sine SVD
+    # the kernels need their sine SVD
     H1, H2 = _planted_meet_pair(np.random.default_rng(5), 9, 2, 3, 2)
     assert ss.intersect(H1, H2).dim == 2
     assert ss.intersect(ss.complement(H1), ss.complement(H2)).dim == 2
+    return H1, H2
+
+
+def test_full_svd_counts_on_a_planted_meet(monkeypatch):
+    H1, H2 = _planted_meet_with_sine_svd()
     # principal_pairs: cosine and sine SVDs and nothing else; no frame for
     # H1'&H2', no d x d eigensolve, SVD or norm
-    for fn in (ss.halmos_decompose, ss.pair_criteria, ss.independent_pair_constants):
-        assert _count_lapack(monkeypatch, fn, H1, H2) == {"svd": 2}, fn.__name__
+    assert _count_lapack(monkeypatch, ss.halmos_decompose, H1, H2) == {"svd": 2}
+    # principal_values: the same two SVDs without singular vectors
+    for fn in (ss.pair_criteria, ss.independent_pair_constants, ss.friedrichs_angle):
+        assert _count_lapack(monkeypatch, fn, H1, H2) == {"svdvals": 2}, fn.__name__
+
+
+def test_pair_request_runs_the_values_kernel_once(monkeypatch, tmp_path, capsys):
+    paths = []
+    for name, H in zip("ab", _planted_meet_with_sine_svd()):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(ss.subspace_to_json(H)))
+    argv = ["pair", "--a", str(paths[0]), "--b", str(paths[1])]
+    # the two decodes' from_spanning, then one principal_values run
+    assert _count_lapack(monkeypatch, main, argv) == {"svd": 2, "svdvals": 2}
+    assert json.loads(capsys.readouterr().out)["margins"]["pair_criteria"]["extras"] == {
+        "k_dim": 2}
 
 
 def test_a_eigenvalues_strictly_inside_unit_interval(rng):

@@ -2,10 +2,12 @@
 
 The pair margins of ``pair_criteria`` and ``independent_pair_constants`` are
 compared with their d x d projector formulas, evaluated here with plain
-numpy on pairs with a planted canonical decomposition.  The modulus-form
-bracket of ``complement_graph_margin`` is compared with oracles built here
-with plain numpy: complement bases from a full SVD of the spanning vectors,
-the closed-form lower bound, and a sampled search over random edge phases.
+numpy on pairs with a planted canonical decomposition; on the same pairs the
+values-only kernel ``principal_values`` is compared with ``principal_pairs``.
+The modulus-form bracket of ``complement_graph_margin`` is compared with
+oracles built here with plain numpy: complement bases from a full SVD of the
+spanning vectors, the closed-form lower bound, and a sampled search over
+random edge phases.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import sumspaces as ss
+from sumspaces.subspaces import principal_pairs, principal_values
 
 SAMPLES = 1024  # random phase vectors in the sampled oracle
 RANK_TOL = ss.DEFAULT_TOL.rank_tol
@@ -103,6 +106,20 @@ def test_pair_margins_match_projector_formulas(case):
     assert got.keys() == expected.keys()
     for name, value in expected.items():
         assert got[name] == value or abs(got[name] - value) <= 1e-12, name
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(planted_pairs())
+def test_principal_values_match_principal_pairs(case):
+    B1, B2 = case[:2]
+    d = len(B1)
+    H1, H2 = ss.Subspace(d, B1), ss.Subspace(d, B2)
+    values, pairs = principal_values(H1, H2), principal_pairs(H1, H2)
+    assert np.abs(values.cos - pairs.cos).max(initial=0.0) <= 1e-13
+    assert np.abs(values.sin - pairs.sin).max(initial=0.0) <= 1e-13
+    for got, expected in zip(values.classify(ss.DEFAULT_TOL), pairs.classify(ss.DEFAULT_TOL)):
+        assert np.array_equal(got, expected)
+    assert values.b_rest_dim == pairs.b_rest.shape[1]
 
 
 @st.composite
