@@ -50,6 +50,8 @@ class OperatorFamily:
         matrices = data["matrices"]
         if not isinstance(matrices, list):
             raise MalformedInput("operator matrices must be a list")
+        if not matrices:
+            raise MalformedInput('operator family is empty: "matrices" is []')
         kinds = data.get("kind", ["general"] * len(matrices))
         if not (isinstance(kinds, list) and len(kinds) == len(matrices)
                 and all(k in ("nonnegative", "general") for k in kinds)):
@@ -136,17 +138,14 @@ def p_radius(F: OperatorFamily, p: float = 2.0, depth: int = 4,
     total = sum(n ** k for k in range(1, depth + 1))
     if total > budget:
         raise BudgetExceeded(f"{total} products exceed budget {budget}")
-    A = [np.eye(d) - M for M in F.members]
+    A = np.eye(d) - np.stack(F.members)
     sequence = []
-    current = [np.eye(d, dtype=complex)]
+    current = np.eye(d, dtype=complex)[None]
     for k in range(1, depth + 1):
-        nxt = []
-        for prod in current:
-            for Ai in A:
-                nxt.append(Ai @ prod)
-        current = nxt
+        # word j * n + i of level k is A_i times word j of level k - 1
+        current = (A[None] @ current[:, None]).reshape(-1, d, d)
         # powers of norm / top <= 1 cannot overflow or lose the top term; p = inf gives the max
-        norms = np.array([operator_norm(M) for M in current])
+        norms = singular_values(current)[:, 0]
         top = norms.max()
         sequence.append(float(top ** (1.0 / k) * np.mean((norms / top) ** p) ** (1.0 / (p * k)))
                         if top else 0.0)

@@ -28,23 +28,26 @@ from .reports import MarginReport
 
 @dataclass
 class ScalarFunction:
-    """A continuous complex-valued function on [0, 1].
+    """A continuous complex-valued function on [0, 1], with its polynomial
+    coefficients (ascending) when it has them; only those serialize.
 
-    Stored as a callable plus optional polynomial coefficients (ascending
-    order); only polynomial functions are serializable through the CLI.
+    A scalar argument gives a Python complex.  An array gives a complex
+    array of its shape from one evaluator call, which receives the ndarray
+    (one ``polyval`` for a polynomial); a scalar result is broadcast.
     """
 
     evaluator: object
     coefficients: list | None = None
 
     def __call__(self, x):
-        return complex(self.evaluator(x))
+        if np.ndim(x) == 0:
+            return complex(self.evaluator(x))
+        return np.broadcast_to(self.evaluator(np.asarray(x)), np.shape(x)).astype(complex)
 
     @classmethod
     def from_poly(cls, coefficients) -> "ScalarFunction":
         coeffs = [complex(c) for c in coefficients]
-        return cls(lambda x: complex(np.polynomial.polynomial.polyval(x, coeffs)),
-                   coeffs)
+        return cls(lambda x: np.polynomial.polynomial.polyval(x, coeffs), coeffs)
 
     @classmethod
     def constant(cls, c) -> "ScalarFunction":
@@ -76,7 +79,7 @@ def build_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     if r:
         x = pair.a_eigenvalues
         cs, s2 = pair.cosines * pair.sines, pair.sines ** 2
-        fx = [np.array([f(v) for v in x], dtype=complex) for f in fs]
+        fx = [f(x) for f in fs]
         top_left = fx[0] + x * (fx[1] + fx[2] + fx[3])
         top_right = cs * (fx[1] + fx[2])
         bot_left = cs * (fx[1] + fx[3])
@@ -98,32 +101,31 @@ def spectrum_of_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     counts = (pair.both.dim, pair.first_only.dim,
               pair.second_only.dim, pair.neither_dim)
     fs = (f1, f2, f3, f4)
-    values = []
-    for value, count in zip(_component_values(fs), counts):
-        values.extend([value] * count)
-    for x in pair.a_eigenvalues:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            T = f1(x) + f2(x) + x * (f3(x) + f4(x))
-            D = (1.0 - x) * (f1(x) * f2(x) - x * f3(x) * f4(x))
-        if not (np.isfinite(T) and np.isfinite(D)):
-            raise ValueError(f"T(x) = {T} or D(x) = {D} is not finite at x = {x}")
-        values.extend(_quadratic_roots(T, D))
-    return np.array(values, dtype=complex)
+    flat = np.repeat(np.array(_component_values(fs), dtype=complex), counts)
+    x = pair.a_eigenvalues
+    f1x, f2x, f3x, f4x = (f(x) for f in fs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        T = f1x + f2x + x * (f3x + f4x)
+        D = (1.0 - x) * (f1x * f2x - x * f3x * f4x)
+    bad = np.flatnonzero(~(np.isfinite(T) & np.isfinite(D)))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"T(x) = {T[i]} or D(x) = {D[i]} is not finite at x = {x[i]}")
+    return np.concatenate([flat, _quadratic_roots(T, D).ravel()])
 
 
 def _quadratic_roots(T, D):
-    """Roots of lambda^2 - T lambda + D = 0 by the stable quadratic formula:
-    q = (T + sigma sqrt(T^2 - 4D))/2 with the sign sigma that makes |q|
-    largest, then q and D/q; q = 0 only when T = D = 0, and then both roots
-    are 0.  T^2 - 4D is formed after dividing by max(|T|, sqrt|D|)^2, so it
-    cannot overflow."""
-    scale = max(abs(T), np.sqrt(abs(D)))
-    if scale == 0:
-        return [0j, 0j]
+    """Roots of lambda^2 - T lambda + D = 0 per entry, as rows (q, D/q), by
+    the stable quadratic formula: q = (T + sigma sqrt(T^2 - 4D))/2 with the
+    sign sigma that makes |q| largest.  T^2 - 4D is formed after dividing by
+    max(|T|, sqrt|D|)^2, so it cannot overflow."""
+    scale = np.maximum(np.abs(T), np.sqrt(np.abs(D)))
+    scale[scale == 0] = 1.0  # then T = D = 0 gives q = 0, and both roots are 0
     t = T / scale
-    root = np.sqrt(complex(t * t - 4.0 * (D / scale) / scale))
-    q = scale * (t + root if abs(t + root) >= abs(t - root) else t - root) / 2.0
-    return [q, D / q]
+    root = np.sqrt(t * t - 4.0 * (D / scale) / scale)
+    plus, minus = t + root, t - root
+    q = scale * np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
+    return np.stack([q, np.divide(D, q, out=np.zeros_like(q), where=q != 0)], axis=-1)
 
 
 def calculus_criteria(pair: PairDecomposition, f1, f2, f3, f4,
@@ -134,12 +136,13 @@ def calculus_criteria(pair: PairDecomposition, f1, f2, f3, f4,
     1001-point uniform grid plus sigma(a).  Pathologies between grid points
     are the caller's responsibility.
     """
-    grid = np.linspace(0.0, 1.0, 1001, endpoint=False)
-    points = np.concatenate([grid, pair.a_eigenvalues])
-    for x in points:
-        F = f1(x) * f2(x) - x * f3(x) * f4(x)
-        if abs(F) <= tol.margin_tol:
-            raise HypothesisViolated(f"F({x}) = {F} vanishes on [0,1)")
+    points = np.concatenate([np.linspace(0.0, 1.0, 1001, endpoint=False), pair.a_eigenvalues])
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite F does not vanish
+        F = f1(points) * f2(points) - points * f3(points) * f4(points)
+    vanishing = np.flatnonzero(np.abs(F) <= tol.margin_tol)
+    if len(vanishing):
+        i = vanishing[0]
+        raise HypothesisViolated(f"F({points[i]}) = {complex(F[i])} vanishes on [0,1)")
 
     spectrum = spectrum_of_b(pair, f1, f2, f3, f4)
     report = MarginReport()

@@ -1,5 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
+import collections
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -91,6 +93,26 @@ def random_search_min(f, dim, rng, samples=10 ** 5):
         if v < best:
             best, best_x = v, x
     return best
+
+
+def _count_lapack(monkeypatch, fn, *args):
+    """Calls of fn into np.linalg: full SVDs ("svd"), singular-value-only SVDs
+    ("svdvals"), "eigh", "eigvalsh", "norm"."""
+    calls = collections.Counter()
+
+    def counting(name, routine):
+        def counted(a, *rest, **kwargs):
+            values_only = name == "svd" and not kwargs.get(
+                "compute_uv", rest[1] if len(rest) > 1 else True)
+            calls["svdvals" if values_only else name] += 1
+            return routine(a, *rest, **kwargs)
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in ("svd", "eigh", "eigvalsh", "norm"):
+            patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        fn(*args)
+    return calls
 
 
 @pytest.fixture

@@ -240,7 +240,8 @@ BAD_OPERATORS = {"matrices_number": {"ambient_dim": 2, "matrices": 5},
                  "kind_unknown": {"ambient_dim": 2, "matrices": [_EYE2], "kind": ["x"]},
                  "kind_short": {"ambient_dim": 2, "matrices": [_EYE2, _EYE2],
                                 "kind": ["nonnegative"]},
-                 "ambient_dim_zero": {"ambient_dim": 0, "matrices": []}}
+                 "ambient_dim_zero": {"ambient_dim": 0, "matrices": []},
+                 "empty_matrices": {"ambient_dim": 2, "matrices": []}}
 
 
 @pytest.mark.parametrize("name", list(BAD_SYSTEMS) + list(BAD_OPERATORS))
@@ -255,6 +256,16 @@ def test_malformed_system_or_operator_file_is_input_error(name, tmp_path, capsys
     code, report = _run(argv, capsys)
     assert code == 3
     assert report["error"]["type"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("analysis", ["douglas", "sum", "pradius", "membership"])
+def test_empty_operator_family_is_named(analysis, tmp_path, capsys):
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps(BAD_OPERATORS["empty_matrices"]))
+    code, report = _run(["images", "--operators", str(path), "--analysis", analysis], capsys)
+    assert code == 3
+    assert report["error"]["type"] == "MalformedInput"
+    assert '"matrices" is []' in report["error"]["message"]
 
 
 BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},

@@ -6,7 +6,7 @@ from sumspaces.errors import (BudgetExceeded, DiagonalNotPositive,
                               DimensionMismatch, NormTooLarge, NotInvertible,
                               RangeConditionViolated, RangeNotIncluded)
 
-from conftest import random_system, simplex_lines
+from conftest import _count_lapack, random_system, simplex_lines
 
 
 def test_operator_family_round_trip(rng):
@@ -100,6 +100,17 @@ def test_p_radius_at_infinite_p_is_the_max_norm_limit():
     seq, verdict = ss.p_radius(F, p=np.inf, depth=3)
     assert seq == pytest.approx([0.75] * 3, abs=1e-15)
     assert verdict == "certified"
+
+
+def test_p_radius_takes_one_singular_value_call_per_depth(monkeypatch, rng):
+    # each level's 3^k words are one stack: one values-only SVD call per depth
+    mats = []
+    for _ in range(3):
+        Q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+        mats.append((Q * rng.uniform(0.2, 0.9, 6)) @ Q.conj().T)
+    F = ss.OperatorFamily(6, mats, ["nonnegative"] * 3)
+    assert ss.p_radius(F, depth=4)[1] == "certified"
+    assert _count_lapack(monkeypatch, ss.p_radius, F, 2.0, 4) == {"svdvals": 4}
 
 
 @pytest.mark.parametrize("depth", [0, -2])

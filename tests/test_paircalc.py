@@ -1,10 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
 
 import sumspaces as ss
 from sumspaces.errors import HypothesisViolated
 
-from conftest import multiset_distance, random_pair
+from conftest import multiset_distance, random_pair, random_subspace
 
 
 def _poly_eval_matrix(coeffs, M):
@@ -81,3 +83,37 @@ def test_scalar_function_constructors():
     g = ss.ScalarFunction.from_callable(lambda x: np.cos(x))
     assert g(0.0) == pytest.approx(1.0)
     assert g.coefficients is None
+
+
+def test_scalar_function_evaluates_arrays():
+    x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    cases = [(ss.ScalarFunction.from_callable(lambda t: 2.0), np.full(x.shape, 2.0)),
+             (ss.ScalarFunction.from_callable(np.cos), np.cos(x)),
+             (ss.ScalarFunction.from_poly([1.0, 2.0]), 1.0 + 2.0 * x)]
+    for f, expected in cases:
+        got = f(x)
+        assert got.shape == x.shape and got.dtype == complex
+        assert np.array_equal(got, expected)
+        assert type(f(0.5)) is complex and type(f(x[0, 1])) is complex
+
+
+def test_calculus_criteria_calls_each_function_a_fixed_number_of_times(rng):
+    def counted(name, g, calls):
+        def evaluator(x):
+            calls[name] += 1
+            return g(x)
+        return ss.ScalarFunction.from_callable(evaluator)
+
+    # F = (2 + x)(1 + x^2) - x sin(x) / 2 stays above 1 on [0, 1)
+    functions = {"f1": lambda x: 2.0 + x, "f2": lambda x: 1.0 + x * x,
+                 "f3": np.sin, "f4": lambda x: 0.5}
+    counts = []
+    for d, r in ((3, 1), (12, 6)):  # 1 and 6 generic angles: 1002 and 1007 points
+        dec = ss.halmos_decompose(random_subspace(rng, d, r), random_subspace(rng, d, r))
+        assert dec.k_dim == r
+        calls = collections.Counter()
+        fs = [counted(name, g, calls) for name, g in functions.items()]
+        ss.calculus_criteria(dec, *fs)
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert max(counts[0].values()) <= 10

@@ -1,4 +1,3 @@
-import collections
 import json
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 import sumspaces as ss
 from sumspaces.cli import main
 
-from conftest import random_pair, random_subspace
+from conftest import _count_lapack, random_pair, random_subspace
 
 
 def test_decomposition_components_are_orthogonal(rng):
@@ -47,26 +46,6 @@ def test_neither_dim_is_codimension_of_the_sum(rng):
     # with rank_tol below rounding the meet reads as generic; the sum is all of C^6
     H1, H2 = _planted_meet_pair(rng, 6, 3, 2, 1)
     assert ss.halmos_decompose(H1, H2, ss.Tolerances(rank_tol=1e-30)).neither_dim == 0
-
-
-def _count_lapack(monkeypatch, fn, *args):
-    """Calls of fn into np.linalg: full SVDs ("svd"), singular-value-only SVDs
-    ("svdvals"), "eigh", "eigvalsh", "norm"."""
-    calls = collections.Counter()
-
-    def counting(name, routine):
-        def counted(a, *rest, **kwargs):
-            values_only = name == "svd" and not kwargs.get(
-                "compute_uv", rest[1] if len(rest) > 1 else True)
-            calls["svdvals" if values_only else name] += 1
-            return routine(a, *rest, **kwargs)
-        return counted
-
-    with monkeypatch.context() as patch:
-        for name in ("svd", "eigh", "eigvalsh", "norm"):
-            patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        fn(*args)
-    return calls
 
 
 def _planted_meet_with_sine_svd():

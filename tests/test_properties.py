@@ -8,14 +8,23 @@ The modulus-form bracket of ``complement_graph_margin`` is compared with
 oracles built here with plain numpy: complement bases from a full SVD of the
 spanning vectors, the closed-form lower bound, and a sampled search over
 random edge phases.
+The array paths of ``spectrum_of_b`` and ``p_radius`` are compared with the
+per-point and per-word loops they replaced.  The ``images`` and ``calculus``
+commands are fed mutated operator files and polynomial strings, and must end
+in exit 0, 2 or 3, never in a traceback.
 """
 
+import contextlib
+import io
 import itertools
+import json
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import sumspaces as ss
+from sumspaces.cli import main
 from sumspaces.subspaces import principal_pairs, principal_values
 
 SAMPLES = 1024  # random phase vectors in the sampled oracle
@@ -192,3 +201,161 @@ def test_modulus_bracket(case, seed):
         assert upper == difference
     assert abs(lower - _closed_form_lower_bound(comps, G)) <= 1e-12
     assert upper <= _sampled_modulus_minimum(comps, G, np.random.default_rng(seed)) + 1e-12
+
+
+def _scalar_quadratic_roots(T, D):
+    """The per-x stable quadratic formula: q with the sign that makes |q|
+    largest, then D/q; both 0 when T = D = 0 (scaled so T^2 cannot overflow)."""
+    scale = max(abs(T), np.sqrt(abs(D)))
+    if scale == 0:
+        return [0j, 0j]
+    t = T / scale
+    root = np.sqrt(complex(t * t - 4.0 * (D / scale) / scale))
+    q = scale * (t + root if abs(t + root) >= abs(t - root) else t - root) / 2.0
+    return [q, D / q]
+
+
+coefficient = st.one_of(st.just(0.0), st.builds(
+    lambda e, phase: np.exp(e) * np.exp(1j * phase),
+    st.floats(np.log(1e-3), np.log(1e150)), st.floats(0.0, 2 * np.pi)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(planted_pairs(), st.lists(st.lists(coefficient, min_size=1, max_size=4),
+                                 min_size=4, max_size=4))
+def test_spectrum_of_b_matches_per_point_roots(case, coefficients):
+    B1, B2 = case[:2]
+    d = len(B1)
+    dec = ss.halmos_decompose(ss.Subspace(d, B1), ss.Subspace(d, B2))
+    fs = [ss.ScalarFunction.from_poly(c) for c in coefficients]
+    f1, f2, f3, f4 = fs
+    expected = []
+    for x in dec.a_eigenvalues:
+        T = f1(x) + f2(x) + x * (f3(x) + f4(x))
+        D = (1.0 - x) * (f1(x) * f2(x) - x * f3(x) * f4(x))
+        expected.extend(_scalar_quadratic_roots(T, D))
+    got = ss.spectrum_of_b(dec, *fs)[d - 2 * dec.k_dim:]  # after the flat components
+    assert len(got) == len(expected) == 2 * dec.k_dim
+    for g, e in zip(got, expected):
+        assert g == e or abs(g - e) <= 1e-15 * abs(e)
+
+
+@st.composite
+def operator_families(draw):
+    """n = 1-3 random complex d x d operators, d = 1-5, of norm 0.1-2."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(n):
+        M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mats.append(M * rng.uniform(0.1, 2.0) / np.linalg.norm(M, 2))
+    return ss.OperatorFamily(d, mats)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(operator_families(), st.integers(1, 4), st.sampled_from([1.0, 2.0, 3.5, np.inf]))
+def test_p_radius_matches_per_word_norms(F, depth, p):
+    d = F.ambient_dim
+    A = [np.eye(d) - M for M in F.members]
+    expected = []
+    for k in range(1, depth + 1):
+        norms = []
+        for word in itertools.product(A, repeat=k):  # the first factor applied first
+            M = np.eye(d, dtype=complex)
+            for Ai in word:
+                M = Ai @ M
+            norms.append(np.linalg.norm(M, 2))
+        norms = np.array(norms)
+        top = norms.max()
+        expected.append(top ** (1.0 / k) * np.mean((norms / top) ** p) ** (1.0 / (p * k)))
+    got, _ = ss.p_radius(F, p=p, depth=depth)
+    assert len(got) == depth
+    for g, e in zip(got, expected):
+        assert g == e or abs(g - e) <= 1e-15 * abs(e)
+
+
+def _run_cli(argv):
+    """Exit code of one in-process CLI run, checking its JSON stdout; a
+    traceback fails the test.  Overflow warnings of huge inputs are muted."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), np.errstate(all="ignore"):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    assert code in (0, 2, 3), code
+    if code:
+        assert set(report) == {"error"} and set(report["error"]) == {"type", "message"}
+    return code
+
+
+def _mutate_operator_file(data, mutation, k):
+    """One mutation of an operator file, at matrix k."""
+    mats, kinds = data["matrices"], data["kind"]
+    if mutation == "drop":
+        del mats[k], kinds[k]
+    elif mutation == "duplicate":
+        mats.append(mats[k])
+        kinds.append(kinds[k])
+    elif mutation == "empty_list":
+        data["matrices"], data["kind"] = [], []
+    elif mutation == "empty_matrix":
+        mats[k] = []
+    elif mutation == "empty_row":
+        mats[k][0] = []
+    elif mutation == "nest_deeper":
+        mats[k][0][0] = [mats[k][0][0]]
+    elif mutation == "nest_shallower":
+        mats[k] = mats[k][0]
+    elif mutation == "matrices_not_list":
+        data["matrices"] = mats[k]
+    elif mutation in ("nan", "string", "bool", "huge"):
+        mats[k][0][0][0] = {"nan": float("nan"), "string": "1", "bool": True,
+                            "huge": 1e300}[mutation]
+    elif mutation == "ambient_dim":
+        data["ambient_dim"] += 1
+    elif mutation == "ambient_dim_type":
+        data["ambient_dim"] = str(data["ambient_dim"])
+    return data
+
+
+OPERATOR_MUTATIONS = ["none", "drop", "duplicate", "empty_list", "empty_matrix",
+                      "empty_row", "nest_deeper", "nest_shallower", "matrices_not_list",
+                      "nan", "string", "bool", "huge", "ambient_dim", "ambient_dim_type"]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(operator_families(), st.sampled_from(["nonnegative", "general"]),
+       st.sampled_from(OPERATOR_MUTATIONS), st.integers(0, 2),
+       st.sampled_from(["douglas", "sum", "pradius", "membership"]))
+def test_images_on_mutated_operator_files_exits_0_2_or_3(F, kind, mutation, k, analysis):
+    if kind == "nonnegative":  # Hermitian positive semidefinite members
+        F = ss.OperatorFamily(F.ambient_dim, [M @ M.conj().T for M in F.members])
+    data = F.to_json()
+    data["kind"] = [kind] * len(F.members)
+    data = _mutate_operator_file(data, mutation, k % len(F.members))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/ops.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        _run_cli(["images", "--operators", path, "--analysis", analysis, "--depth", "3"])
+
+
+POLYNOMIAL_TEXT = st.one_of(
+    st.sampled_from(["", ",", "1,,2", "abc", "nan", "inf", "-inf", "1e999", "1e300",
+                     "1e300,1e300", "1j", "(1+2j)", "1+", "0x10", " 3 ", "True", "None",
+                     "1_0", "1e-320", "-1", "2,-3,1", "0,0,0", "1e150,1e150,1e150"]),
+    st.text(alphabet="0123456789.,-+eEjnaif() ", max_size=12))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.lists(POLYNOMIAL_TEXT, min_size=4, max_size=4))
+def test_calculus_on_mutated_polynomials_exits_0_2_or_3(texts):
+    rng = np.random.default_rng(7)
+    paths = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in "ab":  # two generic planes in C^5
+            H = ss.from_spanning(rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
+            paths.append(f"{tmp}/{name}.json")
+            with open(paths[-1], "w") as fh:
+                json.dump(ss.subspace_to_json(H), fh)
+        _run_cli(["calculus", "--a", paths[0], "--b", paths[1]]
+                 + [f"--f{i}={text}" for i, text in enumerate(texts, start=1)])
