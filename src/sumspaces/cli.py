@@ -10,6 +10,7 @@ byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -24,8 +25,14 @@ from . import blockmodel, images, paircalc, pairs, reduction, subspaces, systems
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    enabled = gc.isenabled()
+    gc.disable()  # json.load builds an acyclic tree: a collection would free nothing
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(data, dict):
         raise MalformedInput(f"{path}: top level is not a JSON object")
     return data
@@ -342,7 +349,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, MalformedInput) as exc:
         _emit_error(exc)
         return 3
-    except (SumspacesError, ValueError) as exc:
+    except (SumspacesError, ValueError, OverflowError) as exc:
         _emit_error(exc)
         return 2
     report["provenance"] = {"version": __version__, "tolerances": vars(tol), "seed": args.seed}

@@ -9,13 +9,14 @@ numerical policy wrapped around each decomposition:
 - rank: singular values above rank_tol times the largest one;
 - zero cutoff 100 * eig_tol for spectra of positive semidefinite sums;
 - independence constant sigma_min^2 of stacked orthonormal bases;
-- errors: a LAPACK failure surfaces as ComputationFailed;
-- the JSON forms: [re, im] pairs and reals, all finite; non-negative dimensions,
-  positive ambient dimensions.
+- errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow;
+- the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
+  dimensions, positive ambient dimensions.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -54,11 +55,19 @@ class HermitianSpectrum:
     eigenvectors: np.ndarray
 
 
+def _refuse_overflow(M: np.ndarray, what: str) -> None:
+    """ComputationFailed when M holds an inf, which finite inputs reach only by overflow."""
+    if np.isinf(M).any():
+        raise ComputationFailed(f"overflow: entries too large for double precision "
+                                f"made the {what} input infinite")
+
+
 def _lapack(routine, *args, **kwargs):
     """Call a numpy.linalg routine; a LinAlgError becomes ComputationFailed."""
     try:
         return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
+        _refuse_overflow(args[0], routine.__name__)
         raise ComputationFailed(str(exc)) from exc
 
 
@@ -81,6 +90,7 @@ def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:
         raise NonSquare(f"expected square matrix, got shape {M.shape}")
     asym = np.linalg.norm(M - M.conj().T)
     if not asym <= tol.eig_tol * max(1.0, np.linalg.norm(M)):
+        _refuse_overflow(M, "Hermitian eigensolver")
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
     return hermitize(M)
 
@@ -107,6 +117,12 @@ def psd_gap(M: np.ndarray, tol: Tolerances):
 def svd(M: np.ndarray):
     """Full SVD with descending singular values, plus V (not V*)."""
     U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=complex))
+    return U, s, Vh.conj().T
+
+
+def thin_svd(M: np.ndarray):
+    """Reduced SVD: U with min(m, n) columns, descending singular values, V."""
+    U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=complex), full_matrices=False)
     return U, s, Vh.conj().T
 
 
@@ -194,16 +210,26 @@ def complex_to_json(M) -> list:
 
 
 def complex_from_json(data, ndim: int) -> np.ndarray:
-    """Decode an ndim-deep nesting of [re, im] pairs into a complex array;
-    MalformedInput unless every entry is a pair of finite real numbers."""
+    """Decode an ndim-deep nesting of [re, im] pairs, each level a list of non-empty
+    lists of one length, into a complex array; MalformedInput unless every
+    leaf is a finite float or int (not a bool)."""
+    shape, level = [], [data]
+    for depth in range(ndim + 1):
+        widths = set(map(len, level)) if set(map(type, level)) == {list} else set()
+        if len(widths) != 1:
+            raise MalformedInput(f"expected {ndim}-deep [re, im] pairs: the entries at "
+                                 f"depth {depth} are not non-empty lists of one length")
+        shape.append(widths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if shape[-1] != 2 or not set(map(type, level)) <= {float, int}:
+        raise MalformedInput(f"expected {ndim}-deep [re, im] pairs of real numbers")
     try:
-        arr = np.asarray(data)
-    except ValueError as exc:  # ragged nesting
-        raise MalformedInput(f"ragged [re, im] entries: {exc}") from exc
-    if (arr.dtype.kind not in "iuf" or arr.ndim != ndim + 1 or arr.shape[-1] != 2
-            or not np.all(np.isfinite(arr))):
-        raise MalformedInput(f"expected {ndim}-deep [re, im] pairs of finite numbers")
-    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+        arr = np.array(level, dtype=float)
+    except OverflowError as exc:  # an int past the float range
+        raise MalformedInput(f"[re, im] entry past the float range: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise MalformedInput("expected [re, im] pairs of finite numbers")
+    return arr.view(complex).reshape(shape[:-1])
 
 
 def real_from_json(value):

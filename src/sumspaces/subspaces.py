@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
-                       complex_to_json, operator_norm, singular_values, svd)
+                       complex_to_json, operator_norm, singular_values, svd, thin_svd)
 
 
 @dataclass
@@ -66,7 +66,7 @@ def full_space(d: int) -> Subspace:
 def from_spanning(vectors: np.ndarray, d: int | None = None,
                   tol: Tolerances = DEFAULT_TOL,
                   scale: float | None = None) -> Subspace:
-    """Subspace spanned by the columns of ``vectors`` (orthonormalized by SVD).
+    """Subspace spanned by the columns of ``vectors`` (orthonormalized by a thin SVD).
 
     The rank cutoff is relative to the largest singular value; pass ``scale``
     when the columns carry a known natural scale (e.g. projections of unit
@@ -80,7 +80,7 @@ def from_spanning(vectors: np.ndarray, d: int | None = None,
     d = vectors.shape[0]
     if vectors.shape[1] == 0 or not np.any(vectors):
         return zero_subspace(d)
-    U, s, _ = svd(vectors)
+    U, s, _ = thin_svd(vectors)
     reference = s[0] if scale is None else max(s[0], scale)
     r = int(np.sum(s > tol.rank_tol * reference)) if reference > 0 else 0
     return Subspace(d, U[:, :r])
@@ -178,7 +178,7 @@ def principal_pairs(A: Subspace, B: Subspace) -> PrincipalPairs:
     m = int(np.sum(cos * cos >= 0.5))
     if m:
         W = Y[:, :m] - A.basis @ (A.basis.conj().T @ Y[:, :m])
-        _, s, R = svd(W)
+        _, s, R = thin_svd(W)
         R = R[:, ::-1]  # ascending sines
         X[:, :m], Y[:, :m] = X[:, :m] @ R, Y[:, :m] @ R
         sin[:m] = np.clip(s[::-1], 0.0, 1.0)

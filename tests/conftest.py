@@ -96,15 +96,21 @@ def random_search_min(f, dim, rng, samples=10 ** 5):
 
 
 def _count_lapack(monkeypatch, fn, *args):
-    """Calls of fn into np.linalg: full SVDs ("svd"), singular-value-only SVDs
-    ("svdvals"), "eigh", "eigvalsh", "norm"."""
+    """Calls of fn into np.linalg: full SVDs ("svd"), reduced ones
+    (full_matrices=False, "svd_thin"), singular-value-only SVDs ("svdvals"),
+    "eigh", "eigvalsh", "norm"."""
     calls = collections.Counter()
 
     def counting(name, routine):
         def counted(a, *rest, **kwargs):
-            values_only = name == "svd" and not kwargs.get(
-                "compute_uv", rest[1] if len(rest) > 1 else True)
-            calls["svdvals" if values_only else name] += 1
+            label = name
+            if name == "svd":
+                options = dict(zip(("full_matrices", "compute_uv"), rest), **kwargs)
+                if not options.get("compute_uv", True):
+                    label = "svdvals"
+                elif not options.get("full_matrices", True):
+                    label = "svd_thin"
+            calls[label] += 1
             return routine(a, *rest, **kwargs)
         return counted
 

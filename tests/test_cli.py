@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -79,6 +80,28 @@ def test_malformed_json_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("malformed", [False, True], ids=["exit_0", "exit_3"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_main_restores_the_collector_state(enabled, malformed, pair_files, tmp_path,
+                                           monkeypatch, capsys):
+    a, b = pair_files
+    if malformed:  # the error is raised inside json.load
+        b = tmp_path / "bad.json"
+        b.write_text("{not json")
+    parsing = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: parsing.append(gc.isenabled()) or load(fh))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        code = main(["pair", "--a", a, "--b", str(b)])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == (3 if malformed else 0)
+    assert parsing == [False, False]  # no collection while a file is parsed
+
+
 def test_precondition_error_is_exit_2(tmp_path, capsys):
     sysfile = tmp_path / "sys.json"
     sysfile.write_text(json.dumps(ss.system_to_json(
@@ -89,7 +112,8 @@ def test_precondition_error_is_exit_2(tmp_path, capsys):
 
 
 BAD_ENTRIES = {"bare_float": 0.5, "infinity": [float("inf"), 0.0],
-               "nan": [float("nan"), 0.0], "three_elements": [1.0, 0.0, 0.0]}
+               "nan": [float("nan"), 0.0], "three_elements": [1.0, 0.0, 0.0],
+               "boolean": [True, 0.0], "string": ["1", 0.0]}
 # whole-document corruptions: a top level that is not an object, a list dimension
 BAD_DOCUMENTS = {"top_level_list": lambda data: [1, 2],
                  "ambient_dim_list": lambda data: {**data, "ambient_dim": [2]}}
@@ -266,6 +290,26 @@ def test_empty_operator_family_is_named(analysis, tmp_path, capsys):
     assert code == 3
     assert report["error"]["type"] == "MalformedInput"
     assert '"matrices" is []' in report["error"]["message"]
+
+
+@pytest.mark.parametrize("analysis, error", [("pradius", "ComputationFailed"),
+                                             ("sum", "ComputationFailed"),
+                                             ("membership", "ComputationFailed"),
+                                             ("douglas", "OverflowError")])
+def test_overflowing_operator_entry_is_named(analysis, error, tmp_path, capsys):
+    """One finite 1e300 entry overflows inside the analysis: exit 2 with an
+    error that names the overflow, not a failed SVD or a NaN asymmetry."""
+    A = np.eye(2, dtype=complex)
+    A[0, 0] = 1e300
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps(ss.OperatorFamily(
+        2, [A, np.diag([2.0, 1.0])], ["nonnegative"] * 2).to_json()))
+    with np.errstate(all="ignore"):
+        code, report = _run(["images", "--operators", str(path), "--analysis", analysis],
+                            capsys)
+    assert code == 2
+    assert report["error"]["type"] == error
+    assert "overflow" in f"{error} {report['error']['message']}".lower()
 
 
 BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},

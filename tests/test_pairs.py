@@ -59,9 +59,10 @@ def _planted_meet_with_sine_svd():
 
 def test_full_svd_counts_on_a_planted_meet(monkeypatch):
     H1, H2 = _planted_meet_with_sine_svd()
-    # principal_pairs: cosine and sine SVDs and nothing else; no frame for
-    # H1'&H2', no d x d eigensolve, SVD or norm
-    assert _count_lapack(monkeypatch, ss.halmos_decompose, H1, H2) == {"svd": 2}
+    # principal_pairs: a full cosine SVD and a thin sine SVD and nothing else;
+    # no frame for H1'&H2', no d x d eigensolve, SVD or norm
+    assert _count_lapack(monkeypatch, ss.halmos_decompose, H1, H2) == {"svd": 1,
+                                                                       "svd_thin": 1}
     # principal_values: the same two SVDs without singular vectors
     for fn in (ss.pair_criteria, ss.independent_pair_constants, ss.friedrichs_angle):
         assert _count_lapack(monkeypatch, fn, H1, H2) == {"svdvals": 2}, fn.__name__
@@ -73,8 +74,8 @@ def test_pair_request_runs_the_values_kernel_once(monkeypatch, tmp_path, capsys)
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(ss.subspace_to_json(H)))
     argv = ["pair", "--a", str(paths[0]), "--b", str(paths[1])]
-    # the two decodes' from_spanning, then one principal_values run
-    assert _count_lapack(monkeypatch, main, argv) == {"svd": 2, "svdvals": 2}
+    # the two decodes' thin from_spanning, then one principal_values run
+    assert _count_lapack(monkeypatch, main, argv) == {"svd_thin": 2, "svdvals": 2}
     assert json.loads(capsys.readouterr().out)["margins"]["pair_criteria"]["extras"] == {
         "k_dim": 2}
 

@@ -9,18 +9,21 @@ oracles built here with plain numpy: complement bases from a full SVD of the
 spanning vectors, the closed-form lower bound, and a sampled search over
 random edge phases.
 The array paths of ``spectrum_of_b`` and ``p_radius`` are compared with the
-per-point and per-word loops they replaced.  The ``images`` and ``calculus``
-commands are fed mutated operator files and polynomial strings, and must end
-in exit 0, 2 or 3, never in a traceback.
+per-point and per-word loops they replaced.  The ``images`` and
+``calculus`` commands are fed mutated operator files and polynomial strings,
+and ``pair``, ``system``, ``graph`` and ``reduce`` mutated subspace and
+system files; each run must end in exit 0, 2 or 3, never in a traceback.
 """
 
 import contextlib
+import copy
 import io
 import itertools
 import json
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sumspaces as ss
@@ -359,3 +362,84 @@ def test_calculus_on_mutated_polynomials_exits_0_2_or_3(texts):
                 json.dump(ss.subspace_to_json(H), fh)
         _run_cli(["calculus", "--a", paths[0], "--b", paths[1]]
                  + [f"--f{i}={text}" for i, text in enumerate(texts, start=1)])
+
+
+@st.composite
+def spanning_sets(draw):
+    """n = 1-3 random spanning sets in C^d, d = 1-6, of 1-d columns each."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+            for r in draw(st.lists(st.integers(1, d), min_size=n, max_size=n))]
+
+
+def _mutate_subspace_file(data, mutation):
+    """One mutation of a subspace file (or of a system file's top level)."""
+    cols = data.get("vectors")
+    if mutation == "drop_column":
+        del cols[0]
+    elif mutation == "duplicate_column":
+        cols.append(cols[0])
+    elif mutation == "empty_row":
+        cols[0] = []
+    elif mutation == "short_row":
+        del cols[0][0]
+    elif mutation == "nest_deeper":
+        cols[0][0] = [cols[0][0]]
+    elif mutation == "nest_shallower":
+        data["vectors"] = cols[0]
+    elif mutation in ("nan", "string", "bool", "huge", "huge_int"):
+        cols[0][0][0] = {"nan": float("nan"), "string": "1", "bool": True,
+                         "huge": 1e300, "huge_int": 10 ** 400}[mutation]
+    elif mutation == "ambient_dim":
+        data["ambient_dim"] += 1
+    elif mutation == "ambient_dim_type":
+        data["ambient_dim"] = [data["ambient_dim"]]
+    return data
+
+
+SUBSPACE_MUTATIONS = ["none", "drop_column", "duplicate_column", "empty_row", "short_row",
+                      "nest_deeper", "nest_shallower", "nan", "string", "bool", "huge",
+                      "huge_int", "ambient_dim", "ambient_dim_type"]
+SUBSPACE_COMMANDS = {"pair": [["pair"]],
+                     "system": [["system"], ["system", "--alpha", "1,2,3"]],
+                     "graph": [["graph"], ["graph", "--modulus"]],
+                     "reduce": [["reduce", "--mode", mode]
+                                for mode in ("system", "pair", "preserve-sum")]}
+
+
+@pytest.mark.parametrize("name", list(SUBSPACE_COMMANDS))
+def test_subspace_commands_on_mutated_files_exits_0_2_or_3(name):
+    """Every mutation on each drawn case: ``pair`` reads the first two sets
+    as two subspace files and file k is mutated; the other commands read one
+    system file, and member k is mutated, or with ``top`` the system's own
+    ambient_dim."""
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(spanning_sets(), st.integers(0, 2), st.booleans(),
+           st.sampled_from(SUBSPACE_COMMANDS[name]))
+    def run(spans, k, top, command):
+        d = spans[0].shape[0]
+        clean = [ss.subspace_to_json(ss.from_spanning(X)) for X in spans]
+        with tempfile.TemporaryDirectory() as tmp:
+            for mutation in SUBSPACE_MUTATIONS:
+                members = [copy.deepcopy(clean[i % len(clean)])
+                           for i in range(2 if name == "pair" else len(clean))]
+                if name == "pair":
+                    _mutate_subspace_file(members[k % 2], mutation)
+                    files = {"a": members[0], "b": members[1]}
+                    argv = ["pair", "--a", f"{tmp}/a.json", "--b", f"{tmp}/b.json"]
+                else:
+                    system = {"ambient_dim": d, "members": members}
+                    if top and mutation.startswith("ambient_dim"):
+                        _mutate_subspace_file(system, mutation)
+                    else:
+                        _mutate_subspace_file(members[k % len(members)], mutation)
+                    files = {"members": system}
+                    argv = command + ["--members", f"{tmp}/members.json"]
+                for file, data in files.items():
+                    with open(f"{tmp}/{file}.json", "w") as fh:
+                        json.dump(data, fh)
+                _run_cli(argv)
+
+    run()
