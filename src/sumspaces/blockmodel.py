@@ -121,10 +121,14 @@ def _compact_triple_block(k: int) -> SubspaceSystem:
 
 
 def paper_families(name: str, params: dict | None = None) -> BlockSystem:
-    """Built-in block families exhibiting non-closed infinite sums."""
+    """Built-in block families exhibiting non-closed infinite sums; one_over_k
+    takes the parameter n, halmos_accumulating the parameter rate."""
     params = dict(params or {})
-    if name in ("halmos_accumulating", "compact_triple") and "n" in params:
-        raise ValueError(f"{name} has a fixed member count and takes no n")
+    if name not in ("one_over_k", "halmos_accumulating", "compact_triple"):
+        raise UnknownFamily(name)
+    for key in params:
+        if key != {"one_over_k": "n", "halmos_accumulating": "rate"}.get(name):
+            raise ValueError(f"{name} takes no parameter {key!r}")
     if name == "one_over_k":
         n = int(params.get("n", 3))
         if n < 1:
@@ -140,9 +144,7 @@ def paper_families(name: str, params: dict | None = None) -> BlockSystem:
             rate = lambda k: c / k
         return BlockSystem(lambda k: _halmos_block(rate, k), 2,
                            "halmos_accumulating", params)
-    if name == "compact_triple":
-        return BlockSystem(_compact_triple_block, 3, "compact_triple", {})
-    raise UnknownFamily(name)
+    return BlockSystem(_compact_triple_block, 3, "compact_triple", {})
 
 
 def _sum_as_two_block(system: SubspaceSystem, tol: Tolerances):

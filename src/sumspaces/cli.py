@@ -225,8 +225,10 @@ def _family_from_args(args) -> blockmodel.BlockSystem:
             raise MalformedInput("family params must be a JSON object")
         params = {key: dimension_from_json(value) if key == "n" else real_from_json(value)
                   for key, value in params.items()}
-        if "n" in spec:
-            params.setdefault("n", dimension_from_json(spec["n"]))
+        for key in spec.keys() - {"family", "params"}:  # only n may stand at the top level
+            if key != "n" or "n" in params:
+                raise ValueError(f"family file key {key!r} is unknown or given twice")
+            params["n"] = dimension_from_json(spec["n"])
         return blockmodel.paper_families(name, params)
     params = {}
     if args.n is not None:

@@ -19,8 +19,8 @@ from .numerics import (DEFAULT_TOL, Tolerances, dimension_from_json,
 from .reports import MarginReport
 from .subspaces import SubspaceSystem, complement
 
-# modulus-form descent: random starts besides theta = 0, BFGS iterations per
-# start, step halvings per line search
+# modulus-form descent: random starts besides theta = 0, Newton iterations
+# per start, step halvings per line search
 DESCENT_STARTS, DESCENT_ITERATIONS, DESCENT_HALVINGS = 3, 40, 10
 
 
@@ -130,17 +130,22 @@ def _edge_blocks(G: WeightedGraph, offs) -> list:
             for i, j, _ in G.edges]
 
 
-def _free_edges(G: WeightedGraph) -> list:
-    """Edges off a breadth-first spanning tree of G rooted at vertex 1."""
-    tree, seen, queue = set(), {1}, [1]
-    for u in queue:
-        for e, (i, j, _) in enumerate(G.edges):
-            v = j if i == u else i if j == u else None
-            if v is not None and v not in seen:
-                seen.add(v)
-                tree.add(e)
-                queue.append(v)
-    return [e for e in range(len(G.edges)) if e not in tree]
+def _free_edges(G: WeightedGraph, support) -> list:
+    """The edges of support (indices into G.edges) off a breadth-first
+    spanning forest of them, each tree rooted at its lowest vertex."""
+    tree, seen = set(), set()
+    for root in range(1, G.n + 1):
+        queue = [] if root in seen else [root]
+        seen.add(root)
+        for u in queue:
+            for e in support:
+                i, j, _ = G.edges[e]
+                v = j if i == u else i if j == u else None
+                if v is not None and v not in seen:
+                    seen.add(v)
+                    tree.add(e)
+                    queue.append(v)
+    return [e for e in support if e not in tree]
 
 
 def _modulus_lower_bound(Q, offs, G: WeightedGraph, tol: Tolerances) -> float:
@@ -154,50 +159,58 @@ def _modulus_lower_bound(Q, offs, G: WeightedGraph, tol: Tolerances) -> float:
     return float(hermitian_eigenvalues(M[np.ix_(live, live)], tol)[0])
 
 
-def _modulus_descent(Q, blocks, theta, tol: Tolerances) -> float:
-    """Lowest lambda_min(Q(theta)) reached by BFGS with Armijo backtracking
-    from theta, where Q(theta) twists each given block by e^{i theta_e}."""
-    def evaluate(theta):
-        twists = np.exp(1j * theta)
-        Qt = Q.copy()
-        for (rows, cols), t in zip(blocks, twists):
-            Qt[rows, cols] *= t
-            Qt[cols, rows] *= t.conjugate()
-        spec = eig_hermitian(Qt, tol)
-        v = spec.eigenvectors[:, 0]
-        # d lambda / d theta_e = Re v* (dQ/d theta_e) v for a simple eigenvalue
-        grad = np.array([-2.0 * (t * (v[rows].conj() @ Q[rows, cols] @ v[cols])).imag
-                         for (rows, cols), t in zip(blocks, twists)])
-        return float(spec.eigenvalues[0]), grad
+def _modulus_evaluate(Q, blocks, theta, tol: Tolerances):
+    """lambda_min of Q(theta), which twists each given block by e^{i theta_e},
+    with its gradient and Hessian in theta (None unless lambda_min is simple),
+    all from one eigendecomposition by perturbation theory."""
+    twists = np.exp(1j * theta)
+    Qt = Q.copy()
+    for (rows, cols), t in zip(blocks, twists):
+        Qt[rows, cols] *= t
+        Qt[cols, rows] *= t.conjugate()
+    spec = eig_hermitian(Qt, tol)
+    lam, U, v = spec.eigenvalues, spec.eigenvectors, spec.eigenvectors[:, 0]
+    # p_e = t_e v_r* C_e v_c: v* Q_e v = -2 Im p_e and v* Q_ee v = -2 Re p_e
+    p = np.array([t * (v[rows].conj() @ Q[rows, cols] @ v[cols])
+                  for (rows, cols), t in zip(blocks, twists)])
+    if len(lam) > 1 and not lam[1] - lam[0] > 100 * tol.eig_tol:
+        return float(lam[0]), -2.0 * p.imag, None
+    W = np.zeros((len(v), len(blocks)), dtype=complex)  # columns w_e = Q_e v
+    for e, (rows, cols) in enumerate(blocks):
+        W[rows, e], W[cols, e] = 1j * Qt[rows, cols] @ v[cols], -1j * Qt[cols, rows] @ v[rows]
+    # H_ef = v* Q_ef v + 2 Re sum_{j>0} conj(u_j* w_e) (u_j* w_f) / (lambda_0 - lambda_j)
+    A = U[:, 1:].conj().T @ W
+    hess = np.diag(-2.0 * p.real) + 2.0 * (A.conj().T @ (A / (lam[0] - lam[1:])[:, None])).real
+    return float(lam[0]), -2.0 * p.imag, hess
 
-    lam, grad = evaluate(theta)
-    H = None  # inverse Hessian estimate, from the first step with positive curvature
+
+def _modulus_descent(Q, blocks, theta, tol: Tolerances) -> float:
+    """Lowest lambda_min(Q(theta)) reached from theta by Newton steps with
+    Armijo backtracking, or by unit downhill steps where lambda_min is
+    multiple or its Hessian not positive definite."""
+    lam, grad, hess = _modulus_evaluate(Q, blocks, theta, tol)
     for _ in range(DESCENT_ITERATIONS):
-        step = None if H is None else -H @ grad
-        if step is None or not grad @ step < 0:
-            # no usable curvature yet: a unit step downhill, one radian being
-            # the natural scale of a phase whatever the size of the gradient
-            H, size = None, np.linalg.norm(grad)
+        curv = None if hess is None else eig_hermitian(hess, tol)
+        if curv is not None and curv.eigenvalues[0] > 100 * tol.eig_tol:
+            V = curv.eigenvectors
+            step = -(V @ (V.conj().T @ grad / curv.eigenvalues)).real
+            if -(grad @ step) / 2 <= tol.eig_tol:  # the Newton decrement
+                break
+        else:  # one radian: the natural scale of a phase, whatever the gradient
+            size = np.linalg.norm(grad)
             if not size > 0:
                 break
             step = -grad / size
         slope = grad @ step
         for _ in range(DESCENT_HALVINGS + 1):
-            lam_new, grad_new = evaluate(theta + step)
+            lam_new, grad_new, hess_new = _modulus_evaluate(Q, blocks, theta + step, tol)
             if lam_new <= lam + 1e-4 * slope:
                 break
             step, slope = step / 2, slope / 2
         else:
             break
-        y = grad_new - grad
-        ys = y @ step
-        if ys > 0:  # BFGS update, started from the scaled identity
-            if H is None:
-                H = ys / (y @ y) * np.eye(len(theta))
-            E = np.eye(len(theta)) - np.outer(step, y) / ys
-            H = E @ H @ E.T + np.outer(step, step) / ys
         drop = lam - lam_new
-        theta, lam, grad = theta + step, lam_new, grad_new
+        theta, lam, grad, hess = theta + step, lam_new, grad_new, hess_new
         if drop <= tol.eig_tol:
             break
     return lam
@@ -215,16 +228,18 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
     Modulus form 2 sum gamma |(x_i,x_j)| <= sum (rho_i - eps) ||x_i||^2: since
     min over theta of -Re e^{i theta}(x_i, x_j) is -|(x_i, x_j)|, its best eps
     is min over edge phases theta of lambda_min(Q(theta)), where Q(theta)
-    multiplies the block of edge e by e^{i theta_e}.  The gauge
+    multiplies the block of edge e by e^{i theta_e}.  The phase of an edge with
+    a zero (or empty) block does not move Q(theta), and the gauge
     x_i -> e^{i phi_i} x_i shifts theta_ij by phi_j - phi_i, so the phases of a
-    spanning tree can be fixed at 0, leaving m - n + 1 free phases; on a tree
-    (every connected graph with n = 2 is one) the constant is the difference
-    form exactly.  The bracket: ``modulus_form_lower_bound`` (certified) is
+    spanning forest of the other edges can be fixed at 0, leaving one free
+    phase per independent cycle; on a tree (every connected graph with n = 2
+    is one) the constant is the difference form exactly.  The bracket: ``modulus_form_lower_bound`` (certified) is
     lambda_min of the n x n matrix with rho_i on the diagonal and
     -gamma_ij ||B_i* B_j|| off it;
     ``modulus_form_epsilon`` (an estimate, never above the difference form)
-    is the lowest value a descent over the free phases reaches from theta = 0
-    and from DESCENT_STARTS random phases drawn with ``seed``.
+    is the lowest value that Newton steps on the exact Hessian of lambda_min
+    over the free phases reach from theta = 0 and from DESCENT_STARTS random
+    phases drawn with ``seed``.
     """
     if G.n != len(S):
         raise DimensionMismatch("graph order must match member count")
@@ -243,9 +258,9 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
 
     if modulus:
         upper = exact
-        free = _free_edges(G)
+        edge_blocks = _edge_blocks(G, offs)
+        free = _free_edges(G, [e for e, block in enumerate(edge_blocks) if Q[block].any()])
         if free:
-            edge_blocks = _edge_blocks(G, offs)
             blocks = [edge_blocks[e] for e in free]
             starts = np.random.default_rng(seed).uniform(
                 0.0, 2 * np.pi, size=(DESCENT_STARTS, len(free)))

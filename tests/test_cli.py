@@ -318,13 +318,18 @@ BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},
                                          "params": {"rate": -1}},
                        "halmos_n": {"family": "halmos_accumulating", "n": 2},
                        "compact_triple_n_param": {"family": "compact_triple",
-                                                  "params": {"n": 3}}}
+                                                  "params": {"n": 3}},
+                       "zzz_param": {"family": "compact_triple", "params": {"zzz": 1}},
+                       "one_over_k_rate": {"family": "one_over_k", "params": {"rate": 0.5}},
+                       "top_level_rate": {"family": "halmos_accumulating", "rate": 0.5},
+                       "n_twice": {"family": "one_over_k", "n": 3, "params": {"n": 4}}}
 
 
 @pytest.mark.parametrize("case", ["p_nan", "f1_nan", "n_zero", "family_n_zero",
                                   "rate_two", "rate_negative", "halmos_n",
                                   "compact_triple_n_param", "compact_triple_n",
-                                  "f_overflow"])
+                                  "zzz_param", "one_over_k_rate", "top_level_rate",
+                                  "n_twice", "f_overflow"])
 def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     a, b = pair_files
     path = tmp_path / "input.json"
@@ -345,8 +350,9 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     code, report = _run(argv, capsys)
     assert code == 2
     assert report["error"]["type"] == "ValueError"
-    if case.startswith("rate"):
-        assert "rate" in report["error"]["message"]
+    for key in ("rate", "zzz"):  # the offending parameter is named
+        if key in case:
+            assert key in report["error"]["message"]
 
 
 def test_graph_file_is_read(tmp_path, capsys):

@@ -79,7 +79,8 @@ def test_matrix_function_square_root():
     assert np.allclose(R, np.diag([2.0, 3.0]))
 
 
-LAPACK_CALL = re.compile(r"np\.linalg\.(eigh?|eigvalsh?|svd|pinv|inv)\b|np\.roots\b"
+LAPACK_CALL = re.compile(r"np\.linalg\.(eigh?|eigvalsh?|svd|pinv|inv|solve|cholesky|qr|lstsq"
+                         r"|det|slogdet|matrix_rank)\b|np\.roots\b"
                          r"|np\.linalg\.norm\([^)]*,\s*2\)|scipy")
 
 
@@ -92,6 +93,10 @@ def test_only_numerics_calls_lapack():
 
 @pytest.mark.parametrize("call", ["np.roots([1.0, -T, D])", "np.linalg.eig(M)",
                                   "np.linalg.eigvals(M)", "np.linalg.eigh(M)",
-                                  "np.linalg.eigvalsh(M)", "np.linalg.norm(M, 2)"])
+                                  "np.linalg.eigvalsh(M)", "np.linalg.norm(M, 2)",
+                                  "np.linalg.solve(H, g)", "np.linalg.cholesky(H)",
+                                  "np.linalg.qr(M)", "np.linalg.lstsq(M, b)",
+                                  "np.linalg.det(M)", "np.linalg.slogdet(M)",
+                                  "np.linalg.matrix_rank(M)"])
 def test_lapack_call_pattern_matches(call):
     assert LAPACK_CALL.search(call)

@@ -7,12 +7,14 @@ values-only kernel ``principal_values`` is compared with ``principal_pairs``.
 The modulus-form bracket of ``complement_graph_margin`` is compared with
 oracles built here with plain numpy: complement bases from a full SVD of the
 spanning vectors, the closed-form lower bound, and a sampled search over
-random edge phases.
+random edge phases, and the gradient and Hessian that drive its descent
+with central differences of lambda_min.
 The array paths of ``spectrum_of_b`` and ``p_radius`` are compared with the
 per-point and per-word loops they replaced.  The ``images`` and
 ``calculus`` commands are fed mutated operator files and polynomial strings,
-and ``pair``, ``system``, ``graph`` and ``reduce`` mutated subspace and
-system files; each run must end in exit 0, 2 or 3, never in a traceback.
+``pair``, ``system``, ``graph`` and ``reduce`` mutated subspace and
+system files, and ``blocks`` and ``sum-as-two`` mutated family files; each
+run must end in exit 0, 2 or 3, never in a traceback.
 """
 
 import contextlib
@@ -24,9 +26,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sumspaces as ss
+from sumspaces import systems
 from sumspaces.cli import main
 from sumspaces.subspaces import principal_pairs, principal_values
 
@@ -204,6 +207,78 @@ def test_modulus_bracket(case, seed):
         assert upper == difference
     assert abs(lower - _closed_form_lower_bound(comps, G)) <= 1e-12
     assert upper <= _sampled_modulus_minimum(comps, G, np.random.default_rng(seed)) + 1e-12
+
+
+def _modulus_problem(S, G):
+    """Q (None if every complement is 0) and the blocks of the free edges."""
+    Q, offs = systems._complement_quadratic(S, G)
+    if Q is None:
+        return None, []
+    edge_blocks = systems._edge_blocks(G, offs)
+    support = [e for e, block in enumerate(edge_blocks) if Q[block].any()]
+    return Q, [edge_blocks[e] for e in systems._free_edges(G, support)]
+
+
+def _twisted(Q, blocks, theta):
+    """Q(theta) with plain numpy: the block of free edge e times e^{i theta_e}."""
+    Qt = Q.copy()
+    for (rows, cols), t in zip(blocks, np.exp(1j * theta)):
+        Qt[rows, cols] *= t
+        Qt[cols, rows] *= np.conj(t)
+    return Qt
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(graph_systems().filter(lambda case: case[2] != "tree" and case[1].n > 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_modulus_gradient_and_hessian_match_central_differences(case, seed):
+    spans, G, _ = case
+    S = ss.SubspaceSystem(spans[0].shape[0], [ss.from_spanning(X) for X in spans])
+    Q, blocks = _modulus_problem(S, G)
+    assume(Q is not None and len(Q) > 1 and blocks)
+    theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=len(blocks))
+    spectrum = np.linalg.eigvalsh(_twisted(Q, blocks, theta))
+    assume(spectrum[1] - spectrum[0] > 1e-3)
+    lam, grad, hess = systems._modulus_evaluate(Q, blocks, theta, ss.DEFAULT_TOL)
+    assert abs(lam - spectrum[0]) <= 1e-12 * max(1.0, np.abs(spectrum).max())
+
+    def lam_min(t):
+        return np.linalg.eigvalsh(_twisted(Q, blocks, t))[0]
+
+    h = 1e-4
+    steps = h * np.eye(len(theta))
+    fd_grad = np.array([(lam_min(theta + s) - lam_min(theta - s)) / (2 * h) for s in steps])
+    fd_hess = np.array([[(lam_min(theta + s + t) - lam_min(theta + s - t)
+                          - lam_min(theta - s + t) + lam_min(theta - s - t)) / (4 * h * h)
+                         for t in steps] for s in steps])
+    scale = max(1.0, np.abs(hess).max())
+    assert np.abs(grad - fd_grad).max() <= 1e-5 * scale
+    assert np.abs(hess - fd_hess).max() <= 1e-5 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("layout", ["orthogonal", "doubled"])
+def test_modulus_descent_on_a_multiple_bottom_eigenvalue(layout):
+    """On K4, complements that are mutually orthogonal lines make Q(theta)
+    constant (no phase is free), and complements b_i (x) C^2 double every
+    eigenvalue of Q(theta), so no Hessian exists: the descent must fall back
+    to downhill steps, with no division by the zero eigenvalue gap."""
+    rng = np.random.default_rng(5)
+    if layout == "orthogonal":
+        comps = [np.eye(4)[:, [i]] for i in range(4)]
+    else:
+        b = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        comps = [np.kron(col[:, None] / np.linalg.norm(col), np.eye(2)) for col in b.T]
+    d = len(comps[0])
+    S = ss.SubspaceSystem(d, [ss.complement(ss.from_spanning(C)) for C in comps])
+    G = ss.WeightedGraph.complete(4)
+    Q, blocks = _modulus_problem(S, G)
+    theta = rng.uniform(0.0, 2 * np.pi, size=len(blocks))
+    assert systems._modulus_evaluate(Q, blocks, theta, ss.DEFAULT_TOL)[2] is None
+    rep = ss.complement_graph_margin(S, G, modulus=True, seed=3)
+    lower, upper, difference = (rep.margin(name) for name in (
+        "modulus_form_lower_bound", "modulus_form_epsilon", "difference_form_epsilon"))
+    assert np.isfinite(upper) and lower <= upper + 1e-12 and upper <= difference
 
 
 def _scalar_quadratic_roots(T, D):
@@ -443,3 +518,51 @@ def test_subspace_commands_on_mutated_files_exits_0_2_or_3(name):
                 _run_cli(argv)
 
     run()
+
+
+@st.composite
+def family_files(draw):
+    """A valid family file (one_over_k with n <= 8 at the top level or in
+    params, halmos_accumulating with a rate in [0, 1], compact_triple), then
+    one mutation: a missing or non-string family, non-object params, an
+    unknown key, a negative, float or bool n, a string, NaN or out-of-range
+    rate."""
+    family = draw(st.sampled_from(["one_over_k", "halmos_accumulating", "compact_triple"]))
+    spec, params = {"family": family}, {}
+    if family == "one_over_k" and draw(st.booleans()):
+        params["n"] = draw(st.integers(1, 8))
+    elif family == "halmos_accumulating" and draw(st.booleans()):
+        params["rate"] = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        spec["params"] = params
+    else:
+        spec.update(params)
+    target = spec.get("params", spec)
+    mutation = draw(st.sampled_from(FAMILY_MUTATIONS))
+    if mutation == "no_family":
+        del spec["family"]
+    elif mutation == "family_type":
+        spec["family"] = draw(st.sampled_from([3, None, True, ["one_over_k"], {"a": 1}]))
+    elif mutation == "params_type":
+        spec["params"] = draw(st.sampled_from([[1], "n", 3, None]))
+    elif mutation == "unknown_key":
+        target[draw(st.sampled_from(["zzz", "n", "rate"]))] = draw(st.integers(1, 8))
+    elif mutation == "bad_n":
+        target["n"] = draw(st.sampled_from([-1, 0, 2.5, True, False, "3"]))
+    elif mutation == "bad_rate":
+        target["rate"] = draw(st.sampled_from(["x", float("nan"), 2.0, -0.5, float("inf")]))
+    return spec
+
+
+FAMILY_MUTATIONS = ["none", "no_family", "family_type", "params_type", "unknown_key",
+                    "bad_n", "bad_rate"]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(family_files(), st.sampled_from(["blocks", "sum-as-two"]))
+def test_family_commands_on_mutated_files_exits_0_2_or_3(spec, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/family.json"
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        _run_cli([command, "--family-file", path, "--horizon", "5"])

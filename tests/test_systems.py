@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -83,21 +85,47 @@ def test_modulus_estimate_is_seed_deterministic(rng):
 
 def test_modulus_bracket_factorization_counts(monkeypatch):
     # eigvalsh for the difference form and the lower bound only; the descent
-    # takes one eigh per evaluation (a 1024-phase search made 1025 eigvalsh)
+    # takes one N x N eigh per evaluation of Q(theta) on the N = 32 dimensional
+    # sum of the complements (a 1024-phase search made 1025 eigvalsh, BFGS 52
+    # eigh) and one m x m eigh of the Hessian per Newton step, m = 3 free edges
     gen = np.random.default_rng(16)
-    S = ss.SubspaceSystem(16, [random_subspace(gen, 16, r) for r in (5, 7, 9, 11)])
-    counts = {"eigh": 0, "eigvalsh": 0}
+    ranks = (5, 7, 9, 11)
+    S = ss.SubspaceSystem(16, [random_subspace(gen, 16, r) for r in ranks])
+    N = sum(16 - r for r in ranks)
+    counts = collections.Counter()
 
     def counted(name, routine):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return routine(*args, **kwargs)
+        def call(a, *args, **kwargs):
+            counts[name, len(a)] += 1
+            return routine(a, *args, **kwargs)
         return call
 
-    for name in counts:
+    for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     ss.complement_graph_margin(S, ss.WeightedGraph.complete(4), modulus=True, seed=1)
-    assert counts["eigvalsh"] <= 2 and counts["eigh"] <= 120, counts
+    assert sum(c for (name, _), c in counts.items() if name == "eigvalsh") <= 2, counts
+    assert counts["eigh", N] <= 40, counts
+    assert {size for name, size in counts if name == "eigh"} <= {N, 3}, counts
+
+
+def test_modulus_phases_of_empty_blocks_are_not_free(monkeypatch):
+    # member 4 is the whole space, so its complement is 0 and its three edges
+    # leave Q(theta) unchanged: one free phase (the cycle 1-2-3) remains of the
+    # three off the spanning tree of K4, and Newton steps run on a 1 x 1
+    # Hessian (three phases made 40 eigh of the N = 9 operator)
+    gen = np.random.default_rng(0)
+    S = ss.SubspaceSystem(6, [random_subspace(gen, 6, r) for r in (2, 3, 4, 6)])
+    sizes = collections.Counter()
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes[len(a)] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rep = ss.complement_graph_margin(S, ss.WeightedGraph.complete(4), modulus=True, seed=1)
+    assert set(sizes) == {9, 1} and sizes[9] <= 20, sizes
+    assert rep.margin("modulus_form_epsilon") < rep.margin("difference_form_epsilon")
 
 
 def test_linear_combination_check_validation(rng):
