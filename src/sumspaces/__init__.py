@@ -9,7 +9,7 @@ criteria, and a block-sequence model emulating infinite direct sums.
 __version__ = "0.1.0"
 
 from .numerics import (Tolerances, DEFAULT_TOL, eig_hermitian, hermitian_eigenvalues,
-                       svd, pinv, spectral_projector)
+                       svd, pinv)
 from .reports import MarginEntry, MarginReport
 from .subspaces import (Subspace, SubspaceSystem, complement, contains,
                         from_spanning, full_space, intersect, principal_angles,

@@ -22,7 +22,8 @@ class ComputationFailed(SumspacesError):
 
 
 class EigenvalueOnBoundary(SumspacesError):
-    """A spectral-projector interval endpoint is too close to an eigenvalue."""
+    """A spectral cutoff sits too close to an eigenvalue to select a side
+    (the shrink level delta of ``reduce_pair`` against sigma(a))."""
 
 
 class GraphDisconnected(SumspacesError):

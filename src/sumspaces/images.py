@@ -12,13 +12,11 @@ from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      MalformedInput, NormTooLarge, NotInvertible,
                      RangeConditionViolated, RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
-                       complex_to_json, eig_hermitian, hermitian_eigenvalues,
-                       matrix_function, numerical_rank, operator_norm, pinv, psd_gap,
-                       singular_values, smallest_nonzero_singular_value,
-                       support_connected)
+                       complex_to_json, eig_hermitian, numerical_rank, operator_norm,
+                       psd_gap, singular_values, support_connected, thin_svd)
 from .reduction import independence_certificate
 from .reports import MarginReport
-from .subspaces import SubspaceSystem, complement, from_spanning, sum_span
+from .subspaces import Subspace, SubspaceSystem, complement, from_spanning, sum_span
 
 
 @dataclass
@@ -66,30 +64,35 @@ def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     Returns (C, inclusion_margin) with C = pinv(B) A, so that ker C = ker A
     and Im C lies in the orthocomplement of ker B.  The inclusion margin is
     the smallest lambda with A A* <= lambda B B*, which is ||C||^2 by
-    Douglas's range-inclusion lemma (Proc. AMS 17 (1966) 413-415).
+    Douglas's range-inclusion lemma (Proc. AMS 17 (1966) 413-415).  One thin
+    SVD B = U s V* serves throughout: with r its numerical rank, U_r spans
+    Im(B), the inclusion residual is ||A - U_r U_r* A|| and
+    C = V_r s_r^{-1} U_r* A.
     """
     A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    imB = from_spanning(B, tol=tol)
-    P = imB.projector()
-    resid = operator_norm((np.eye(A.shape[0]) - P) @ A)
+    U, s, V = thin_svd(B)
+    r = numerical_rank(s, tol)
+    UA = U[:, :r].conj().T @ A
+    resid = operator_norm(A - U[:, :r] @ UA)
     if resid > tol.margin_tol:
         raise RangeNotIncluded(f"Im(A) outside Im(B) by {resid:.3e}")
-    C = pinv(B, tol) @ A
+    C = V[:, :r] @ (UA / s[:r, None])
     return C, operator_norm(C) ** 2
 
 
 def sum_of_images(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL):
-    """Sum of the operator ranges as Im(sqrt(sum a_k a_k*)).
+    """Sum of the operator ranges as Im(sqrt(sum a_k a_k*)) (Fillmore and
+    Williams, Adv. Math. 7 (1971)), spanned by the eigenvectors of
+    S2 = sum a_k a_k* whose sqrt(max(eigenvalue, 0)) passes the rank cutoff.
 
     Returns the subspace and a report: the range equality against the column
     space of the concatenation, and for nonnegative families the gap of
     sigma(sum a_k) above zero.
     """
     d = F.ambient_dim
-    S2 = sum(M @ M.conj().T for M in F.members)
-    root = matrix_function(S2, lambda x: np.sqrt(max(x, 0.0)), tol)
-    image = from_spanning(root, d, tol)
+    spec = eig_hermitian(sum(M @ M.conj().T for M in F.members), tol)
+    root = np.sqrt(np.maximum(spec.eigenvalues[::-1], 0.0))
+    image = Subspace(d, spec.eigenvectors[:, ::-1][:, :numerical_rank(root, tol)])
     concat = from_spanning(np.hstack(F.members), d, tol)
     report = MarginReport()
     dist = operator_norm(image.projector() - concat.projector())
@@ -135,10 +138,13 @@ def p_radius(F: OperatorFamily, p: float = 2.0, depth: int = 4,
         raise ValueError("depth must be >= 1")
     n = len(F.members)
     d = F.ambient_dim
-    total = sum(n ** k for k in range(1, depth + 1))
-    if total > budget:
-        raise BudgetExceeded(f"{total} products exceed budget {budget}")
     A = np.eye(d) - np.stack(F.members)
+    total = 0
+    for k in range(1, depth + 1):  # stops past the budget, before the count grows huge
+        total += n ** k
+        if total > budget:
+            raise BudgetExceeded(f"the words up to depth {k} already exceed "
+                                 f"the budget of {budget} products")
     sequence = []
     current = np.eye(d, dtype=complex)[None]
     for k in range(1, depth + 1):
@@ -164,19 +170,19 @@ def m_membership_identity(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL) -> f
     """Residual of the membership identity for nonnegative a_k.
 
     With S = sum a_k^2 invertible:
-    S^{1/2} = sum_{i,j} a_i^2 S^{-3/2} a_j^2.
+    S^{1/2} = sum_{i,j} a_i^2 S^{-3/2} a_j^2 = S S^{-3/2} S.
+    The identity is exact for every invertible S, so the residual measures
+    the round-off of S^{1/2} and S^{-3/2}, both taken from one
+    eigendecomposition of S.
     """
     S = sum(M @ M for M in F.members)
-    w = hermitian_eigenvalues(S, tol)
+    spec = eig_hermitian(S, tol)
+    w, V = spec.eigenvalues, spec.eigenvectors
     if w[0] <= tol.margin_tol:
         raise NotInvertible(f"sum of squares has min eigenvalue {w[0]:.3e}")
-    half = matrix_function(S, lambda x: np.sqrt(x), tol)
-    inv32 = matrix_function(S, lambda x: x ** -1.5, tol)
-    acc = np.zeros_like(S)
-    for Mi in F.members:
-        for Mj in F.members:
-            acc += (Mi @ Mi) @ inv32 @ (Mj @ Mj)
-    return float(operator_norm(half - acc))
+    half = (V * np.sqrt(w)) @ V.conj().T
+    inv32 = (V * w ** -1.5) @ V.conj().T
+    return float(operator_norm(half - S @ inv32 @ S))
 
 
 @dataclass
@@ -271,9 +277,11 @@ def quadratic_projector_criterion(S: SubspaceSystem, alpha,
             A += alpha[i, j] * (P[i] @ P[j])
 
     report = MarginReport()
-    sv = smallest_nonzero_singular_value(A, tol)
-    report.add("closed_range_margin", sv, tol.margin_tol, vacuous=np.isinf(sv))
-    imA = from_spanning(A, d, tol)
+    U, s, _ = thin_svd(A)
+    r = numerical_rank(s, tol)
+    report.add("closed_range_margin", s[r - 1] if r else np.inf, tol.margin_tol,
+               vacuous=r == 0)
+    imA = Subspace(d, U[:, :r])
     total = sum_span(S.members, tol)
     report.extras["range_equality_residual"] = operator_norm(
         imA.projector() - total.projector())
@@ -284,8 +292,7 @@ def quadratic_projector_criterion(S: SubspaceSystem, alpha,
 
     comp_total = sum_span([complement(m) for m in S.members], tol)
     if total.dim == d and comp_total.dim == d:
-        report.add("invertibility_margin", float(singular_values(A)[-1]),
-                   tol.margin_tol)
+        report.add("invertibility_margin", s[-1], tol.margin_tol)
     return beta, report
 
 
@@ -301,26 +308,24 @@ def ibap_check(S: SubspaceSystem, F: OperatorFamily,
     if len(F.members) != len(S):
         raise DimensionMismatch("one operator per member required")
     d = S.ambient_dim
-    blocks = []
+    blocks, ranges = [], []
     report = MarginReport()
     for k, (M, H) in enumerate(zip(F.members, S.members), start=1):
-        resid = operator_norm((np.eye(d) - H.projector()) @ M)
+        resid = operator_norm(M - H.basis @ (H.basis.conj().T @ M))
         if resid > tol.margin_tol:
             raise RangeConditionViolated(f"Im(A_{k}) outside H_{k} by {resid:.3e}")
         block = M.conj().T @ H.basis  # A_k* restricted to H_k
         blocks.append(block)
-        if H.dim == 0:
-            report.add(f"embedding_margin_{k}", 1.0, tol.margin_tol, vacuous=True)
-        else:
-            report.add(f"embedding_margin_{k}", float(singular_values(block)[-1]),
-                       tol.margin_tol)
+        U, s, _ = thin_svd(block)
+        ranges.append(Subspace(d, U[:, :numerical_rank(s, tol)]))
+        report.add(f"embedding_margin_{k}", s[-1] if H.dim else 1.0, tol.margin_tol,
+                   vacuous=H.dim == 0)
     stacked = np.hstack(blocks) if blocks else np.zeros((d, 0))
     if stacked.shape[1] == 0:
         report.add("joint_epsilon", 1.0, tol.margin_tol, vacuous=True)
     else:
         joint = float(singular_values(stacked)[-1]) if stacked.shape[1] <= d else 0.0
         report.add("joint_epsilon", joint, tol.margin_tol)
-    ranges = [from_spanning(block, d, tol) for block in blocks]
     cert = independence_certificate(SubspaceSystem(d, ranges), tol)
     report.add("range_independence_epsilon", cert.epsilon, tol.margin_tol)
     return report

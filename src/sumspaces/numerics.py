@@ -3,6 +3,7 @@
 This is the only module that calls LAPACK, and the only home of the
 numerical policy wrapped around each decomposition:
 
+- tolerances: strictly positive and finite;
 - Hermitian input: square shape, asymmetry ||M - M*||_F at most
   eig_tol * max(1, ||M||_F), explicit symmetrization, ascending eigenvalues
   with (``eig_hermitian``) or without (``hermitian_eigenvalues``) vectors;
@@ -12,6 +13,11 @@ numerical policy wrapped around each decomposition:
 - errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow;
 - the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
   dimensions, positive ambient dimensions.
+
+Functions of a matrix, spectral projectors and range bases are not wrapped
+here: each caller forms them from its own single ``eig_hermitian`` or
+``thin_svd`` and the shared ``numerical_rank`` cutoff, so a matrix is
+factored once per analysis.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ComputationFailed, EigenvalueOnBoundary, MalformedInput,
-                     NonSquare, NotHermitian)
+from .errors import ComputationFailed, MalformedInput, NonSquare, NotHermitian
 
 
 @dataclass(frozen=True)
@@ -40,8 +45,8 @@ class Tolerances:
     margin_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.rank_tol > 0 and self.eig_tol > 0 and self.margin_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0 < t < np.inf for t in (self.rank_tol, self.eig_tol, self.margin_tol)):
+            raise ValueError("tolerances must be strictly positive and finite")
 
 
 DEFAULT_TOL = Tolerances()
@@ -163,31 +168,6 @@ def pinv(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
     return _lapack(np.linalg.pinv, M, rcond=tol.rank_tol)
-
-
-def spectral_projector(M: np.ndarray, interval, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthoprojector onto the eigenspaces with eigenvalue in [lo, hi).
-
-    Raises EigenvalueOnBoundary when an endpoint sits within eig_tol of the
-    spectrum, since then the selection is not numerically well defined.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    spec = eig_hermitian(M, tol)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    for endpoint in (lo, hi):
-        if np.any(np.abs(w - endpoint) <= tol.eig_tol):
-            raise EigenvalueOnBoundary(f"endpoint {endpoint} within eig_tol of spectrum")
-    mask = (w >= lo) & (w < hi)
-    cols = v[:, mask]
-    return cols @ cols.conj().T
-
-
-def matrix_function(M: np.ndarray, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix via eigendecomposition."""
-    spec = eig_hermitian(M, tol)
-    vals = np.array([f(x) for x in spec.eigenvalues], dtype=complex)
-    V = spec.eigenvectors
-    return (V * vals) @ V.conj().T
 
 
 def support_connected(A: np.ndarray) -> bool:

@@ -131,6 +131,7 @@ def pair_report(H1: Subspace, H2: Subspace,
     independent = MarginReport()
     independent.add("product_norm_margin", 1.0 - norm_prod, tol.margin_tol)
     independent.extras["product_norm"] = norm_prod
+    sin = np.where(meet, 0.0, sin)  # the meet's sines are 0, not their round-off
     independent.add("gram_epsilon", np.min(sin ** 2 / (1.0 + cos), initial=1.0),
                     tol.margin_tol, vacuous=H1.dim + H2.dim == 0)
     independent.add("embedding_epsilon", np.min(sin, initial=1.0), tol.margin_tol,

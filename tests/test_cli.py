@@ -329,7 +329,8 @@ BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},
                                   "rate_two", "rate_negative", "halmos_n",
                                   "compact_triple_n_param", "compact_triple_n",
                                   "zzz_param", "one_over_k_rate", "top_level_rate",
-                                  "n_twice", "f_overflow"])
+                                  "n_twice", "f_overflow", "rank_tol_inf",
+                                  "eig_tol_inf", "margin_tol_inf"])
 def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     a, b = pair_files
     path = tmp_path / "input.json"
@@ -344,6 +345,13 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
         argv = ["sum-as-two", "--n", "0", "--horizon", "5"]
     elif case == "compact_triple_n":
         argv = ["blocks", "--family", "compact_triple", "--n", "7", "--horizon", "5"]
+    elif case == "rank_tol_inf":  # would report an empty image
+        path.write_text(json.dumps(ss.OperatorFamily(2, [np.eye(2)]).to_json()))
+        argv = ["images", "--operators", str(path), "--analysis", "sum", "--rank-tol", "inf"]
+    elif case == "eig_tol_inf":  # would report all-zero dimensions
+        argv = ["sum-as-two", "--n", "3", "--horizon", "5", "--eig-tol", "inf"]
+    elif case == "margin_tol_inf":
+        argv = ["pair", "--a", a, "--b", b, "--margin-tol", "inf"]
     else:
         path.write_text(json.dumps(BAD_NUMBER_FAMILIES[case]))
         argv = ["sum-as-two", "--family-file", str(path), "--horizon", "5"]

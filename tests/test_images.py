@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from sumspaces.errors import (BudgetExceeded, DiagonalNotPositive,
                               DimensionMismatch, NormTooLarge, NotInvertible,
                               RangeConditionViolated, RangeNotIncluded)
 
-from conftest import _count_lapack, random_system, simplex_lines
+from conftest import (_count_lapack, random_independent_full_system, random_system,
+                      simplex_lines)
 
 
 def test_operator_family_round_trip(rng):
@@ -24,6 +27,14 @@ def test_douglas_factor_invertible_case(rng):
     C, lam = ss.douglas_factor(A, B)
     assert np.linalg.norm(A - B @ C, 2) <= 1e-9
     assert lam > 0
+
+
+def test_douglas_factor_takes_one_thin_svd(monkeypatch, rng):
+    # the basis of Im B, the residual and C = V_r s_r^-1 U_r* A come from one
+    # thin SVD of B; the two norms are the residual and ||C||; no pinv
+    B = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 5))
+    A = B @ rng.normal(size=(5, 5))
+    assert _count_lapack(monkeypatch, ss.douglas_factor, A, B) == {"svd_thin": 1, "norm": 2}
 
 
 def test_douglas_factor_rejects_non_inclusion():
@@ -47,6 +58,18 @@ def test_sum_of_images_nonnegative_gap():
     assert image.dim == 1
     assert rep.margin("nonnegative_sum_gap") == pytest.approx(2.0)
     assert rep.extras["sum_image_dim"] == 1
+
+
+def test_sum_of_images_factors_s2_once(monkeypatch, rng):
+    # the image from one eigh of sum a_k a_k*, the concatenation's column space
+    # from one thin SVD, the nonnegative gap from one eigvalsh; the five norms
+    # are two Frobenius norms per asymmetry check and the range-equality residual
+    X = [np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0]
+         for _ in range(3)]
+    F = ss.OperatorFamily(6, [x @ x.conj().T for x in X], ["nonnegative"] * 3)
+    assert ss.sum_of_images(F)[0].dim == 6
+    assert _count_lapack(monkeypatch, ss.sum_of_images, F) == {
+        "eigh": 1, "svd_thin": 1, "eigvalsh": 1, "norm": 5}
 
 
 def test_product_bound_nonnegative_slack(rng):
@@ -113,6 +136,18 @@ def test_p_radius_takes_one_singular_value_call_per_depth(monkeypatch, rng):
     assert _count_lapack(monkeypatch, ss.p_radius, F, 2.0, 4) == {"svdvals": 4}
 
 
+@pytest.mark.parametrize("depth", [10 ** 4, 10 ** 5])
+def test_p_radius_refuses_a_huge_depth_quickly(depth):
+    # the word count is summed only until it passes the budget, and the
+    # message names the budget, not a count thousands of digits long
+    F = ss.OperatorFamily(2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as excinfo:
+        ss.p_radius(F, depth=depth)
+    assert time.perf_counter() - start < 1.0
+    assert len(str(excinfo.value)) < 100
+
+
 @pytest.mark.parametrize("depth", [0, -2])
 def test_p_radius_rejects_depth_below_one(depth):
     F = ss.OperatorFamily(2, [np.diag([1.0, 0.0]).astype(complex)], ["nonnegative"])
@@ -126,6 +161,18 @@ def test_membership_identity_requires_invertible_sum():
         ss.m_membership_identity(F)
     G = ss.OperatorFamily(2, [np.eye(2, dtype=complex)])
     assert ss.m_membership_identity(G) <= 1e-10
+
+
+def test_membership_identity_factors_s_once(monkeypatch, rng):
+    # lambda_min, S^{1/2} and S^{-3/2} from one eigh; the norms are the two
+    # Frobenius norms of the asymmetry check and the residual
+    mats = []
+    for _ in range(3):
+        Q = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+        mats.append((Q * rng.uniform(0.5, 1.5, 5)) @ Q.conj().T)
+    F = ss.OperatorFamily(5, mats, ["nonnegative"] * 3)
+    assert ss.m_membership_identity(F) <= 1e-12
+    assert _count_lapack(monkeypatch, ss.m_membership_identity, F) == {"eigh": 1, "norm": 3}
 
 
 def test_build_beta_classifications():
@@ -168,6 +215,15 @@ def test_quadratic_projector_criterion_needs_complements_to_sum(rng):
     line = ss.from_spanning(np.array([[1.0], [1.0], [0.0]]))
     _, rep = ss.quadratic_projector_criterion(ss.SubspaceSystem(3, [full, line]), np.eye(2))
     assert "invertibility_margin" not in {e.criterion for e in rep.entries}
+
+
+def test_quadratic_projector_criterion_takes_one_svd_of_a(monkeypatch, rng):
+    # closed_range_margin, invertibility_margin and Im A from one thin SVD of A
+    S = random_independent_full_system(rng, 5, 3)
+    _, rep = ss.quadratic_projector_criterion(S, ss.cycle_alpha(3))
+    assert "invertibility_margin" in {e.criterion for e in rep.entries}
+    calls = _count_lapack(monkeypatch, ss.quadratic_projector_criterion, S, ss.cycle_alpha(3))
+    assert calls["svdvals"] == 0
 
 
 def test_ibap_check_orthogonal_decomposition():

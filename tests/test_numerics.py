@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from sumspaces import numerics
-from sumspaces.errors import EigenvalueOnBoundary, NonSquare, NotHermitian
+from sumspaces.errors import NonSquare, NotHermitian
 
 # both Hermitian eigen entry points share one validation and symmetrization
 EIGEN_PATHS = pytest.mark.parametrize(
@@ -23,6 +24,10 @@ def test_tolerances_must_be_positive():
         numerics.Tolerances(rank_tol=0.0)
     with pytest.raises(ValueError):
         numerics.Tolerances(margin_tol=-1e-8)
+    for field in ("rank_tol", "eig_tol", "margin_tol"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                numerics.Tolerances(**{field: value})
 
 
 @EIGEN_PATHS
@@ -65,20 +70,6 @@ def test_pinv_matches_numpy(rng):
     assert np.allclose(numerics.pinv(M) @ M, np.eye(3), atol=1e-10)
 
 
-def test_spectral_projector_selects_halfopen_interval():
-    M = np.diag([0.0, 0.5, 1.0])
-    P = numerics.spectral_projector(M, (0.25, 0.75))
-    assert np.allclose(P, np.diag([0.0, 1.0, 0.0]))
-    with pytest.raises(EigenvalueOnBoundary):
-        numerics.spectral_projector(M, (0.5, 2.0))
-
-
-def test_matrix_function_square_root():
-    M = np.diag([4.0, 9.0]).astype(complex)
-    R = numerics.matrix_function(M, np.sqrt)
-    assert np.allclose(R, np.diag([2.0, 3.0]))
-
-
 LAPACK_CALL = re.compile(r"np\.linalg\.(eigh?|eigvalsh?|svd|pinv|inv|solve|cholesky|qr|lstsq"
                          r"|det|slogdet|matrix_rank)\b|np\.roots\b"
                          r"|np\.linalg\.norm\([^)]*,\s*2\)|scipy")
@@ -89,6 +80,20 @@ def test_only_numerics_calls_lapack():
     calling = sorted(path.name for path in package.glob("*.py")
                      if LAPACK_CALL.search(path.read_text(encoding="utf-8")))
     assert calling == ["numerics.py"]
+
+
+def test_every_numerics_function_has_a_caller():
+    # a kernel entry is kept only while src/ uses it; the __init__ re-export
+    # and the definition itself do not count
+    package = pathlib.Path(numerics.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for name, tree in trees.items() if name != "__init__.py"
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    public = {node.name for node in trees["numerics.py"].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert public and sorted(public - used) == []
 
 
 @pytest.mark.parametrize("call", ["np.roots([1.0, -T, D])", "np.linalg.eig(M)",

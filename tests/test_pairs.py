@@ -161,6 +161,24 @@ def test_independent_pair_detects_overlap():
     assert abs(rep.extras["product_norm"] - 1.0) <= 1e-10
 
 
+def test_independent_pair_constants_are_zero_on_a_planted_meet(rng):
+    # H1 = span(q0, q1) and H2 = span(q1, cos t q0 + sin t q2) share q1, whose
+    # sine is 0: its round-off must not stand in for the two constants
+    for _ in range(20):
+        d = int(rng.integers(3, 10))
+        q = random_subspace(rng, d, d).basis
+        t = rng.uniform(0.1, 1.4)
+        mix = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        H1 = ss.from_spanning(q[:, :2] @ mix)
+        H2 = ss.from_spanning(np.column_stack([q[:, 1], np.cos(t) * q[:, 0]
+                                               + np.sin(t) * q[:, 2]]) @ mix)
+        assert ss.intersect(H1, H2).dim == 1
+        rep = ss.independent_pair_constants(H1, H2)
+        for name in ("gram_epsilon", "embedding_epsilon"):
+            assert rep.margin(name) == 0.0, name
+            assert rep.verdict(name) == "borderline", name
+
+
 def _lines_at(theta):
     H1 = ss.from_spanning(np.array([[1.0], [0.0]]))
     H2 = ss.from_spanning(np.array([[np.cos(theta)], [np.sin(theta)]]))

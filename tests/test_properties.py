@@ -10,7 +10,10 @@ spanning vectors, the closed-form lower bound, and a sampled search over
 random edge phases, and the gradient and Hessian that drive its descent
 with central differences of lambda_min.
 The array paths of ``spectrum_of_b`` and ``p_radius`` are compared with the
-per-point and per-word loops they replaced.  The ``images`` and
+per-point and per-word loops they replaced, and the one-factorization
+operator-range analyses with the formulas they replaced: ``pinv(B) A`` for
+``douglas_factor``, the SVD of the matrix square root for ``sum_of_images``
+and the n^2-product sum for ``m_membership_identity``.  The ``images`` and
 ``calculus`` commands are fed mutated operator files and polynomial strings,
 ``pair``, ``system``, ``graph`` and ``reduce`` mutated subspace and
 system files, and ``blocks`` and ``sum-as-two`` mutated family files; each
@@ -350,6 +353,76 @@ def test_p_radius_matches_per_word_norms(F, depth, p):
     assert len(got) == depth
     for g, e in zip(got, expected):
         assert g == e or abs(g - e) <= 1e-15 * abs(e)
+
+
+def _unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_douglas_factor_matches_pinv(d, r, seed):
+    # B of rank r <= d with singular values in [0.1, 10] and Im A inside Im B
+    rng = np.random.default_rng(seed)
+    r = min(r, d)
+    s = np.exp(rng.uniform(np.log(0.1), np.log(10.0), r))
+    B = (_unitary(rng, d)[:, :r] * s) @ _unitary(rng, d)[:, :r].conj().T
+    A = B @ (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    C, lam = ss.douglas_factor(A, B)
+    expected = np.linalg.pinv(B, rcond=RANK_TOL) @ A
+    norm = np.linalg.norm(expected, 2)
+    assert np.linalg.norm(C - expected, 2) <= 1e-12 * norm
+    assert abs(lam - norm ** 2) <= 1e-12 * norm ** 2
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_sum_of_images_matches_the_root_svd(d, n, rank, seed):
+    """The image against the SVD of V sqrt(max(w, 0)) V*, the route through
+    the square root that it replaced, on families whose ranges span a planted
+    subspace of dimension rank <= d.  The dimensions must agree everywhere.
+    Where the root has round-off directions above the cutoff (the open rank
+    defect of rank-deficient families), those directions are fixed by
+    round-off in both, so the projectors are compared where the oracle finds
+    the planted rank."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, d)
+    Q = _unitary(rng, d)[:, :rank]
+    mats = []
+    for _ in range(n):
+        M = Q @ (rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d)))
+        mats.append(M @ M.conj().T if rng.random() < 0.5 else M)
+    F = ss.OperatorFamily(d, mats)
+    S2 = sum(M @ M.conj().T for M in mats)
+    w, V = np.linalg.eigh((S2 + S2.conj().T) / 2)
+    U, s, _ = np.linalg.svd((V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T)
+    dim = int(np.sum(s > RANK_TOL * s[0]))
+    image, report = ss.sum_of_images(F)
+    assert image.dim == dim
+    assert np.allclose(image.basis.conj().T @ image.basis, np.eye(dim), atol=1e-12)
+    if dim == rank:
+        P = U[:, :dim] @ U[:, :dim].conj().T
+        assert np.linalg.norm(image.projector() - P, 2) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_membership_residual_matches_the_double_sum(d, n, seed):
+    # nonnegative a_k with spectra in [0.5, 1.5]; the oracle is the n^2-product
+    # sum_ij a_i^2 S^{-3/2} a_j^2 that S S^{-3/2} S replaced
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(n):
+        Q = _unitary(rng, d)
+        mats.append((Q * rng.uniform(0.5, 1.5, d)) @ Q.conj().T)
+    S = sum(M @ M for M in mats)
+    w, V = np.linalg.eigh((S + S.conj().T) / 2)
+    half, inv32 = (V * np.sqrt(w)) @ V.conj().T, (V * w ** -1.5) @ V.conj().T
+    double_sum = sum((Mi @ Mi) @ inv32 @ (Mj @ Mj) for Mi in mats for Mj in mats)
+    expected = np.linalg.norm(half - double_sum, 2)
+    got = ss.m_membership_identity(ss.OperatorFamily(d, mats, ["nonnegative"] * n))
+    assert got <= 1e-12 and expected <= 1e-12
+    assert abs(got - expected) <= 1e-12
 
 
 def _run_cli(argv):
