@@ -8,8 +8,7 @@ criteria, and a block-sequence model emulating infinite direct sums.
 
 __version__ = "0.1.0"
 
-from .numerics import (Tolerances, DEFAULT_TOL, eig_hermitian, hermitian_eigenvalues,
-                       svd, pinv)
+from .numerics import Tolerances, DEFAULT_TOL, eig_hermitian, hermitian_eigenvalues, svd
 from .reports import MarginEntry, MarginReport
 from .subspaces import (Subspace, SubspaceSystem, complement, contains,
                         from_spanning, full_space, intersect, principal_angles,
@@ -17,7 +16,7 @@ from .subspaces import (Subspace, SubspaceSystem, complement, contains,
                         sum_span, system_from_json, system_to_json, zero_subspace)
 from .pairs import (PairDecomposition, friedrichs_angle, halmos_decompose,
                     independent_pair_constants, pair_criteria, pair_report)
-from .paircalc import ScalarFunction, build_b, calculus_criteria, spectrum_of_b
+from .paircalc import ScalarFunction, build_b, calculus_criteria, calculus_report, spectrum_of_b
 from .systems import (WeightedGraph, complement_graph_margin, dilation,
                       linear_combination_check, sum_gap)
 from .reduction import (IndependenceCertificate, ReductionResult, c_constant,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownFamily
-from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian, psd_gap
+from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian, line_fit, psd_gap
 from .reports import MarginReport
 from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, sum_span,
                         zero_subspace)
@@ -73,7 +73,7 @@ def certify(BS: BlockSystem, subset, K: int,
     mask = np.isfinite(ys) & (ys > 0)
     if mask.sum() >= 2:
         lx, ly = np.log(ks[mask].astype(float)), np.log(ys[mask])
-        coeffs = np.polyfit(lx, ly, 1)
+        coeffs = line_fit(lx, ly)
         slope = float(coeffs[0])
         residual = float(np.sqrt(np.mean((np.polyval(coeffs, lx) - ly) ** 2)))
     else:

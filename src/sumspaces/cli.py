@@ -103,13 +103,13 @@ def _cmd_calculus(args, tol):
     B = subspaces.subspace_from_json(_load_json(args.b), tol)
     fs = [_poly(getattr(args, f"f{i}")) for i in range(1, 5)]
     dec = pairs.halmos_decompose(A, B, tol)
-    spectrum = paircalc.spectrum_of_b(dec, *fs)
+    spectrum, margins = paircalc.calculus_report(dec, *fs, tol=tol)
     order = np.lexsort((spectrum.imag, spectrum.real))
     return {
         "request": {"command": "calculus", "a": args.a, "b": args.b,
                     "f1": args.f1, "f2": args.f2, "f3": args.f3, "f4": args.f4},
         "spectrum": complex_to_json(spectrum[order]),
-        "margins": {"calculus": paircalc.calculus_criteria(dec, *fs, tol=tol)},
+        "margins": {"calculus": margins},
     }
 
 

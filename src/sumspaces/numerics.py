@@ -14,10 +14,10 @@ numerical policy wrapped around each decomposition:
 - the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
   dimensions, positive ambient dimensions.
 
-Functions of a matrix, spectral projectors and range bases are not wrapped
-here: each caller forms them from its own single ``eig_hermitian`` or
-``thin_svd`` and the shared ``numerical_rank`` cutoff, so a matrix is
-factored once per analysis.
+Functions of a matrix, inverses, spectral projectors, range bases and smallest
+nonzero singular values are not wrapped here: each caller forms them from its
+own single ``eig_hermitian`` or ``thin_svd`` and the shared ``numerical_rank``
+cutoff, so a matrix is factored once per analysis.
 """
 
 from __future__ import annotations
@@ -143,13 +143,6 @@ def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol.rank_tol * s[0]))
 
 
-def smallest_nonzero_singular_value(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Smallest singular value above the rank cutoff; +inf when rank 0."""
-    s = singular_values(M)
-    r = numerical_rank(s, tol)
-    return float(s[r - 1]) if r else float("inf")
-
-
 def independence_epsilon(stacked: np.ndarray) -> float:
     """Best eps in ||sum x_i||^2 >= eps sum ||x_i||^2 when the x_i range over
     members with orthonormal bases stacked side by side: sigma_min^2 of the
@@ -162,12 +155,21 @@ def independence_epsilon(stacked: np.ndarray) -> float:
     return float(singular_values(stacked)[-1] ** 2)
 
 
-def pinv(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the shared rank cutoff."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    return _lapack(np.linalg.pinv, M, rcond=tol.rank_tol)
+def polynomial_roots(c: np.ndarray) -> np.ndarray:
+    """Roots of a polynomial (ascending coefficients), none for a constant.  Top
+    coefficients at round-off level are dropped, and the companion matrix is
+    normalized by the larger end coefficient (the reversed polynomial's roots,
+    inverted, when that is the constant term): huge roots spoil the small ones."""
+    c = np.polynomial.polynomial.polytrim(c, 1e-16 * np.abs(c).max())
+    if abs(c[0]) <= abs(c[-1]):
+        return _lapack(np.polynomial.polynomial.polyroots, c)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a root 0 there is one at inf
+        return 1.0 / _lapack(np.polynomial.polynomial.polyroots, c[::-1])
+
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[slope, intercept] of the least-squares line through the points (x, y)."""
+    return _lapack(np.polyfit, x, y, 1)
 
 
 def support_connected(A: np.ndarray) -> bool:

@@ -4,14 +4,14 @@ For continuous f1..f4 on [0,1] the operator
 
     b = P1 f1(P1P2P1) + P2 f2(P2P1P2) + P1P2 f3(P2P1P2) + P2P1 f4(P1P2P1)
 
-acts blockwise on the canonical components of the pair, and on the generic
-part its spectrum is governed by the scalar polynomials
+is a direct sum over the canonical components of the pair (Halmos): a scalar
+on each flat component and, per generic x in sigma(a), a 2x2 block with trace
+and determinant
 
-    T(x) = f1 + f2 + x (f3 + f4),
-    D(x) = (1 - x)(f1 f2 - x f3 f4),
-    F(x) = f1 f2 - x f3 f4,
+    T(x) = f1 + f2 + x (f3 + f4),    D(x) = (1 - x) F(x),    F(x) = f1 f2 - x f3 f4,
 
-through the roots of lambda^2 - T(x) lambda + D(x) = 0 over x in sigma(a).
+so ``calculus_report`` takes the spectrum (the roots of lambda^2 - T lambda + D)
+and every margin from one pass over the blocks, with no d x d matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated
-from .numerics import DEFAULT_TOL, Tolerances, smallest_nonzero_singular_value
+from .numerics import DEFAULT_TOL, Tolerances, numerical_rank, polynomial_roots
 from .pairs import PairDecomposition
 from .reports import MarginReport
 
@@ -55,41 +55,40 @@ class ScalarFunction:
 
     @classmethod
     def from_callable(cls, f) -> "ScalarFunction":
+        """Known by its values only, so the F != 0 check just samples a grid."""
         return cls(f, None)
 
 
-def _component_values(fs):
-    """Spectrum contributions of the four flat components
-    H1&H2, H1&H2', H1'&H2 and H1'&H2'."""
+def _blocks(pair: PairDecomposition, fs):
+    """b's scalars on H1&H2, H1&H2', H1'&H2, H1'&H2' and, repeated by dimension,
+    ``flat``; b's 2x2 block per generic x (rows tl, tr, bl, br), its determinant
+    D, and the spectrum of b.  ValueError where any of them is not finite."""
     f1, f2, f3, f4 = fs
-    return [f1(1.0) + f2(1.0) + f3(1.0) + f4(1.0), f1(0.0), f2(0.0), 0.0 + 0.0j]
+    values = [f1(1.0) + f2(1.0) + f3(1.0) + f4(1.0), f1(0.0), f2(0.0), 0.0 + 0.0j]
+    flat = np.repeat(np.array(values, dtype=complex), (
+        pair.both.dim, pair.first_only.dim, pair.second_only.dim, pair.neither_dim))
+    x = pair.a_eigenvalues
+    cs = pair.cosines * pair.sines
+    f1x, f2x, f3x, f4x = (f(x) for f in fs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        block = np.array([f1x + x * (f2x + f3x + f4x), cs * (f2x + f3x),
+                          cs * (f2x + f4x), pair.sines ** 2 * f2x])
+        T = f1x + f2x + x * (f3x + f4x)
+        D = (1.0 - x) * (f1x * f2x - x * f3x * f4x)
+    finite = np.isfinite(np.vstack([block, T, D])).all(axis=0)
+    if not (finite.all() and np.isfinite(flat).all()):
+        raise ValueError(f"b is not finite: at x in {x[~finite]} or in the values {values}")
+    return values, flat, block, D, np.concatenate([flat, _quadratic_roots(T, D).ravel()])
 
 
 def build_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     """Assemble b blockwise on the canonical components."""
-    fs = (f1, f2, f3, f4)
-    d = pair.ambient_dim
-    b = np.zeros((d, d), dtype=complex)
-    both, first_only, second_only, _ = _component_values(fs)
-    b += both * pair.both.projector()
-    b += first_only * pair.first_only.projector()
-    b += second_only * pair.second_only.projector()
-
-    r = pair.k_dim
-    if r:
-        x = pair.a_eigenvalues
-        cs, s2 = pair.cosines * pair.sines, pair.sines ** 2
-        fx = [f(x) for f in fs]
-        top_left = fx[0] + x * (fx[1] + fx[2] + fx[3])
-        top_right = cs * (fx[1] + fx[2])
-        bot_left = cs * (fx[1] + fx[3])
-        bot_right = s2 * fx[1]
-        Q1, Q2 = pair.k_basis_1, pair.k_basis_2
-        b += (Q1 * top_left) @ Q1.conj().T
-        b += (Q1 * top_right) @ Q2.conj().T
-        b += (Q2 * bot_left) @ Q1.conj().T
-        b += (Q2 * bot_right) @ Q2.conj().T
-    return b
+    values, _, block, _, _ = _blocks(pair, (f1, f2, f3, f4))
+    flats = (pair.both, pair.first_only, pair.second_only)
+    b = sum(v * S.projector() for v, S in zip(values, flats))
+    Q = np.hstack([pair.k_basis_1, pair.k_basis_2])
+    tl, tr, bl, br = map(np.diag, block)
+    return b + Q @ np.block([[tl, tr], [bl, br]]) @ Q.conj().T
 
 
 def spectrum_of_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
@@ -98,20 +97,7 @@ def spectrum_of_b(pair: PairDecomposition, f1, f2, f3, f4) -> np.ndarray:
     Flat components contribute their scalar values; each generic eigenvalue x
     of a contributes the two roots of lambda^2 - T(x) lambda + D(x) = 0.
     """
-    counts = (pair.both.dim, pair.first_only.dim,
-              pair.second_only.dim, pair.neither_dim)
-    fs = (f1, f2, f3, f4)
-    flat = np.repeat(np.array(_component_values(fs), dtype=complex), counts)
-    x = pair.a_eigenvalues
-    f1x, f2x, f3x, f4x = (f(x) for f in fs)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        T = f1x + f2x + x * (f3x + f4x)
-        D = (1.0 - x) * (f1x * f2x - x * f3x * f4x)
-    bad = np.flatnonzero(~(np.isfinite(T) & np.isfinite(D)))
-    if len(bad):
-        i = bad[0]
-        raise ValueError(f"T(x) = {T[i]} or D(x) = {D[i]} is not finite at x = {x[i]}")
-    return np.concatenate([flat, _quadratic_roots(T, D).ravel()])
+    return _blocks(pair, (f1, f2, f3, f4))[-1]
 
 
 def _quadratic_roots(T, D):
@@ -128,36 +114,67 @@ def _quadratic_roots(T, D):
     return np.stack([q, np.divide(D, q, out=np.zeros_like(q), where=q != 0)], axis=-1)
 
 
-def calculus_criteria(pair: PairDecomposition, f1, f2, f3, f4,
-                      tol: Tolerances = DEFAULT_TOL) -> MarginReport:
-    """Closedness/invertibility margins of Im(b).
+def _block_singular_values(block, D):
+    """Both singular values of each 2x2 block from its squared Frobenius norm N
+    and |det| = |D|: sigma_max^2 = (N + sqrt(N^2 - 4|D|^2))/2 and sigma_min =
+    |D|/sigma_max, on entries scaled by the largest so nothing overflows."""
+    scale = np.abs(block).max(axis=0, initial=0.0)
+    scale[scale == 0] = 1.0  # a zero block: N = D = 0
+    n, det = (np.abs(block / scale) ** 2).sum(axis=0), np.abs(D) / scale / scale
+    top = np.sqrt((n + np.sqrt(np.maximum(n * n - 4.0 * det * det, 0.0))) / 2.0)
+    return scale * top, scale * np.divide(det, top, out=np.zeros_like(top), where=top > 0)
 
-    Requires F(x) = f1 f2 - x f3 f4 nonzero on [0, 1); checked on a
-    1001-point uniform grid plus sigma(a).  Pathologies between grid points
-    are the caller's responsibility.
-    """
-    points = np.concatenate([np.linspace(0.0, 1.0, 1001, endpoint=False), pair.a_eigenvalues])
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite F does not vanish
-        F = f1(points) * f2(points) - points * f3(points) * f4(points)
+
+def _check_F(pair: PairDecomposition, fs, tol: Tolerances) -> None:
+    """HypothesisViolated where |F| <= margin_tol on [0, 1).  Exact for polynomials:
+    min |F| on [0, 1) is at 0 or at a root of (|F|^2)', so 0 and the real parts in
+    [0, 1) of those roots are checked, and of F's own (accurate where they are
+    multiple), with F scaled to a largest |coefficient| of 1 so |F|^2 cannot
+    overflow.  Callables are only sampled, on a 1001-point grid plus sigma(a)."""
+    f1, f2, f3, f4 = fs
+    P = np.polynomial.polynomial
+    with np.errstate(over="ignore", invalid="ignore"):  # refused or harmless
+        if all(f.coefficients is not None for f in fs):
+            c = P.polysub(P.polymul(f1.coefficients, f2.coefficients),
+                          P.polymulx(P.polymul(f3.coefficients, f4.coefficients)))
+            if not np.isfinite(c).all():
+                raise ValueError(f"F = f1 f2 - x f3 f4 is not finite: coefficients {c}")
+            scale = np.abs(c).max() or 1.0  # F = 0 is refused at x = 0 below
+            c = c / scale
+            dG = P.polyder(P.polymul(c, c.conj()).real)  # (|F|^2)' on the real line
+            z = np.concatenate([polynomial_roots(c), polynomial_roots(dG)]).real
+            points = np.concatenate([[0.0], z[(z >= 0.0) & (z < 1.0)]])
+            F = scale * P.polyval(points, c)
+        else:
+            points = np.concatenate([np.linspace(0.0, 1.0, 1001, endpoint=False),
+                                     pair.a_eigenvalues])
+            F = f1(points) * f2(points) - points * f3(points) * f4(points)
     vanishing = np.flatnonzero(np.abs(F) <= tol.margin_tol)
     if len(vanishing):
         i = vanishing[0]
         raise HypothesisViolated(f"F({points[i]}) = {complex(F[i])} vanishes on [0,1)")
 
-    spectrum = spectrum_of_b(pair, f1, f2, f3, f4)
-    report = MarginReport()
-    nonzero = np.abs(spectrum)[np.abs(spectrum) > 100 * tol.eig_tol]
-    report.add("punctured_disk_margin",
-               float(nonzero.min()) if len(nonzero) else 1.0,
-               tol.margin_tol, vacuous=len(nonzero) == 0)
-    if len(spectrum):
-        report.add("invertibility_margin", float(np.abs(spectrum).min()), tol.margin_tol)
-    else:
-        report.add("invertibility_margin", 1.0, tol.margin_tol, vacuous=True)
-    s11 = _component_values((f1, f2, f3, f4))[0]
-    report.extras["sum_at_one_nonzero"] = bool(abs(s11) > tol.margin_tol)
 
-    b = build_b(pair, f1, f2, f3, f4)
-    sv = smallest_nonzero_singular_value(b, tol)
-    report.add("closed_range_margin", sv, tol.margin_tol, vacuous=np.isinf(sv))
-    return report
+def calculus_report(pair: PairDecomposition, f1, f2, f3, f4,
+                    tol: Tolerances = DEFAULT_TOL):
+    """(spectrum of b, margins of Im(b)) from one pass over b's blocks; F must not
+    vanish on [0, 1).  b's singular values are the |values| on the flat components
+    and each block's closed-form pair, cut at ``numerical_rank``."""
+    values, flat, block, D, spectrum = _blocks(pair, (f1, f2, f3, f4))
+    _check_F(pair, (f1, f2, f3, f4), tol)
+    report = MarginReport()
+    modulus = np.abs(spectrum)
+    sv = np.sort(np.concatenate([np.abs(flat), *_block_singular_values(block, D)]))[::-1]
+    for name, kept in (("punctured_disk_margin", modulus[modulus > 100 * tol.eig_tol]),
+                       ("invertibility_margin", modulus),
+                       ("closed_range_margin", sv[:numerical_rank(sv, tol)])):
+        report.add(name, float(kept.min()) if len(kept) else 1.0, tol.margin_tol,
+                   vacuous=len(kept) == 0)
+    report.extras["sum_at_one_nonzero"] = bool(abs(values[0]) > tol.margin_tol)
+    return spectrum, report
+
+
+def calculus_criteria(pair: PairDecomposition, f1, f2, f3, f4,
+                      tol: Tolerances = DEFAULT_TOL) -> MarginReport:
+    """Closedness/invertibility margins of Im(b), from ``calculus_report``."""
+    return calculus_report(pair, f1, f2, f3, f4, tol)[1]

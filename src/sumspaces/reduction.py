@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
                      NotIndependent, SumNotFull)
 from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, hermitian_eigenvalues,
-                       independence_epsilon, numerical_rank, pinv, psd_gap, svd)
+                       independence_epsilon, numerical_rank, psd_gap, svd, thin_svd)
 from .reports import MarginReport
 from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, intersect,
                         subtract, sum_span, zero_subspace)
@@ -75,7 +75,8 @@ def oblique_projections(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL):
     stacked = np.hstack([m.basis for m in S.members])
     if stacked.shape[1] != S.ambient_dim:
         raise SumNotFull("sum of the members must be the whole space")
-    inverse = pinv(stacked, tol)
+    U, s, V = thin_svd(stacked)  # square, and sigma_min^2 > margin_tol: invertible
+    inverse = (V / s) @ U.conj().T
     out = []
     offset = 0
     for m in S.members:

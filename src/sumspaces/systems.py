@@ -281,8 +281,8 @@ def linear_combination_check(S: SubspaceSystem, alpha,
     slack of that bound.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if len(alpha) != len(S) or np.any(alpha <= 0):
-        raise DimensionMismatch("alpha must be positive, one weight per member")
+    if len(alpha) != len(S) or not np.all((alpha > 0) & (alpha < np.inf)):  # NaN fails
+        raise DimensionMismatch(f"alpha must be finite and positive, one per member: {alpha}")
     A = sum(a * P for a, P in zip(alpha, S.projectors()))
     w = hermitian_eigenvalues(A, tol)
     eps, lam_max = float(w[0]), float(w[-1])

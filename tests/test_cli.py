@@ -363,6 +363,15 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
             assert key in report["error"]["message"]
 
 
+@pytest.mark.parametrize("alpha", ["nan,1,1", "inf,1,1"])
+def test_non_finite_alpha_is_exit_2(alpha, tmp_path, capsys):
+    code = main(["system", "--members", _members_file(tmp_path, 3), "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "DimensionMismatch" and "alpha" in error["message"]
+
+
 def test_graph_file_is_read(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"n": 2, "edges": [[1, 2, 2]]}))

@@ -57,21 +57,32 @@ def test_eig_hermitian_empty(path):
     assert _eigenvalues(path, np.zeros((0, 0))).shape == (0,)
 
 
-def test_numerical_rank_and_smallest_nonzero_sv():
+def test_numerical_rank():
     s = np.array([1.0, 1e-3, 1e-14])
     assert numerics.numerical_rank(s) == 2
-    M = np.diag([2.0, 1e-3, 0.0])
-    assert abs(numerics.smallest_nonzero_singular_value(M) - 1e-3) < 1e-15
-    assert np.isinf(numerics.smallest_nonzero_singular_value(np.zeros((3, 3))))
+    assert numerics.numerical_rank(np.zeros(3)) == 0
 
 
-def test_pinv_matches_numpy(rng):
-    M = rng.normal(size=(4, 3))
-    assert np.allclose(numerics.pinv(M) @ M, np.eye(3), atol=1e-10)
+def test_polynomial_roots():
+    assert numerics.polynomial_roots(np.array([5.0])).shape == (0,)
+    roots = numerics.polynomial_roots(np.array([2.0, -3.0, 1.0]))
+    assert np.allclose(np.sort(roots.real), [1.0, 2.0])
+    # a double root at 0.9 beside one at -1e15: normalized by the top coefficient
+    # 1e-9, the companion matrix places it 7e-7 off; by the constant term, 1e-8 off
+    c = np.array([810000.0, -1799999.999999999, 999999.9999999983, 1e-09], dtype=complex)
+    roots = numerics.polynomial_roots(c / np.abs(c).max())
+    assert np.sum(np.abs(roots - 0.9) <= 1e-7) == 2
 
 
+def test_line_fit_is_polyfit(rng):
+    x, y = rng.normal(size=8), rng.normal(size=8)
+    assert np.array_equal(numerics.line_fit(x, y), np.polyfit(x, y, 1))
+
+
+# numpy's polynomial fits and root finders call lstsq and eigvals underneath
 LAPACK_CALL = re.compile(r"np\.linalg\.(eigh?|eigvalsh?|svd|pinv|inv|solve|cholesky|qr|lstsq"
                          r"|det|slogdet|matrix_rank)\b|np\.roots\b"
+                         r"|\b(poly|cheb|leg|lag|herm|herme)(fit|roots)\b|\.(fit|roots)\("
                          r"|np\.linalg\.norm\([^)]*,\s*2\)|scipy")
 
 
@@ -102,6 +113,9 @@ def test_every_numerics_function_has_a_caller():
                                   "np.linalg.solve(H, g)", "np.linalg.cholesky(H)",
                                   "np.linalg.qr(M)", "np.linalg.lstsq(M, b)",
                                   "np.linalg.det(M)", "np.linalg.slogdet(M)",
-                                  "np.linalg.matrix_rank(M)"])
+                                  "np.linalg.matrix_rank(M)", "np.polyfit(lx, ly, 1)",
+                                  "np.polynomial.polynomial.polyroots(c)",
+                                  "P.polyfit(x, y, 2)", "Polynomial(c).roots()",
+                                  "Polynomial.fit(x, y, 1)"])
 def test_lapack_call_pattern_matches(call):
     assert LAPACK_CALL.search(call)

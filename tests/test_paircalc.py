@@ -1,12 +1,15 @@
 import collections
+import json
+import re
 
 import numpy as np
 import pytest
 
 import sumspaces as ss
+from sumspaces.cli import main
 from sumspaces.errors import HypothesisViolated
 
-from conftest import multiset_distance, random_pair, random_subspace
+from conftest import _count_lapack, multiset_distance, random_pair, random_subspace
 
 
 def _poly_eval_matrix(coeffs, M):
@@ -69,12 +72,41 @@ def test_calculus_criteria_margins(rng):
 def test_calculus_rejects_vanishing_F(rng):
     H1, H2 = random_pair(rng, 3, 6)
     dec = ss.halmos_decompose(H1, H2)
-    # f1 vanishes at a grid point inside [0, 1), so F = f1 f2 does too
-    f1 = ss.ScalarFunction.from_poly([-100.0 / 1001.0, 1.0])
+    planes = ss.halmos_decompose(random_subspace(rng, 6, 2), random_subspace(rng, 6, 2))
     one = ss.ScalarFunction.constant(1.0)
     zero = ss.ScalarFunction.constant(0.0)
-    with pytest.raises(HypothesisViolated):
-        ss.calculus_criteria(dec, f1, one, zero, zero)
+    # f1 vanishes at a grid point inside [0, 1); between grid points; at a tangent
+    # root (x - 0.3)^2; at a tangent root beside a large one, which the roots of
+    # (|F|^2)' alone place 1e-5 off (F's own roots are needed); at a tangent root
+    # beside a huge one, found only from the reversed polynomial's companion matrix
+    tangent_and_large = 1000.0 * np.polynomial.polynomial.polyfromroots([0.5, 0.5, -1300.0])
+    tangent_and_huge = [810000.0, -1799999.999999999, 999999.9999999983, 1e-09]
+    for pair, coefficients, root in ((dec, [-100.0 / 1001.0, 1.0], 100.0 / 1001.0),
+                                     (planes, [-0.5, 1000.0], 0.0005),
+                                     (planes, [0.09, -0.6, 1.0], 0.3),
+                                     (planes, tangent_and_large, 0.5),
+                                     (planes, tangent_and_huge, 0.9)):
+        f1 = ss.ScalarFunction.from_poly(coefficients)
+        with pytest.raises(HypothesisViolated) as refused:
+            ss.calculus_criteria(pair, f1, one, zero, zero)
+        x = float(re.match(r"F\((.*?)\)", str(refused.value)).group(1))  # the x it names
+        assert abs(x - root) <= 1e-4
+    with pytest.raises(HypothesisViolated):  # F = 0
+        ss.calculus_criteria(planes, zero, one, one, zero)
+    with pytest.raises(ValueError, match="not finite"):  # F's coefficient 1e600 overflows
+        ss.calculus_criteria(ss.halmos_decompose(H1, H1), *[
+            ss.ScalarFunction.constant(1e300)] * 2, zero, zero)
+
+
+def test_calculus_accepts_a_near_miss(rng):
+    # |F| = (x - 0.3)^2 + 1e-6 >= 1e-6 on [0, 1), above margin_tol = 1e-8
+    planes = ss.halmos_decompose(random_subspace(rng, 6, 2), random_subspace(rng, 6, 2))
+    near = ss.ScalarFunction.from_poly([0.09 + 1e-6, -0.6, 1.0])
+    one = ss.ScalarFunction.constant(1.0)
+    zero = ss.ScalarFunction.constant(0.0)
+    spectrum, report = ss.calculus_report(planes, near, one, zero, zero)
+    assert np.array_equal(spectrum, ss.spectrum_of_b(planes, near, one, zero, zero))
+    assert report.to_dict() == ss.calculus_criteria(planes, near, one, zero, zero).to_dict()
 
 
 def test_scalar_function_constructors():
@@ -117,3 +149,19 @@ def test_calculus_criteria_calls_each_function_a_fixed_number_of_times(rng):
         counts.append(calls)
     assert counts[0] == counts[1]
     assert max(counts[0].values()) <= 10
+
+
+def test_calculus_request_factorization_counts(rng, tmp_path, monkeypatch):
+    # d = 12: the two decode SVDs and the pair kernel's two, no SVD of the d x d b;
+    # the F check takes companion eigenvalues of F and of (|F|^2)' from degree 2 on
+    paths = []
+    for name, r in (("a", 4), ("b", 5)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(ss.subspace_to_json(random_subspace(rng, 12, r)), fh)
+    for f1, eigvals in (("1.5", 0), ("0.5,1,1", 2)):  # F = 0.7 f1 has no real root
+        codes = []
+        argv = ["calculus", "--a", paths[0], "--b", paths[1], f"--f1={f1}", "--f2", "0.7"]
+        calls = _count_lapack(monkeypatch, lambda: codes.append(main(argv)))
+        assert codes == [0]
+        assert calls == {"svd_thin": 3, "svd": 1, **({"eigvals": eigvals} if eigvals else {})}

@@ -9,6 +9,10 @@ oracles built here with plain numpy: complement bases from a full SVD of the
 spanning vectors, the closed-form lower bound, and a sampled search over
 random edge phases, and the gradient and Hessian that drive its descent
 with central differences of lambda_min.
+The closed-form ``closed_range_margin`` of ``calculus_criteria`` is compared
+with the SVD of ``build_b`` on the same pairs, and its exact F != 0 check
+must refuse roots planted between the points of the 1001-point grid it
+replaced.
 The array paths of ``spectrum_of_b`` and ``p_radius`` are compared with the
 per-point and per-word loops they replaced, and the one-factorization
 operator-range analyses with the formulas they replaced: ``pinv(B) A`` for
@@ -34,6 +38,7 @@ from hypothesis import assume, given, settings, strategies as st
 import sumspaces as ss
 from sumspaces import systems
 from sumspaces.cli import main
+from sumspaces.errors import HypothesisViolated
 from sumspaces.subspaces import principal_pairs, principal_values
 
 SAMPLES = 1024  # random phase vectors in the sampled oracle
@@ -319,6 +324,45 @@ def test_spectrum_of_b_matches_per_point_roots(case, coefficients):
     assert len(got) == len(expected) == 2 * dec.k_dim
     for g, e in zip(got, expected):
         assert g == e or abs(g - e) <= 1e-15 * abs(e)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(planted_pairs(), st.lists(st.integers(1, 4), min_size=4, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_closed_range_margin_matches_svd_of_b(case, degrees, seed):
+    B1, B2 = case[:2]
+    d = len(B1)
+    dec = ss.halmos_decompose(ss.Subspace(d, B1), ss.Subspace(d, B2))
+    rng = np.random.default_rng(seed)
+    fs = [ss.ScalarFunction.from_poly(rng.normal(size=n) + 1j * rng.normal(size=n))
+          for n in degrees]
+    try:
+        got = ss.calculus_criteria(dec, *fs).margin("closed_range_margin")
+    except HypothesisViolated:
+        assume(False)
+    s = np.linalg.svd(ss.build_b(dec, *fs), compute_uv=False)
+    r = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+    expected = s[r - 1] if r else np.inf
+    assert got == expected or abs(got - expected) <= 1e-12 * s[0]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 1000), st.floats(0.15, 0.85), st.integers(1, 2),
+       st.floats(1.0, 100.0), st.floats(0.0, 2.0))
+def test_calculus_refuses_roots_between_grid_points(k, offset, multiplicity, scale, slope):
+    # F = f1 f2 with f1 = scale (x - root)^m and f2 = 1 + slope x >= 1: at every
+    # grid point k/1001, |F| >= (0.15/1001)^2 > 1e-8, yet F(root) = 0
+    root = (k + offset) / 1001
+    rng = np.random.default_rng(k)
+    planes = ss.halmos_decompose(
+        *[ss.from_spanning(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+          for _ in range(2)])
+    f1 = ss.ScalarFunction.from_poly(
+        scale * np.polynomial.polynomial.polyfromroots([root] * multiplicity))
+    f2 = ss.ScalarFunction.from_poly([1.0, slope])
+    zero = ss.ScalarFunction.constant(0.0)
+    with pytest.raises(HypothesisViolated, match=r"vanishes on \[0,1\)"):
+        ss.calculus_criteria(planes, f1, f2, zero, zero)
 
 
 @st.composite

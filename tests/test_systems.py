@@ -134,6 +134,9 @@ def test_linear_combination_check_validation(rng):
         ss.linear_combination_check(S, [1.0])
     with pytest.raises(DimensionMismatch):
         ss.linear_combination_check(S, [1.0, -1.0])
+    for bad in (np.nan, np.inf):  # NaN passes "alpha <= 0"; inf overflows the sum
+        with pytest.raises(DimensionMismatch, match="alpha"):
+            ss.linear_combination_check(S, [bad, 1.0])
 
 
 def test_linear_combination_extras(rng):
