@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownFamily
-from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian, line_fit, psd_gap
+from .numerics import (DEFAULT_TOL, Tolerances, line_fit, numerical_rank, psd_gap,
+                       thin_svd)
 from .reports import MarginReport
 from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, sum_span,
                         zero_subspace)
@@ -155,19 +156,17 @@ def _sum_as_two_block(system: SubspaceSystem, tol: Tolerances):
     each small direction is paired with a distinct big direction and
     contributes a graph vector B u + (I - B) w to M2, where B is the
     normalized compression of A to the small part.  Then M1 + M2 = sum H_j.
+    As sum P_k = CC* for the stacked member bases C, the lam_i, u_i and the
+    rank come from one SVD of C, never from square roots of eigenvalues.
     """
     d = system.ambient_dim
-    total = sum(system.projectors())
-    spec = eig_hermitian(total, tol)
-    w = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    vecs = spec.eigenvectors
-    nz = w > 100 * tol.eig_tol
-    lam, U = w[nz], vecs[:, nz]
-    r = len(lam)
+    U, s, _ = thin_svd(np.hstack([m.basis for m in system.members]))
+    r = numerical_rank(s, tol)
     if r == 0:
         return zero_subspace(d), zero_subspace(d), 0.0
+    lam, U = s[r - 1::-1], U[:, r - 1::-1]
     eps = float(lam[(r + 1) // 2 - 1])  # median nonzero eigenvalue
-    small = lam < eps
+    small = lam < eps - tol.rank_tol * lam[-1]  # a value tied with eps is big
     big = ~small
     n_small = int(small.sum())
     U_small, U_big = U[:, small], U[:, big]

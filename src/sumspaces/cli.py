@@ -1,7 +1,7 @@
 """Command-line interface: JSON in, JSON report out.
 
-Exit codes: 0 = analysis completed, 2 = precondition error, 3 = I/O or
-parse error (including entries that are not [re, im] pairs of finite
+Exit codes: 0 = analysis completed, 2 = precondition or usage error, 3 =
+I/O or parse error (including entries that are not [re, im] pairs of finite
 numbers); 2 and 3 print {"error": {"type", "message"}}.  Reports are
 deterministic: re-running with the same request and seed reproduces every
 byte.
@@ -250,91 +250,77 @@ def _cmd_sum_as_two(args, tol):
     }
 
 
-def _add_common(parser, suppress: bool) -> None:
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--out", default=d(None), help="write the JSON report here")
-    parser.add_argument("--seed", type=int, default=d(0),
-                        help="seed for sampled estimators")
-    parser.add_argument("--verbose", action="store_true",
-                        default=d(False))
-    parser.add_argument("--rank-tol", type=float, default=d(DEFAULT_TOL.rank_tol))
-    parser.add_argument("--eig-tol", type=float, default=d(DEFAULT_TOL.eig_tol))
-    parser.add_argument("--margin-tol", type=float, default=d(DEFAULT_TOL.margin_tol))
+_FILE_PAIR = [("--a", {"required": True}), ("--b", {"required": True})]
+_FAMILY = [("--family", {"default": "one_over_k"}), ("--family-file", {}),
+           ("--n", {"type": int})]
+COMMON = [("--out", {"help": "write the JSON report here"}),
+          ("--seed", {"type": int, "default": 0, "help": "seed for sampled estimators"}),
+          ("--verbose", {"action": "store_true"}),
+          ("--rank-tol", {"type": float, "default": DEFAULT_TOL.rank_tol}),
+          ("--eig-tol", {"type": float, "default": DEFAULT_TOL.eig_tol}),
+          ("--margin-tol", {"type": float, "default": DEFAULT_TOL.margin_tol})]
+# name: (one-line help, handler, the command's own flags); main builds the
+# parser of the requested command only
+COMMANDS = {
+    "pair": ("pair decomposition and closedness margins", _cmd_pair, _FILE_PAIR),
+    "calculus": ("function calculus for a pair", _cmd_calculus, _FILE_PAIR + [
+        (f"--f{i}", {"default": "0",
+                     "help": "polynomial coefficients, ascending, comma-separated"})
+        for i in range(1, 5)]),
+    "system": ("spectral gap and dilation of a system", _cmd_system, [
+        ("--members", {"required": True}),
+        ("--alpha", {"help": "positive weights for the linear-combination bound"})]),
+    "graph": ("graph-weighted complement margins", _cmd_graph, [
+        ("--members", {"required": True}),
+        ("--graph", {"help": "graph JSON (default: complete)"}),
+        ("--modulus", {"action": "store_true",
+                       "help": "also bracket the modulus-form constant"})]),
+    "reduce": ("reduction to an independent system", _cmd_reduce, [
+        ("--members", {"required": True}),
+        ("--mode", {"choices": ["pair", "system", "preserve-sum"], "default": "system"}),
+        ("--eps", {"type": float, "default": 0.5})]),
+    "images": ("operator-range analyses", _cmd_images, [
+        ("--operators", {"required": True}),
+        ("--analysis", {"required": True,
+                        "choices": ["douglas", "sum", "pradius", "membership"]}),
+        ("--p", {"type": float, "default": 2.0}),
+        ("--depth", {"type": int, "default": 4})]),
+    "blocks": ("block-model closedness certification", _cmd_blocks, _FAMILY + [
+        ("--horizon", {"type": int, "default": 100}), ("--subset", {"default": "all"})]),
+    "sum-as-two": ("represent a block sum as two subspaces", _cmd_sum_as_two,
+                   _FAMILY + [("--horizon", {"type": int, "default": 50})]),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sumspaces",
-        description="Closedness certificates for sums of subspaces")
-    _add_common(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that main prints them as the JSON error."""
 
-    p = sub.add_parser("pair", parents=[common],
-                       help="pair decomposition and closedness margins")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_pair)
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
-    p = sub.add_parser("calculus", parents=[common],
-                       help="function calculus for a pair")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    for i in range(1, 5):
-        p.add_argument(f"--f{i}", default="0",
-                       help="polynomial coefficients, ascending, comma-separated")
-    p.set_defaults(func=_cmd_calculus)
 
-    p = sub.add_parser("system", parents=[common],
-                       help="spectral gap and dilation of a system")
-    p.add_argument("--members", required=True)
-    p.add_argument("--alpha", default=None,
-                   help="positive weights for the linear-combination bound")
-    p.set_defaults(func=_cmd_system)
-
-    p = sub.add_parser("graph", parents=[common],
-                       help="graph-weighted complement margins")
-    p.add_argument("--members", required=True)
-    p.add_argument("--graph", default=None, help="graph JSON (default: complete)")
-    p.add_argument("--modulus", action="store_true",
-                   help="also bracket the modulus-form constant")
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("reduce", parents=[common],
-                       help="reduction to an independent system")
-    p.add_argument("--members", required=True)
-    p.add_argument("--mode", choices=["pair", "system", "preserve-sum"],
-                   default="system")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("images", parents=[common],
-                       help="operator-range analyses")
-    p.add_argument("--operators", required=True)
-    p.add_argument("--analysis", required=True,
-                   choices=["douglas", "sum", "pradius", "membership"])
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--depth", type=int, default=4)
-    p.set_defaults(func=_cmd_images)
-
-    p = sub.add_parser("blocks", parents=[common],
-                       help="block-model closedness certification")
-    p.add_argument("--family", default="one_over_k")
-    p.add_argument("--family-file", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--subset", default="all")
-    p.set_defaults(func=_cmd_blocks)
-
-    p = sub.add_parser("sum-as-two", parents=[common],
-                       help="represent a block sum as two subspaces")
-    p.add_argument("--family", default="one_over_k")
-    p.add_argument("--family-file", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=50)
-    p.set_defaults(func=_cmd_sum_as_two)
+def _parser(prog: str, flags, **kwargs) -> _Parser:
+    parser = _Parser(prog=prog, **kwargs)
+    for flag, options in COMMON + flags:
+        parser.add_argument(flag, **options)
     return parser
+
+
+def _parse(argv):
+    """The common flags and the command name first, then that command's
+    flags: the common flags are accepted before or after the command."""
+    top = _parser("sumspaces", [], formatter_class=argparse.RawDescriptionHelpFormatter,
+                  description="Closedness certificates for sums of subspaces",
+                  epilog="commands:\n" + "\n".join(
+                      f"  {name:<12} {help_}" for name, (help_, _, _) in COMMANDS.items()))
+    top.add_argument("command", choices=COMMANDS, metavar="command",
+                     help="one of the commands listed below")
+    top.add_argument("args", nargs=argparse.REMAINDER,
+                     help="the command's flags (sumspaces <command> --help)")
+    args = top.parse_args(argv)
+    help_, _, flags = COMMANDS[args.command]
+    command = _parser(f"sumspaces {args.command}", flags, description=help_)
+    return command.parse_args(args.args, namespace=args)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -343,15 +329,14 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse(argv)
         tol = Tolerances(args.rank_tol, args.eig_tol, args.margin_tol)
-        report = args.func(args, tol)
+        report = COMMANDS[args.command][1](args, tol)
     except (OSError, json.JSONDecodeError, KeyError, MalformedInput) as exc:
         _emit_error(exc)
         return 3
-    except (SumspacesError, ValueError, OverflowError) as exc:
+    except (argparse.ArgumentError, SumspacesError, ValueError, OverflowError) as exc:
         _emit_error(exc)
         return 2
     report["provenance"] = {"version": __version__, "tolerances": vars(tol), "seed": args.seed}

@@ -214,9 +214,12 @@ def subspace_to_json(S: Subspace) -> dict:
 
 
 def subspace_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Decode and re-orthonormalize a JSON subspace."""
+    """Decode and re-orthonormalize a JSON subspace; ``"vectors": []`` is the
+    zero subspace, a missing or non-list ``vectors`` is refused."""
     d = ambient_dim_from_json(data)
-    cols = data.get("vectors", [])
+    cols = data.get("vectors")
+    if not isinstance(cols, list):
+        raise MalformedInput('a subspace needs a "vectors" list of columns')
     if not cols:
         return zero_subspace(d)
     return from_spanning(complex_from_json(cols, 2).T, d, tol)

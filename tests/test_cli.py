@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import sumspaces as ss
-from sumspaces.cli import main
+from sumspaces.cli import COMMANDS, main
 
 
 @pytest.fixture
@@ -66,6 +67,102 @@ def test_seed_flag_accepted_before_and_after_subcommand(pair_files, capsys):
     code2, r2 = _run(["pair", "--a", a, "--b", b, "--seed", "5"], capsys)
     assert code1 == code2 == 0
     assert r1["provenance"]["seed"] == r2["provenance"]["seed"] == 5
+
+
+def test_option_value_named_like_a_command_is_not_the_command(pair_files, tmp_path,
+                                                              monkeypatch, capsys):
+    a, b = pair_files
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", "pair", "calculus", "--a", a, "--b", b,
+                 "--f1", "1", "--f2", "1"]) == 0
+    assert main(["pair", "--a", a, "--b", b, "--out", "calculus"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads((tmp_path / "pair").read_text())["request"]["command"] == "calculus"
+    assert json.loads((tmp_path / "calculus").read_text())["request"]["command"] == "pair"
+
+
+def test_help_lists_every_command_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (help_, _, _) in COMMANDS.items():
+        assert any(line.split() == [name] + help_.split() for line in lines), name
+    assert len(COMMANDS) == 8
+
+
+def test_command_help_shows_its_options(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["calculus", "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert "usage: sumspaces calculus" in text and "--f4 F4" in text and "--a A" in text
+    assert "polynomial coefficients, ascending, comma-separated" in text
+    assert "--members" not in text
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["pair", "--a", "{a}"],
+                                  ["--seed", "x", "pair", "--a", "{a}", "--b", "{a}"],
+                                  ["images", "--operators", "{a}", "--analysis", "sum",
+                                   "--depth", "four"],
+                                  ["system", "--members", "{a}", "--alpha", "-1,1,1"],
+                                  ["pair", "--a", "{a}", "--b", "{a}", "--c", "{a}"]],
+                         ids=["no_command", "unknown_command", "missing_flag",
+                              "bad_type", "bad_type_after_command", "option_like_value",
+                              "unknown_flag"])
+def test_usage_error_is_the_json_error(argv, pair_files, capsys):
+    code = main([arg.format(a=pair_files[0]) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ArgumentError" and error["message"]
+
+
+def test_system_file_as_a_subspace_is_input_error(tmp_path, pair_files, capsys):
+    code, report = _run(["pair", "--a", _members_file(tmp_path, 2), "--b", pair_files[1]],
+                        capsys)
+    assert code == 3
+    assert report["error"]["type"] == "MalformedInput"
+    assert "vectors" in report["error"]["message"]
+
+
+OWN_FLAGS = {"pair": 2, "calculus": 6, "system": 2, "graph": 3, "reduce": 3, "images": 4,
+             "blocks": 5, "sum-as-two": 4}
+
+
+def _count_parsers(monkeypatch):
+    """Count ArgumentParser constructions and add_argument calls."""
+    counts = {"parsers": 0, "add_argument": 0}
+    init, add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counted_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_add(self, *args, **kwargs):
+        counts["add_argument"] += 1
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add)
+    return counts
+
+
+@pytest.mark.parametrize("command", list(OWN_FLAGS))
+def test_main_builds_only_the_requested_parser(command, monkeypatch, capsys):
+    """Two parsers per call, none kept between calls: the top one (-h, the 6
+    common flags, the command name and its arguments) and the command's own
+    (-h, the 6 common flags and its flags)."""
+    argv = {"pair": ["--a", "/nonexistent.json", "--b", "/nonexistent.json"],
+            "calculus": ["--a", "/nonexistent.json", "--b", "/nonexistent.json"],
+            "images": ["--operators", "/nonexistent.json", "--analysis", "sum"],
+            "blocks": ["--horizon", "0"], "sum-as-two": ["--horizon", "0"]}.get(
+                command, ["--members", "/nonexistent.json"])
+    counts = _count_parsers(monkeypatch)
+    assert main([command] + argv) in (2, 3)
+    assert counts == {"parsers": 2, "add_argument": 9 + 7 + OWN_FLAGS[command]}
+    assert main([command] + argv) in (2, 3)
+    assert counts == {"parsers": 4, "add_argument": 2 * (9 + 7 + OWN_FLAGS[command])}
 
 
 def test_missing_file_is_io_error(capsys):

@@ -3,7 +3,8 @@
 The pair margins of ``pair_criteria`` and ``independent_pair_constants`` are
 compared with their d x d projector formulas, evaluated here with plain
 numpy on pairs with a planted canonical decomposition; on the same pairs the
-values-only kernel ``principal_values`` is compared with ``principal_pairs``.
+values-only kernel ``principal_values`` is compared with ``principal_pairs``,
+and ``halmos_decompose`` must give back P1, P2 and the planted dimensions.
 The modulus-form bracket of ``complement_graph_margin`` is compared with
 oracles built here with plain numpy: complement bases from a full SVD of the
 spanning vectors, the closed-form lower bound, and a sampled search over
@@ -17,11 +18,15 @@ The array paths of ``spectrum_of_b`` and ``p_radius`` are compared with the
 per-point and per-word loops they replaced, and the one-factorization
 operator-range analyses with the formulas they replaced: ``pinv(B) A`` for
 ``douglas_factor``, the SVD of the matrix square root for ``sum_of_images``
-and the n^2-product sum for ``m_membership_identity``.  The ``images`` and
+and the n^2-product sum for ``m_membership_identity``.  ``reduce_system``
+must keep the sum of systems with planted dependencies, and ``sum_as_two``
+must split exactly the sum of a block whose members overlap inside a planted
+subspace, with a tilted line down to 1e-7 outside it.  The ``images`` and
 ``calculus`` commands are fed mutated operator files and polynomial strings,
 ``pair``, ``system``, ``graph`` and ``reduce`` mutated subspace and
 system files, and ``blocks`` and ``sum-as-two`` mutated family files; each
-run must end in exit 0, 2 or 3, never in a traceback.
+run must end in exit 0, 2 or 3, never in a traceback, and a subspace without
+a ``vectors`` list in exit 3.
 """
 
 import contextlib
@@ -38,7 +43,7 @@ from hypothesis import assume, given, settings, strategies as st
 import sumspaces as ss
 from sumspaces import systems
 from sumspaces.cli import main
-from sumspaces.errors import HypothesisViolated
+from sumspaces.errors import GapTooSmall, HypothesisViolated
 from sumspaces.subspaces import principal_pairs, principal_values
 
 SAMPLES = 1024  # random phase vectors in the sampled oracle
@@ -143,6 +148,21 @@ def test_principal_values_match_principal_pairs(case):
     for got, expected in zip(values.classify(ss.DEFAULT_TOL), pairs.classify(ss.DEFAULT_TOL)):
         assert np.array_equal(got, expected)
     assert values.b_rest_dim == pairs.b_rest.shape[1]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(planted_pairs())
+def test_halmos_decompose_reconstructs_near_degenerate_pairs(case):
+    """P1 and P2 come back from the frames, with generic angles down to 1e-8
+    and the planted dimensions of every component."""
+    B1, B2, X, neither = case
+    d = len(B1)
+    dec = ss.halmos_decompose(ss.Subspace(d, B1), ss.Subspace(d, B2))
+    for got, B in ((dec.reconstruct_p1(), B1), (dec.reconstruct_p2(), B2)):
+        assert np.linalg.norm(got - B @ B.conj().T, 2) <= 1e-12
+    assert dec.both.dim == X.shape[1] and dec.neither_dim == neither
+    assert dec.both.dim + dec.first_only.dim + dec.k_dim == B1.shape[1]
+    assert dec.both.dim + dec.second_only.dim + dec.k_dim == B2.shape[1]
 
 
 @st.composite
@@ -469,6 +489,69 @@ def test_membership_residual_matches_the_double_sum(d, n, seed):
     assert abs(got - expected) <= 1e-12
 
 
+def _orthonormal(rng, d, r):
+    return np.linalg.qr(rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))[0]
+
+
+def _projector_of_span(M):
+    """Projector onto the column span of M, rank from a relative SVD cutoff."""
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U = U[:, :int(np.sum(s > RANK_TOL * s[0]))] if s.size else U
+    return U @ U.conj().T
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(3, 8), st.integers(3, 4), st.integers(0, 2 ** 32 - 1))
+def test_reduce_system_keeps_the_sum_on_planted_dependencies(d, n, seed):
+    """Members of dimension 1-2 where H1 and H2 share a line and every later
+    member holds a vector of the sum of the members before it."""
+    rng = np.random.default_rng(seed)
+    line = _orthonormal(rng, d, 1)
+    spans = [np.hstack([line, _orthonormal(rng, d, 1)]) for _ in range(2)]
+    for _ in range(n - 2):
+        earlier = np.hstack(spans)
+        dependent = earlier @ (rng.normal(size=(earlier.shape[1], 1)) + 0j)
+        spans.append(np.hstack([dependent, _orthonormal(rng, d, int(rng.integers(0, 2)))]))
+    S = ss.SubspaceSystem(d, [ss.from_spanning(X) for X in spans])
+    try:
+        res = ss.reduce_system(S)
+    except GapTooSmall:
+        assume(False)
+    assert res.sum_preserved and res.certificate_slack >= -1e-8
+    reduced = np.hstack([m.basis for m in res.reduced.members])
+    original = _projector_of_span(np.hstack(spans))
+    assert np.linalg.norm(_projector_of_span(reduced) - original, 2) <= 1e-8
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(2, 5),
+       st.sampled_from([1.0, 1e-4, 1e-7, 0.0]), st.integers(0, 2 ** 32 - 1))
+def test_sum_as_two_on_planted_rank_deficient_blocks(k, extra, n, tilt, seed):
+    """n members of dimension 1-2 inside a planted k-dimensional W of
+    C^(k + extra), their dimensions summing past k, plus a line x + tilt z
+    (x in W, z a unit vector orthogonal to W): the sum is W + span(z) when
+    tilt > 0, with a singular value of the stacked bases near tilt, and W
+    when tilt = 0.  M1 and M2 split exactly that sum."""
+    rng = np.random.default_rng(seed)
+    d = k + extra
+    Q = _orthonormal(rng, d, d)
+    W, z = Q[:, :k], Q[:, k:k + 1]
+    members = [W @ (rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r)))
+               for r in rng.integers(1, min(k, 2) + 1, size=n)]
+    members.append(W @ _orthonormal(rng, k, 1) + tilt * z)
+    assume(sum(min(m.shape[1], k) for m in members) > k)
+    target = np.hstack([W, z]) if tilt else W
+    rank = np.linalg.matrix_rank(np.hstack(members + [target]))  # the planted sum
+    assume(rank == target.shape[1])
+    S = ss.SubspaceSystem(d, [ss.from_spanning(X) for X in members])
+    m1, m2, report = ss.sum_as_two(ss.BlockSystem(lambda _: S, len(S)), 1)
+    assert m1[0].dim + m2[0].dim == rank
+    assert report.extras["rank_equality_all_blocks"]
+    P = target @ target.conj().T
+    for M in (m1[0], m2[0]):
+        assert np.linalg.norm(M.basis - P @ M.basis, 2) <= 1e-8
+
+
 def _run_cli(argv):
     """Exit code of one in-process CLI run, checking its JSON stdout; a
     traceback fails the test.  Overflow warnings of huge inputs are muted."""
@@ -587,12 +670,17 @@ def _mutate_subspace_file(data, mutation):
         data["ambient_dim"] += 1
     elif mutation == "ambient_dim_type":
         data["ambient_dim"] = [data["ambient_dim"]]
+    elif mutation == "drop_vectors":
+        del data["vectors"]
+    elif mutation == "vectors_not_list":
+        data["vectors"] = {}
     return data
 
 
 SUBSPACE_MUTATIONS = ["none", "drop_column", "duplicate_column", "empty_row", "short_row",
                       "nest_deeper", "nest_shallower", "nan", "string", "bool", "huge",
-                      "huge_int", "ambient_dim", "ambient_dim_type"]
+                      "huge_int", "ambient_dim", "ambient_dim_type", "drop_vectors",
+                      "vectors_not_list"]
 SUBSPACE_COMMANDS = {"pair": [["pair"]],
                      "system": [["system"], ["system", "--alpha", "1,2,3"]],
                      "graph": [["graph"], ["graph", "--modulus"]],
@@ -632,7 +720,8 @@ def test_subspace_commands_on_mutated_files_exits_0_2_or_3(name):
                 for file, data in files.items():
                     with open(f"{tmp}/{file}.json", "w") as fh:
                         json.dump(data, fh)
-                _run_cli(argv)
+                code = _run_cli(argv)
+                assert code == 3 or mutation not in ("drop_vectors", "vectors_not_list")
 
     run()
 
