@@ -496,7 +496,7 @@ def _orthonormal(rng, d, r):
 def _projector_of_span(M):
     """Projector onto the column span of M, rank from a relative SVD cutoff."""
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    U = U[:, :int(np.sum(s > RANK_TOL * s[0]))] if s.size else U
+    U = U[:, :int(np.sum(s > RANK_TOL * s[0]))]
     return U @ U.conj().T
 
 
