@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownFamily
-from .numerics import (DEFAULT_TOL, Tolerances, line_fit, numerical_rank, psd_gap,
-                       thin_svd)
+from .numerics import (DEFAULT_TOL, Tolerances, line_fit, numerical_rank, operator_norm,
+                       psd_gap, thin_svd)
 from .reports import MarginReport
-from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, sum_span,
-                        zero_subspace)
+from .subspaces import Subspace, SubspaceSystem, from_spanning
 
 
 @dataclass
 class BlockSystem:
     """Deterministic generator k -> SubspaceSystem; each call builds block k
-    afresh, so a walk over k = 1..K keeps one block alive at a time."""
+    afresh.  Only ``certify`` keeps one block alive at a time; ``sum_as_two``
+    keeps the stacked member bases of every block of its horizon."""
 
     generator: object  # callable k >= 1 -> SubspaceSystem
     n_members: int
@@ -148,56 +148,56 @@ def paper_families(name: str, params: dict | None = None) -> BlockSystem:
     return BlockSystem(_compact_triple_block, 3, "compact_triple", {})
 
 
-def _sum_as_two_block(system: SubspaceSystem, tol: Tolerances):
-    """Split the block sum into two subspaces via the graph construction.
+def _groups(keys):
+    """Positions of an iterable of hashable keys, grouped by key."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups.items()
 
-    Let A = sqrt(sum P_k) with nonzero eigenpairs (lam_i, u_i) ascending and
+
+def sum_as_two(BS: BlockSystem, K: int, tol: Tolerances = DEFAULT_TOL):
+    """Per-block pair (M1, M2) with M1 + M2 = sum of the block members.
+
+    Let A = sqrt(sum P_j) with nonzero eigenpairs (lam_i, u_i) ascending and
     eps the median nonzero eigenvalue.  The big part (lam >= eps) forms M1;
     each small direction is paired with a distinct big direction and
     contributes a graph vector B u + (I - B) w to M2, where B is the
     normalized compression of A to the small part.  Then M1 + M2 = sum H_j.
-    As sum P_k = CC* for the stacked member bases C, the lam_i, u_i and the
-    rank come from one SVD of C, never from square roots of eigenvalues.
+    As sum P_j = CC* for the stacked member bases C, the lam_i, u_i and the
+    rank come from one SVD of C.  The horizon is factored in stacked calls:
+    one SVD of the C of each shape, then per (rank, number of small
+    directions) one of the graph vectors, one of [M1 M2] and one norm of the
+    residual of span C in span [M1 M2].
     """
-    d = system.ambient_dim
-    U, s, _ = thin_svd(np.hstack([m.basis for m in system.members]))
-    r = numerical_rank(s, tol)
-    if r == 0:
-        return zero_subspace(d), zero_subspace(d), 0.0
-    lam, U = s[r - 1::-1], U[:, r - 1::-1]
-    eps = float(lam[(r + 1) // 2 - 1])  # median nonzero eigenvalue
-    small = lam < eps - tol.rank_tol * lam[-1]  # a value tied with eps is big
-    big = ~small
-    n_small = int(small.sum())
-    U_small, U_big = U[:, small], U[:, big]
-    lam_small = lam[small]
-    M1 = Subspace(d, U_big)
-    if n_small == 0:
-        return M1, zero_subspace(d), eps
-    # pair small directions with the first big directions
-    W = U_big[:, :n_small]
-    bvals = lam_small / lam_small.max()
-    graph = U_small * bvals + W * (1.0 - bvals)
-    M2 = from_spanning(graph, d, tol)
-    return M1, M2, eps
-
-
-def sum_as_two(BS: BlockSystem, K: int, tol: Tolerances = DEFAULT_TOL):
-    """Per-block pair (M1, M2) with M1 + M2 = sum of the block members."""
     if K < 1:
         raise ValueError(f"horizon must be at least 1, got {K}")
-    m1_blocks, m2_blocks = [], []
+    stacks = [np.hstack([m.basis for m in BS.block(k).members]) for k in range(1, K + 1)]
+    m1_blocks, m2_blocks, eps_used, rank_ok = [None] * K, [None] * K, [0.0] * K, True
+    for (d, _), rows in _groups(C.shape for C in stacks):
+        U, s, _ = thin_svd(np.stack([stacks[i] for i in rows]))
+        s = np.pad(s, ((0, 0), (0, 1)))  # every row gets an s[:, 0], 0 when C has no columns
+        r = numerical_rank(s, tol)
+        eps = s[np.arange(len(rows)), r // 2]  # the median nonzero value; 0 when r = 0
+        cut = eps - tol.rank_tol * s[:, 0]  # a value tied with eps is big
+        small = (s < cut[:, None]) & (np.arange(s.shape[1]) < r[:, None])
+        for (rk, ns), sub in _groups(zip(r.tolist(), small.sum(axis=1).tolist())):
+            C = U[sub][:, :, :rk]  # basis of the span of the members
+            lam, Us = s[sub, :rk][:, ::-1], C[:, :, ::-1]  # ascending
+            big, G, r2 = Us[:, :, ns:], Us[:, :, :0], np.zeros(len(sub), dtype=int)
+            if ns:  # pair the small directions with the first big directions
+                b = (lam[:, :ns] / lam[:, ns - 1:ns])[:, None, :]
+                G, s2, _ = thin_svd(Us[:, :, :ns] * b + big[:, :, :ns] * (1.0 - b))
+                r2 = numerical_rank(s2, tol)
+            A, sA, _ = thin_svd(np.concatenate([big, G[:, :, :ns]], axis=2))
+            resid = operator_norm(C - A @ (A.conj().swapaxes(-1, -2) @ C))
+            ok = (r2 == ns) & (numerical_rank(sA, tol) == rk) & (resid <= tol.margin_tol)
+            rank_ok = rank_ok and bool(ok.all())
+            for j, i in enumerate(sub):
+                m1_blocks[rows[i]] = Subspace(d, big[j])
+                m2_blocks[rows[i]] = Subspace(d, G[j, :, :r2[j]])
+                eps_used[rows[i]] = float(eps[i])
     report = MarginReport()
-    eps_used = []
-    rank_ok = True
-    for k in range(1, K + 1):
-        system = BS.block(k)
-        M1, M2, eps = _sum_as_two_block(system, tol)
-        m1_blocks.append(M1)
-        m2_blocks.append(M2)
-        eps_used.append(eps)
-        rank_ok = rank_ok and equal(sum_span([M1, M2], tol),
-                                    sum_span(system.members, tol), tol)
     report.extras["epsilons"] = eps_used
     report.extras["rank_equality_all_blocks"] = rank_ok
     return m1_blocks, m2_blocks, report

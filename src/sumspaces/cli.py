@@ -10,8 +10,10 @@ byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
+import shutil
 import sys
 
 import numpy as np
@@ -299,8 +301,9 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def _parser(prog: str, flags, **kwargs) -> _Parser:
-    parser = _Parser(prog=prog, **kwargs)
+def _parser(prog: str, flags, formatter, width: int, **kwargs) -> _Parser:
+    parser = _Parser(prog=prog, formatter_class=functools.partial(formatter, width=width),
+                     **kwargs)
     for flag, options in COMMON + flags:
         parser.add_argument(flag, **options)
     return parser
@@ -309,7 +312,8 @@ def _parser(prog: str, flags, **kwargs) -> _Parser:
 def _parse(argv):
     """The common flags and the command name first, then that command's
     flags: the common flags are accepted before or after the command."""
-    top = _parser("sumspaces", [], formatter_class=argparse.RawDescriptionHelpFormatter,
+    width = shutil.get_terminal_size().columns - 2  # argparse's default, read once
+    top = _parser("sumspaces", [], argparse.RawDescriptionHelpFormatter, width,
                   description="Closedness certificates for sums of subspaces",
                   epilog="commands:\n" + "\n".join(
                       f"  {name:<12} {help_}" for name, (help_, _, _) in COMMANDS.items()))
@@ -319,7 +323,8 @@ def _parse(argv):
                      help="the command's flags (sumspaces <command> --help)")
     args = top.parse_args(argv)
     help_, _, flags = COMMANDS[args.command]
-    command = _parser(f"sumspaces {args.command}", flags, description=help_)
+    command = _parser(f"sumspaces {args.command}", flags, argparse.HelpFormatter, width,
+                      description=help_)
     return command.parse_args(args.args, namespace=args)
 
 

@@ -81,11 +81,10 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-def operator_norm(M: np.ndarray) -> float:
-    """Spectral norm; 0 for empty matrices."""
-    if M.size == 0:
-        return 0.0
-    return float(_lapack(np.linalg.norm, M, 2))
+def operator_norm(M: np.ndarray):
+    """Spectral norm, one per matrix of a (..., m, n) stack; 0 for empty matrices."""
+    norms = _lapack(np.linalg.norm, M, 2, axis=(-2, -1)) if M.size else np.zeros(M.shape[:-2])
+    return norms if M.ndim > 2 else float(norms)
 
 
 def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -120,27 +119,31 @@ def psd_gap(M: np.ndarray, tol: Tolerances):
 
 
 def svd(M: np.ndarray):
-    """Full SVD with descending singular values, plus V (not V*)."""
+    """Full SVD with descending singular values, plus V (not V*); M may be a
+    (..., m, n) stack."""
     U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=complex))
-    return U, s, Vh.conj().T
+    return U, s, Vh.conj().swapaxes(-1, -2)
 
 
 def thin_svd(M: np.ndarray):
-    """Reduced SVD: U with min(m, n) columns, descending singular values, V."""
+    """Reduced SVD: U with min(m, n) columns, descending singular values, V;
+    M may be a (..., m, n) stack."""
     U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=complex), full_matrices=False)
-    return U, s, Vh.conj().T
+    return U, s, Vh.conj().swapaxes(-1, -2)
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
-    """Descending singular values, min(m, n) of them."""
+    """Descending singular values, min(m, n) of them per matrix of a (..., m, n) stack."""
     return _lapack(np.linalg.svd, M, compute_uv=False)
 
 
-def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count of singular values above the relative cutoff."""
-    if len(s) == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
+def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale: float | None = None):
+    """Count of descending singular values above rank_tol times the largest, or
+    times ``scale`` when that is larger; one count per row of a stack."""
+    s = np.asarray(s)
+    reference = s[..., :1] if scale is None else np.maximum(s[..., :1], scale)
+    counts = (s > tol.rank_tol * reference).sum(axis=-1)
+    return counts if s.ndim > 1 else int(counts)
 
 
 def independence_epsilon(stacked: np.ndarray) -> float:

@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
-                       complex_to_json, operator_norm, singular_values, svd, thin_svd)
+                       complex_to_json, numerical_rank, operator_norm, singular_values,
+                       svd, thin_svd)
 
 
 @dataclass
@@ -81,9 +82,7 @@ def from_spanning(vectors: np.ndarray, d: int | None = None,
     if vectors.shape[1] == 0 or not np.any(vectors):
         return zero_subspace(d)
     U, s, _ = thin_svd(vectors)
-    reference = s[0] if scale is None else max(s[0], scale)
-    r = int(np.sum(s > tol.rank_tol * reference)) if reference > 0 else 0
-    return Subspace(d, U[:, :r])
+    return Subspace(d, U[:, :numerical_rank(s, tol, scale)])
 
 
 def complement(S: Subspace) -> Subspace:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sumspaces as ss
+from conftest import _count_lapack
 from sumspaces.errors import UnknownFamily
 
 
@@ -84,3 +85,18 @@ def test_sum_as_two_preserves_block_sums():
         target = ss.sum_span(BS.block(k + 1).members)
         got = ss.sum_span([m1[k], m2[k]])
         assert np.linalg.norm(got.projector() - target.projector(), 2) <= 1e-8
+
+
+@pytest.mark.parametrize("name, params", [("one_over_k", {"n": 3}), ("one_over_k", {"n": 6}),
+                                          ("halmos_accumulating", {}), ("compact_triple", {})])
+def test_sum_as_two_factors_the_horizon_in_stacked_calls(name, params, monkeypatch):
+    """Blocks of one shape: one SVD of the stacked member bases, one of the
+    graph vectors (when there are small directions), one of [M1 M2] and one
+    residual norm, whatever the horizon."""
+    family = ss.paper_families(name, params)
+    blocks = [family.block(k) for k in range(1, 201)]
+    BS = ss.BlockSystem(lambda k: blocks[k - 1], family.n_members)
+    counts = [_count_lapack(monkeypatch, ss.sum_as_two, BS, K) for K in (1, 200)]
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"svd_thin", "norm"}
+    assert counts[0]["svd_thin"] <= 3 and counts[0]["norm"] == 1

@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -99,6 +100,24 @@ def test_command_help_shows_its_options(capsys):
     assert "usage: sumspaces calculus" in text and "--f4 F4" in text and "--a A" in text
     assert "polynomial coefficients, ascending, comma-separated" in text
     assert "--members" not in text
+
+
+def test_one_parse_reads_the_terminal_width_once(monkeypatch, capsys):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    assert main(["pair", "--a", "/nonexistent.json", "--b", "/nonexistent.json"]) == 3
+    assert len(calls) == 1
+
+
+def test_help_wraps_at_the_terminal_width(monkeypatch, capsys):
+    widths = {}
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["pair", "--help"])
+        widths[columns] = max(map(len, capsys.readouterr().out.splitlines()))
+    assert widths["60"] <= 58 < widths["200"]
 
 
 @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["pair", "--a", "{a}"],

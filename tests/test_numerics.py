@@ -63,6 +63,44 @@ def test_numerical_rank():
     assert numerics.numerical_rank(np.zeros(3)) == 0
 
 
+def test_numerical_rank_scale_and_stacked_rows():
+    s = np.array([1.0, 1e-3, 1e-14])
+    assert numerics.numerical_rank(np.zeros(0)) == 0
+    assert numerics.numerical_rank(1e-12 * s, scale=1.0) == 0  # below scale * rank_tol
+    assert numerics.numerical_rank(s, scale=1e-3) == 2  # the larger reference wins
+    s = np.array([[1.0, 1e-3, 1e-14], [0.0, 0.0, 0.0], [2.0, 2.0, 1e-9]])
+    assert numerics.numerical_rank(s).tolist() == [2, 0, 3]
+    assert numerics.numerical_rank(s, scale=1e8).tolist() == [1, 0, 2]
+    assert numerics.numerical_rank(np.zeros((4, 0))).tolist() == [0] * 4
+
+
+@pytest.mark.parametrize("path", [numerics.svd, numerics.thin_svd], ids=["svd", "thin_svd"])
+def test_svd_of_a_stack_rebuilds_every_slice(rng, path):
+    M = rng.normal(size=(5, 4, 3)) + 1j * rng.normal(size=(5, 4, 3))
+    U, s, V = path(M)
+    assert U.shape == ((5, 4, 4) if path is numerics.svd else (5, 4, 3))
+    assert s.shape == (5, 3) and V.shape == (5, 3, 3)
+    for i in range(5):
+        rebuilt = U[i, :, :3] * s[i] @ V[i].conj().T
+        assert np.linalg.norm(rebuilt - M[i]) <= 1e-13
+        # each slice matches its own 2-D factorization, which is numpy's, bit for bit
+        U2, s2, V2 = path(M[i])
+        Uref, sref, Vhref = np.linalg.svd(M[i], full_matrices=path is numerics.svd)
+        for got, ref in ((U2, Uref), (s2, sref), (V2, Vhref.conj().T)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(U[i], U2) and np.array_equal(s[i], s2)
+        assert np.array_equal(V[i], V2)
+
+
+def test_operator_norm_of_a_stack(rng):
+    M = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    norms = numerics.operator_norm(M)
+    assert norms.shape == (3,)
+    assert norms.tolist() == [numerics.operator_norm(X) for X in M]
+    assert numerics.operator_norm(np.zeros((3, 4, 0))).tolist() == [0.0] * 3
+    assert numerics.operator_norm(np.zeros((4, 0))) == 0.0
+
+
 def test_polynomial_roots():
     assert numerics.polynomial_roots(np.array([5.0])).shape == (0,)
     roots = numerics.polynomial_roots(np.array([2.0, -3.0, 1.0]))

@@ -41,10 +41,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sumspaces as ss
-from sumspaces import systems
+from sumspaces import numerics, systems
 from sumspaces.cli import main
 from sumspaces.errors import GapTooSmall, HypothesisViolated
-from sumspaces.subspaces import principal_pairs, principal_values
+from sumspaces.subspaces import equal, principal_pairs, principal_values
 
 SAMPLES = 1024  # random phase vectors in the sampled oracle
 RANK_TOL = ss.DEFAULT_TOL.rank_tol
@@ -550,6 +550,81 @@ def test_sum_as_two_on_planted_rank_deficient_blocks(k, extra, n, tilt, seed):
     P = target @ target.conj().T
     for M in (m1[0], m2[0]):
         assert np.linalg.norm(M.basis - P @ M.basis, 2) <= 1e-8
+
+
+def _sum_as_two_oracle(system, tol=ss.DEFAULT_TOL):
+    """The per-block graph construction as ``sum_as_two`` ran it on one block
+    at a time: (M1, M2, eps) and the rank check of M1 + M2 against the sum."""
+    d = system.ambient_dim
+    U, s, _ = numerics.thin_svd(np.hstack([m.basis for m in system.members]))
+    r = numerics.numerical_rank(s, tol)
+    if r == 0:
+        M1, M2, eps = ss.zero_subspace(d), ss.zero_subspace(d), 0.0
+    else:
+        lam, U = s[r - 1::-1], U[:, r - 1::-1]
+        eps = float(lam[(r + 1) // 2 - 1])
+        small = lam < eps - tol.rank_tol * lam[-1]
+        U_small, U_big, n_small = U[:, small], U[:, ~small], int(small.sum())
+        M1, M2 = ss.Subspace(d, U_big), ss.zero_subspace(d)
+        if n_small:
+            bvals = lam[small] / lam[small].max()
+            M2 = ss.from_spanning(U_small * bvals + U_big[:, :n_small] * (1.0 - bvals), d, tol)
+    return M1, M2, eps, equal(ss.sum_span([M1, M2], tol), ss.sum_span(system.members, tol), tol)
+
+
+@st.composite
+def block_recipes(draw):
+    """2-3 block shapes (ambient dimension, member dimensions) cycled over
+    1-12 blocks, a seed, and the block whose members are all zero-dimensional
+    (none when it is past the horizon)."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 5), st.lists(st.integers(1, 3), min_size=1,
+                                                                  max_size=4)),
+                           min_size=2, max_size=3))
+    K = draw(st.integers(1, 12))
+    return shapes, K, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, K + 1))
+
+
+def _recipe_block(rng, d, dims, zero):
+    """Members of the given dimensions (capped at d) inside a random subspace W
+    of C^d, of a random dimension between the largest member and d: random
+    subspaces of W, or coordinate subspaces (tied singular values); the last
+    member repeats the first one half of the time."""
+    dims = [0] * len(dims) if zero else [min(r, d) for r in dims]
+    k = int(rng.integers(max(dims), d + 1)) if max(dims) else 0
+    coordinate = rng.random() < 0.3
+    W = (np.eye(d, dtype=complex)[:, rng.permutation(d)[:k]] if coordinate
+         else _orthonormal(rng, d, k))
+    members = [W[:, rng.permutation(k)[:r]] if coordinate
+               else W @ _orthonormal(rng, k, r) if r else np.zeros((d, 0)) for r in dims]
+    if len(members) > 1 and rng.random() < 0.5:
+        members[-1] = members[0]
+    return ss.SubspaceSystem(d, [ss.Subspace(d, X) for X in members])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(block_recipes())
+def test_stacked_sum_as_two_matches_the_per_block_construction(recipe):
+    """Block shapes cycling with k, ranks and numbers of small directions
+    changing with k, a zero-rank block and repeated members: the stacked
+    ``sum_as_two`` gives exactly the per-block epsilons, dimensions and
+    rank check, the per-block M1 and M2, and M1 + M2 spans the sum of each
+    block."""
+    shapes, K, seed, zero_at = recipe
+    rng = np.random.default_rng(seed)
+    blocks = [_recipe_block(rng, *shapes[k % len(shapes)], zero=k == zero_at)
+              for k in range(1, K + 1)]
+    m1, m2, report = ss.sum_as_two(ss.BlockSystem(lambda k: blocks[k - 1], 0), K)
+    oracle = [_sum_as_two_oracle(S) for S in blocks]
+    assert report.extras["epsilons"] == [eps for _, _, eps, _ in oracle]
+    assert [M.dim for M in m1] == [M1.dim for M1, _, _, _ in oracle]
+    assert [M.dim for M in m2] == [M2.dim for _, M2, _, _ in oracle]
+    assert report.extras["rank_equality_all_blocks"] == all(ok for *_, ok in oracle)
+    for S, M1, M2, (O1, O2, _, _) in zip(blocks, m1, m2, oracle):
+        for got, ref in ((M1, O1), (M2, O2)):
+            assert np.linalg.norm(got.projector() - ref.projector(), 2) <= 1e-12
+        spans = [np.hstack([M1.basis, M2.basis]), np.hstack([m.basis for m in S.members])]
+        P, Q = (_projector_of_span(X) if np.any(X) else 0.0 for X in spans)
+        assert np.linalg.norm(P - Q, 2) <= 1e-8 if np.any(spans[1]) else not np.any(spans[0])
 
 
 def _run_cli(argv):
