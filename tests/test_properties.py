@@ -21,7 +21,9 @@ operator-range analyses with the formulas they replaced: ``pinv(B) A`` for
 and the n^2-product sum for ``m_membership_identity``.  ``reduce_system``
 must keep the sum of systems with planted dependencies, and ``sum_as_two``
 must split exactly the sum of a block whose members overlap inside a planted
-subspace, with a tilted line down to 1e-7 outside it.  The ``images`` and
+subspace, with a tilted line down to 1e-7 outside it; on block systems whose
+shape, rank and number of small directions change with k, the stacked
+``sum_as_two`` must give what the per-block construction gave, exactly.  The ``images`` and
 ``calculus`` commands are fed mutated operator files and polynomial strings,
 ``pair``, ``system``, ``graph`` and ``reduce`` mutated subspace and
 system files, and ``blocks`` and ``sum-as-two`` mutated family files; each
@@ -594,8 +596,8 @@ def _recipe_block(rng, d, dims, zero):
     coordinate = rng.random() < 0.3
     W = (np.eye(d, dtype=complex)[:, rng.permutation(d)[:k]] if coordinate
          else _orthonormal(rng, d, k))
-    members = [W[:, rng.permutation(k)[:r]] if coordinate
-               else W @ _orthonormal(rng, k, r) if r else np.zeros((d, 0)) for r in dims]
+    members = [(W[:, rng.permutation(k)[:r]] if coordinate else W @ _orthonormal(rng, k, r))
+               if r else np.zeros((d, 0)) for r in dims]
     if len(members) > 1 and rng.random() < 0.5:
         members[-1] = members[0]
     return ss.SubspaceSystem(d, [ss.Subspace(d, X) for X in members])
@@ -613,7 +615,8 @@ def test_stacked_sum_as_two_matches_the_per_block_construction(recipe):
     rng = np.random.default_rng(seed)
     blocks = [_recipe_block(rng, *shapes[k % len(shapes)], zero=k == zero_at)
               for k in range(1, K + 1)]
-    m1, m2, report = ss.sum_as_two(ss.BlockSystem(lambda k: blocks[k - 1], 0), K)
+    BS = ss.BlockSystem(lambda k: blocks[k - 1], max(len(S) for S in blocks))
+    m1, m2, report = ss.sum_as_two(BS, K)
     oracle = [_sum_as_two_oracle(S) for S in blocks]
     assert report.extras["epsilons"] == [eps for _, _, eps, _ in oracle]
     assert [M.dim for M in m1] == [M1.dim for M1, _, _, _ in oracle]
@@ -622,9 +625,10 @@ def test_stacked_sum_as_two_matches_the_per_block_construction(recipe):
     for S, M1, M2, (O1, O2, _, _) in zip(blocks, m1, m2, oracle):
         for got, ref in ((M1, O1), (M2, O2)):
             assert np.linalg.norm(got.projector() - ref.projector(), 2) <= 1e-12
-        spans = [np.hstack([M1.basis, M2.basis]), np.hstack([m.basis for m in S.members])]
-        P, Q = (_projector_of_span(X) if np.any(X) else 0.0 for X in spans)
-        assert np.linalg.norm(P - Q, 2) <= 1e-8 if np.any(spans[1]) else not np.any(spans[0])
+        d = S.ambient_dim
+        P, Q = (_projector_of_span(X) if np.any(X) else np.zeros((d, d))
+                for X in (np.hstack([M1.basis, M2.basis]), np.hstack([m.basis for m in S.members])))
+        assert np.linalg.norm(P - Q, 2) <= 1e-8
 
 
 def _run_cli(argv):
