@@ -206,7 +206,7 @@ def _cmd_blocks(args, tol):
     BS = _family_from_args(args)
     n = BS.n_members
     subset = list(range(1, n + 1)) if args.subset == "all" \
-        else [int(x) for x in args.subset.split(",")]
+        else sorted({int(x) for x in args.subset.split(",")})  # as certify reads it
     verdict = blockmodel.certify(BS, subset, args.horizon, tol)
     return {
         "request": {"command": "blocks", "family": BS.name, "params": BS.params,
@@ -280,7 +280,8 @@ COMMANDS = {
     "reduce": ("reduction to an independent system", _cmd_reduce, [
         ("--members", {"required": True}),
         ("--mode", {"choices": ["pair", "system", "preserve-sum"], "default": "system"}),
-        ("--eps", {"type": float, "default": 0.5})]),
+        ("--eps", {"type": float, "default": 0.5,
+                   "help": "pair mode only: shrink parameter in (0, 1)"})]),
     "images": ("operator-range analyses", _cmd_images, [
         ("--operators", {"required": True}),
         ("--analysis", {"required": True,

@@ -7,6 +7,7 @@ numerical policy wrapped around each decomposition:
 - Hermitian input: square shape, asymmetry ||M - M*||_F at most
   eig_tol * max(1, ||M||_F), explicit symmetrization, ascending eigenvalues
   with (``eig_hermitian``) or without (``hermitian_eigenvalues``) vectors;
+  a (..., n, n) stack is checked matrix by matrix and factored in one call;
 - rank: singular values above rank_tol times the largest one;
 - zero cutoff 100 * eig_tol for spectra of positive semidefinite sums;
 - independence constant sigma_min^2 of stacked orthonormal bases;
@@ -77,8 +78,9 @@ def _lapack(routine, *args, **kwargs):
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Explicit symmetrization (M + M*)/2; stops drift accumulation."""
-    return (M + M.conj().T) / 2.0
+    """Explicit symmetrization (M + M*)/2, of each matrix of a (..., n, n)
+    stack; stops drift accumulation."""
+    return (M + M.conj().swapaxes(-1, -2)) / 2.0
 
 
 def operator_norm(M: np.ndarray):
@@ -88,14 +90,21 @@ def operator_norm(M: np.ndarray):
 
 
 def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Validated, symmetrized copy of a square, numerically Hermitian matrix."""
+    """Validated, symmetrized copy of a square, numerically Hermitian matrix,
+    or of a (..., n, n) stack of them, each matrix checked on its own."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise NonSquare(f"expected square matrix, got shape {M.shape}")
-    asym = np.linalg.norm(M - M.conj().T)
-    if not asym <= tol.eig_tol * max(1.0, np.linalg.norm(M)):
+    if M.ndim == 2:  # one matrix: plain norms, cheaper than the axis= form
+        asym = np.linalg.norm(M - M.conj().T)
+        failed = [] if asym <= tol.eig_tol * max(1.0, np.linalg.norm(M)) else [asym]
+    else:
+        asym = np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=(-2, -1))
+        size = np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1)))
+        failed = asym[~(asym <= tol.eig_tol * size)]
+    if len(failed):
         _refuse_overflow(M, "Hermitian eigensolver")
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
+        raise NotHermitian(f"asymmetry {failed[0]:.3e} exceeds tolerance")
     return hermitize(M)
 
 
@@ -105,17 +114,22 @@ def eig_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianSpec
 
 
 def hermitian_eigenvalues(M: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors."""
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors; one
+    row per matrix of a (..., n, n) stack."""
     return _lapack(np.linalg.eigvalsh, _hermitian(M, tol))
 
 
 def psd_gap(M: np.ndarray, tol: Tolerances):
     """Smallest eigenvalue above the zero cutoff 100 * eig_tol (+inf when
-    there is none) and the number of eigenvalues at or below the cutoff."""
+    there is none) and the number of eigenvalues at or below the cutoff: a
+    (float, int) for a matrix, two arrays for a (..., n, n) stack."""
     w = hermitian_eigenvalues(M, tol)
-    kernel_dim = int(np.sum(w <= 100 * tol.eig_tol))
-    gap = float(w[kernel_dim]) if kernel_dim < len(w) else float("inf")
-    return gap, kernel_dim
+    kernel = w <= 100 * tol.eig_tol
+    if w.ndim == 1:
+        kernel_dim = int(np.sum(kernel))
+        gap = float(w[kernel_dim]) if kernel_dim < len(w) else float("inf")
+        return gap, kernel_dim
+    return np.where(kernel, np.inf, w).min(axis=-1, initial=np.inf), kernel.sum(axis=-1)
 
 
 def svd(M: np.ndarray):

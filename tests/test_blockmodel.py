@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import sumspaces as ss
 from conftest import _count_lapack
+from sumspaces.blockmodel import SLAB
 from sumspaces.errors import UnknownFamily
+from sumspaces.numerics import psd_gap
 
 
 def test_paper_families_members_and_cache():
@@ -100,3 +104,76 @@ def test_sum_as_two_factors_the_horizon_in_stacked_calls(name, params, monkeypat
     assert counts[0] == counts[1]
     assert set(counts[0]) == {"svd_thin", "norm"}
     assert counts[0]["svd_thin"] <= 3 and counts[0]["norm"] == 1
+
+
+def _prebuilt(family, K):
+    """The family's blocks 1..K built once, served by a BlockSystem."""
+    blocks = [family.block(k) for k in range(1, K + 1)]
+    return ss.BlockSystem(lambda k: blocks[k - 1], family.n_members)
+
+
+FAMILIES = [("one_over_k", {"n": 3}), ("one_over_k", {"n": 4}),
+            ("halmos_accumulating", {}), ("compact_triple", {})]
+
+
+@pytest.mark.parametrize("name, params", FAMILIES)
+def test_certify_takes_one_eigvalsh_per_slab(name, params, monkeypatch):
+    """One stacked eigvalsh per slab of blocks of one shape, no eigh."""
+    BS = _prebuilt(ss.paper_families(name, params), 1000)
+    for K in (1, 1000):
+        counts = _count_lapack(monkeypatch, ss.certify, BS, range(1, BS.n_members + 1), K)
+        assert counts["eigvalsh"] == -(-K // SLAB)  # the number of slabs
+        assert "eigh" not in counts
+
+
+def _gaps_block_by_block(BS, subset, K, tol=ss.DEFAULT_TOL):
+    """The gaps of blocks 1..K, one 2-D psd_gap call per block."""
+    return [psd_gap(sum(BS.block(k).members[j - 1].projector() for j in subset), tol)[0]
+            for k in range(1, K + 1)]
+
+
+@pytest.mark.parametrize("name, params", FAMILIES)
+@pytest.mark.parametrize("K", [1, SLAB - 1, SLAB, SLAB + 1, 1000])
+def test_certify_gaps_are_the_per_block_gaps(name, params, K):
+    BS = ss.paper_families(name, params)
+    for subset in (range(1, BS.n_members + 1), [1], [BS.n_members - 1, BS.n_members]):
+        assert ss.certify(BS, subset, K).gaps == _gaps_block_by_block(BS, sorted(set(subset)), K)
+
+
+def _alternating_block(k):
+    """Block k: three members of C^2 for odd k and of C^3 for even k; every
+    fifth block has zero-dimensional members only, so its gap is inf."""
+    d = 2 + (k % 2 == 0)
+    rng = np.random.default_rng(k)
+    dims = [0, 0, 0] if k % 5 == 0 else [1, 1, int(rng.integers(0, 3))]
+    return ss.SubspaceSystem(d, [ss.from_spanning(rng.normal(size=(d, r)) + 0j, d)
+                                 for r in dims])
+
+
+@pytest.mark.parametrize("K", [7, 600])
+def test_certify_gaps_with_alternating_block_shapes(K):
+    BS = ss.BlockSystem(_alternating_block, 3)
+    for subset in ([1, 2, 3], [2, 3]):
+        gaps = ss.certify(BS, subset, K).gaps
+        assert gaps == _gaps_block_by_block(BS, subset, K)
+        assert np.isinf(gaps[4]) and np.isfinite(gaps[0])
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_transient_memory_is_one_slab():
+    """Going from 4 to 16 slabs of 8 x 8 block sums adds no more than the
+    O(K) gaps list: a pointer and a float, 32 B per extra block, bounded at
+    64 B.  Stacking the whole horizon adds about 4 KB per block: its 1 KB
+    sum, held in the list, the stack and the eigensolver's copies."""
+    S = ss.paper_families("one_over_k", {"n": 8}).block(3)
+    BS = ss.BlockSystem(lambda k: S, len(S))
+    peaks = [_peak_bytes(ss.certify, BS, range(1, 9), K) for K in (4 * SLAB, 16 * SLAB)]
+    assert peaks[1] - peaks[0] <= 64 * 12 * SLAB

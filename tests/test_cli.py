@@ -287,6 +287,17 @@ def test_blocks_command_family_file(tmp_path, capsys):
     assert len(report["verdict"]["gaps"]) == 30
 
 
+def test_blocks_echoes_the_subset_it_analysed(capsys):
+    """A subset is read as a set: repeats and order do not change the report."""
+    outs = []
+    for subset in ("3,1,1", "1,3"):
+        assert main(["blocks", "--family", "compact_triple", "--horizon", "20",
+                     "--subset", subset]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["request"]["subset"] == [1, 3]
+
+
 def test_sum_as_two_command(capsys):
     code, report = _run(["sum-as-two", "--family", "compact_triple",
                          "--horizon", "10"], capsys)

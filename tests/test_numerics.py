@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import _count_lapack
 from sumspaces import numerics
 from sumspaces.errors import NonSquare, NotHermitian
 
@@ -44,8 +45,9 @@ def test_eig_hermitian_ascending_and_unitary(rng, path):
 
 @EIGEN_PATHS
 def test_eig_hermitian_rejects_bad_input(path):
-    with pytest.raises(NonSquare):
-        _eigenvalues(path, np.zeros((2, 3)))
+    for shape in ((2, 3), (4, 2, 3), (2, 3, 1, 2), (3,)):  # a stack of non-square ones too
+        with pytest.raises(NonSquare):
+            _eigenvalues(path, np.zeros(shape))
     with pytest.raises(NotHermitian):
         _eigenvalues(path, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
@@ -55,6 +57,42 @@ def test_eig_hermitian_rejects_bad_input(path):
 @EIGEN_PATHS
 def test_eig_hermitian_empty(path):
     assert _eigenvalues(path, np.zeros((0, 0))).shape == (0,)
+
+
+def _hermitian_stack(rng, K, n):
+    M = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
+    return M + M.conj().swapaxes(-1, -2)
+
+
+@EIGEN_PATHS
+def test_one_asymmetric_matrix_fails_the_stack(rng, path):
+    M = _hermitian_stack(rng, 5, 3)
+    _eigenvalues(path, M)
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)):
+        stack = M.copy()
+        stack[3, :2, :2] = bad
+        with pytest.raises(NotHermitian):
+            _eigenvalues(path, stack)
+    # each matrix is held to its own norm: asymmetry 1e-5 passes at norm 1e6,
+    # asymmetry 1e-9 fails at norm 1, beside it or alone
+    big, small = np.diag([1e6, 0.0]).astype(complex), np.zeros((2, 2), dtype=complex)
+    big[0, 1], small[0, 1] = 1e-5, 1e-9
+    _eigenvalues(path, big[None])
+    for stack in (np.stack([big, small]), small[None]):
+        with pytest.raises(NotHermitian):
+            _eigenvalues(path, stack)
+
+
+def test_psd_gap_of_a_stack_keeps_the_norm_and_eigensolve_counts(rng, monkeypatch):
+    """A matrix and a stack each take two Frobenius norms and one eigvalsh."""
+    M = _hermitian_stack(rng, 6, 4)
+    for X in (M[0], M):
+        counts = _count_lapack(monkeypatch, numerics.psd_gap, X, numerics.DEFAULT_TOL)
+        assert counts == {"norm": 2, "eigvalsh": 1}
+    gap, kernel_dim = numerics.psd_gap(M[0], numerics.DEFAULT_TOL)
+    assert type(gap) is float and type(kernel_dim) is int
+    gaps, kernel_dims = numerics.psd_gap(M, numerics.DEFAULT_TOL)
+    assert gaps.shape == kernel_dims.shape == (6,)
 
 
 def test_numerical_rank():

@@ -23,7 +23,10 @@ must keep the sum of systems with planted dependencies, and ``sum_as_two``
 must split exactly the sum of a block whose members overlap inside a planted
 subspace, with a tilted line down to 1e-7 outside it; on block systems whose
 shape, rank and number of small directions change with k, the stacked
-``sum_as_two`` must give what the per-block construction gave, exactly.  The ``images`` and
+``sum_as_two`` must give what the per-block construction gave, exactly, and
+on stacks of positive semidefinite matrices with eigenvalues planted either
+side of the zero cutoff the stacked ``psd_gap`` must give what the
+per-matrix calls gave, bit for bit.  The ``images`` and
 ``calculus`` commands are fed mutated operator files and polynomial strings,
 ``pair``, ``system``, ``graph`` and ``reduce`` mutated subspace and
 system files, and ``blocks`` and ``sum-as-two`` mutated family files; each
@@ -629,6 +632,41 @@ def test_stacked_sum_as_two_matches_the_per_block_construction(recipe):
         P, Q = (_projector_of_span(X) if np.any(X) else np.zeros((d, d))
                 for X in (np.hstack([M1.basis, M2.basis]), np.hstack([m.basis for m in S.members])))
         assert np.linalg.norm(P - Q, 2) <= 1e-8
+
+
+CUTOFF = 100 * ss.DEFAULT_TOL.eig_tol  # the zero cutoff of psd_gap
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2 ** 32 - 1), st.integers(0, 10))
+def test_stacked_psd_gap_matches_the_per_matrix_calls(n, K, seed, zero_at):
+    """K positive semidefinite n x n matrices U diag(w) U* whose eigenvalues
+    w are drawn from 0, CUTOFF / 2, 2 CUTOFF and [0.1, 3], with one all-zero
+    matrix when zero_at < K: the stacked ``hermitian_eigenvalues`` and
+    ``psd_gap`` give each matrix bit for bit what its own call gives, the
+    kernel holds the eigenvalues planted at or below the cutoff and the
+    all-zero matrix gives (inf, n)."""
+    rng = np.random.default_rng(seed)
+    planted = rng.choice([0.0, CUTOFF / 2, 2 * CUTOFF, 1.0], size=(K, n))
+    planted = np.where(planted == 1.0, rng.uniform(0.1, 3.0, size=(K, n)), planted)
+    if zero_at < K:
+        planted[zero_at] = 0.0
+    stack = np.stack([(U * w) @ U.conj().T for U, w in
+                      zip((_orthonormal(rng, n, n) for _ in range(K)), planted)])
+    tol = ss.DEFAULT_TOL
+    w = numerics.hermitian_eigenvalues(stack, tol)
+    assert np.array_equal(w, [numerics.hermitian_eigenvalues(X, tol) for X in stack])
+    gaps, kernel_dims = numerics.psd_gap(stack, tol)
+    alone = [numerics.psd_gap(X, tol) for X in stack]
+    assert gaps.tolist() == [gap for gap, _ in alone]
+    assert kernel_dims.tolist() == [dim for _, dim in alone]
+    assert kernel_dims.tolist() == (planted <= CUTOFF).sum(axis=1).tolist()
+    above = np.where(planted > CUTOFF, planted, np.inf).min(axis=1)
+    assert np.allclose(gaps, above, rtol=0.0, atol=1e-13)  # inf where nothing is above
+    if zero_at < K:
+        assert alone[zero_at] == (np.inf, n)
+    gaps4, kernel_dims4 = numerics.psd_gap(stack[None], tol)  # a (1, K, n, n) stack
+    assert gaps4.tolist() == [gaps.tolist()] and kernel_dims4.tolist() == [kernel_dims.tolist()]
 
 
 def _run_cli(argv):
