@@ -12,8 +12,8 @@ from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      MalformedInput, NormTooLarge, NotInvertible,
                      RangeConditionViolated, RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
-                       complex_to_json, eig_hermitian, numerical_rank, operator_norm,
-                       psd_gap, singular_values, support_connected, thin_svd)
+                       complex_to_json, eig_hermitian, independence_epsilon, numerical_rank,
+                       operator_norm, psd_gap, singular_values, spanning_forest, thin_svd)
 from .reduction import independence_certificate
 from .reports import MarginReport
 from .subspaces import Subspace, SubspaceSystem, complement, from_spanning, sum_span
@@ -215,7 +215,8 @@ def build_beta(alpha: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BetaMatrix:
     spec = eig_hermitian(beta, tol)
     w, v = spec.eigenvalues, spec.eigenvectors
     zero_count = int(np.sum(np.abs(w) <= 100 * tol.rank_tol * max(1.0, abs(w[-1]))))
-    connected = support_connected(np.abs(beta) > tol.eig_tol)
+    support = np.argwhere(np.triu(np.abs(beta) > tol.eig_tol, 1))  # edges i < j
+    connected = len(spanning_forest(n, support)) >= n - 1
 
     kernel_vector = None
     if w[0] > tol.margin_tol:
@@ -321,11 +322,8 @@ def ibap_check(S: SubspaceSystem, F: OperatorFamily,
         report.add(f"embedding_margin_{k}", s[-1] if H.dim else 1.0, tol.margin_tol,
                    vacuous=H.dim == 0)
     stacked = np.hstack(blocks) if blocks else np.zeros((d, 0))
-    if stacked.shape[1] == 0:
-        report.add("joint_epsilon", 1.0, tol.margin_tol, vacuous=True)
-    else:
-        joint = float(singular_values(stacked)[-1]) if stacked.shape[1] <= d else 0.0
-        report.add("joint_epsilon", joint, tol.margin_tol)
+    report.add("joint_epsilon", np.sqrt(independence_epsilon(stacked)), tol.margin_tol,
+               vacuous=stacked.shape[1] == 0)
     cert = independence_certificate(SubspaceSystem(d, ranges), tol)
     report.add("range_independence_epsilon", cert.epsilon, tol.margin_tol)
     return report

@@ -8,9 +8,11 @@ numerical policy wrapped around each decomposition:
   eig_tol * max(1, ||M||_F), explicit symmetrization, ascending eigenvalues
   with (``eig_hermitian``) or without (``hermitian_eigenvalues``) vectors;
   a (..., n, n) stack is checked matrix by matrix and factored in one call;
-- rank: singular values above rank_tol times the largest one;
-- zero cutoff 100 * eig_tol for spectra of positive semidefinite sums;
+- rank: singular values above rank_tol times the largest one (or a larger scale);
+- zero: eigenvalues of a positive semidefinite matrix at or below
+  ``Tolerances.zero_cutoff`` = 100 * eig_tol;
 - independence constant sigma_min^2 of stacked orthonormal bases;
+- graphs: connectivity and spanning forests from one breadth-first search;
 - errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow;
 - the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
   dimensions, positive ambient dimensions.
@@ -48,6 +50,11 @@ class Tolerances:
     def __post_init__(self):
         if not all(0 < t < np.inf for t in (self.rank_tol, self.eig_tol, self.margin_tol)):
             raise ValueError("tolerances must be strictly positive and finite")
+
+    @property
+    def zero_cutoff(self) -> float:
+        """Eigenvalues of a positive semidefinite matrix at or below this are zero."""
+        return 100 * self.eig_tol
 
 
 DEFAULT_TOL = Tolerances()
@@ -120,11 +127,11 @@ def hermitian_eigenvalues(M: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def psd_gap(M: np.ndarray, tol: Tolerances):
-    """Smallest eigenvalue above the zero cutoff 100 * eig_tol (+inf when
-    there is none) and the number of eigenvalues at or below the cutoff: a
-    (float, int) for a matrix, two arrays for a (..., n, n) stack."""
+    """Smallest eigenvalue above ``tol.zero_cutoff`` (+inf when there is none)
+    and the number of eigenvalues at or below it: a (float, int) for a matrix,
+    two arrays for a (..., n, n) stack."""
     w = hermitian_eigenvalues(M, tol)
-    kernel = w <= 100 * tol.eig_tol
+    kernel = w <= tol.zero_cutoff
     if w.ndim == 1:
         kernel_dim = int(np.sum(kernel))
         gap = float(w[kernel_dim]) if kernel_dim < len(w) else float("inf")
@@ -189,17 +196,26 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _lapack(np.polyfit, x, y, 1)
 
 
-def support_connected(A: np.ndarray) -> bool:
-    """Whether the graph with an edge i-j wherever A[i, j] != 0 is connected
-    (breadth-first search from vertex 0; the diagonal is ignored)."""
-    adj = np.asarray(A) != 0
-    seen = np.arange(adj.shape[0]) == 0
-    frontier = np.flatnonzero(seen)
-    while len(frontier):
-        reached = adj[frontier].any(axis=0) & ~seen
-        seen |= reached
-        frontier = np.flatnonzero(reached)
-    return bool(seen.all())
+def spanning_forest(n: int, edges) -> list:
+    """Indices of the edges (i, j) between vertices 0..n-1 that a breadth-first
+    search takes into a spanning forest: each tree is rooted at its lowest
+    vertex, and each vertex's edges are scanned in list order.  The graph is
+    connected iff the forest has n - 1 edges (n <= 1 counts as connected)."""
+    adjacent = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(edges):
+        adjacent[i].append((e, j))
+        adjacent[j].append((e, i))
+    tree, seen = [], [False] * n
+    for root in range(n):
+        queue = [] if seen[root] else [root]
+        seen[root] = True
+        for u in queue:
+            for e, v in adjacent[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    tree.append(e)
+                    queue.append(v)
+    return tree
 
 
 def complex_to_json(M) -> list:

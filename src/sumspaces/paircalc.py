@@ -165,7 +165,7 @@ def calculus_report(pair: PairDecomposition, f1, f2, f3, f4,
     report = MarginReport()
     modulus = np.abs(spectrum)
     sv = np.sort(np.concatenate([np.abs(flat), *_block_singular_values(block, D)]))[::-1]
-    for name, kept in (("punctured_disk_margin", modulus[modulus > 100 * tol.eig_tol]),
+    for name, kept in (("punctured_disk_margin", modulus[modulus > tol.zero_cutoff]),
                        ("invertibility_margin", modulus),
                        ("closed_range_margin", sv[:numerical_rank(sv, tol)])):
         report.add(name, float(kept.min()) if len(kept) else 1.0, tol.margin_tol,

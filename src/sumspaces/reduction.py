@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
                      NotIndependent, SumNotFull)
-from .numerics import (DEFAULT_TOL, Tolerances, eig_hermitian, hermitian_eigenvalues,
-                       independence_epsilon, numerical_rank, psd_gap, svd, thin_svd)
+from .numerics import (DEFAULT_TOL, Tolerances, hermitian_eigenvalues, independence_epsilon,
+                       numerical_rank, psd_gap, singular_values, svd, thin_svd)
 from .reports import MarginReport
 from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, intersect,
                         subtract, sum_span, zero_subspace)
@@ -95,8 +95,10 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
     """Membership margin for reducibility that touches only H_{m+1}..H_n.
 
     On the kernel Z of the summation map on +H_j the system must satisfy
-    sum_{j>m} ||y_j||^2 >= eps^2 sum_{j<=m} ||y_j||^2; the best constant is a
-    generalized eigenvalue on Z.  Quadratic forms replace the l1 sums of the
+    sum_{j>m} ||y_j||^2 >= eps^2 sum_{j<=m} ||y_j||^2.  With an orthonormal
+    basis of Z split into its head rows (j <= m) and tail rows, the best
+    constant is sigma_min(tail) / sigma_max(head), read from the factors and
+    not from their Gram matrices.  Quadratic forms replace the l1 sums of the
     norm phrasing; constants agree up to a factor <= n.
     """
     n = len(S)
@@ -108,34 +110,19 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
     report.extras["head_independent"] = head_cert.independent
     report.extras["head_epsilon"] = head_cert.epsilon
 
-    stacked = np.hstack([s.basis for s in S.members])
-    dims = [s.dim for s in S.members]
-    offs = np.cumsum([0] + dims)
-    if stacked.shape[1] == 0:
+    _, s, V = svd(np.hstack([member.basis for member in S.members]))
+    Z = V[:, numerical_rank(s, tol):]  # orthonormal basis of the kernel, in block coordinates
+    split = sum(member.dim for member in S.members[:m])
+    head, tail = singular_values(Z[:split]), singular_values(Z[split:])
+    if not numerical_rank(head, tol, scale=1.0):
+        # no kernel, or every kernel vector has zero head part: condition vacuous
         report.add("rps_epsilon", 1.0, tol.margin_tol, vacuous=True)
         return report
-    U, s, V = svd(stacked)
-    r = numerical_rank(s, tol)
-    Z = V[:, r:]  # orthonormal basis of the kernel, in block coordinates
-    if Z.shape[1] == 0:
-        report.add("rps_epsilon", 1.0, tol.margin_tol, vacuous=True)
-        return report
-    head_rows = Z[:offs[m], :]
-    tail_rows = Z[offs[m]:, :]
-    H = head_rows.conj().T @ head_rows
-    T = tail_rows.conj().T @ tail_rows
-    spec = eig_hermitian(H, tol)
-    hw, hv = spec.eigenvalues, spec.eigenvectors
-    keep = hw > tol.rank_tol * max(1.0, hw[-1])
-    if not np.any(keep):
-        # every kernel vector has zero head part: condition vacuous
-        report.add("rps_epsilon", 1.0, tol.margin_tol, vacuous=True)
-        return report
-    W = hv[:, keep] / np.sqrt(hw[keep])
-    M = W.conj().T @ T @ W
-    mu = float(hermitian_eigenvalues(M, tol)[0])
-    eps = float(np.sqrt(max(mu, 0.0)))
-    report.add("rps_epsilon", eps, tol.margin_tol)
+    # Z*Z = I is the sum of the Gram matrices of the head and tail rows, so those
+    # share right singular vectors with sigma_head^2 + sigma_tail^2 = 1 on each;
+    # fewer tail rows than kernel columns leave a kernel vector with no tail part
+    tail_min = tail[-1] if len(tail) == Z.shape[1] else 0.0
+    report.add("rps_epsilon", tail_min / head[0], tol.margin_tol)
     return report
 
 
@@ -294,8 +281,7 @@ def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> R
     constraint = (np.eye(d) - P1) @ summap
     _, s, V = svd(constraint)
     # columns are projections of unit vectors: rank cutoff on absolute scale
-    r = int(np.sum(s > tol.rank_tol * max(s[0] if len(s) else 0.0, 1.0)))
-    N = V[:, r:]
+    N = V[:, numerical_rank(s, tol, scale=1.0):]
     G1 = from_spanning(W @ N, n * d, tol)
 
     embedded = SubspaceSystem(n * d, [G1] + tilde[1:])

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, GraphDisconnected, MalformedInput
 from .numerics import (DEFAULT_TOL, Tolerances, dimension_from_json,
                        eig_hermitian, hermitian_eigenvalues, independence_epsilon,
-                       operator_norm, psd_gap, real_from_json, support_connected)
+                       operator_norm, psd_gap, real_from_json, spanning_forest)
 from .reports import MarginReport
 from .subspaces import SubspaceSystem, complement
 
@@ -38,8 +38,8 @@ class WeightedGraph:
             i, j, w = int(i), int(j), float(w)
             if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
                 raise DimensionMismatch(f"bad edge ({i},{j})")
-            if w <= 0:
-                raise ValueError("edge weights must be positive")
+            if not 0 < w < np.inf:  # NaN fails
+                raise ValueError(f"edge weights must be positive and finite, got {w}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
@@ -56,10 +56,8 @@ class WeightedGraph:
         return out
 
     def is_connected(self) -> bool:
-        adj = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            adj[i - 1, j - 1] = adj[j - 1, i - 1] = w
-        return support_connected(adj)
+        edges = [(i - 1, j - 1) for i, j, _ in self.edges]
+        return len(spanning_forest(self.n, edges)) >= self.n - 1
 
     @classmethod
     def complete(cls, n: int) -> "WeightedGraph":
@@ -131,21 +129,10 @@ def _edge_blocks(G: WeightedGraph, offs) -> list:
 
 
 def _free_edges(G: WeightedGraph, support) -> list:
-    """The edges of support (indices into G.edges) off a breadth-first
-    spanning forest of them, each tree rooted at its lowest vertex."""
-    tree, seen = set(), set()
-    for root in range(1, G.n + 1):
-        queue = [] if root in seen else [root]
-        seen.add(root)
-        for u in queue:
-            for e in support:
-                i, j, _ = G.edges[e]
-                v = j if i == u else i if j == u else None
-                if v is not None and v not in seen:
-                    seen.add(v)
-                    tree.add(e)
-                    queue.append(v)
-    return [e for e in support if e not in tree]
+    """The edges of support (indices into G.edges) off its breadth-first
+    spanning forest (``numerics.spanning_forest``)."""
+    tree = spanning_forest(G.n, [(G.edges[e][0] - 1, G.edges[e][1] - 1) for e in support])
+    return [e for k, e in enumerate(support) if k not in tree]
 
 
 def _modulus_lower_bound(Q, offs, G: WeightedGraph, tol: Tolerances) -> float:
@@ -173,7 +160,7 @@ def _modulus_evaluate(Q, blocks, theta, tol: Tolerances):
     # p_e = t_e v_r* C_e v_c: v* Q_e v = -2 Im p_e and v* Q_ee v = -2 Re p_e
     p = np.array([t * (v[rows].conj() @ Q[rows, cols] @ v[cols])
                   for (rows, cols), t in zip(blocks, twists)])
-    if len(lam) > 1 and not lam[1] - lam[0] > 100 * tol.eig_tol:
+    if len(lam) > 1 and not lam[1] - lam[0] > tol.zero_cutoff:
         return float(lam[0]), -2.0 * p.imag, None
     W = np.zeros((len(v), len(blocks)), dtype=complex)  # columns w_e = Q_e v
     for e, (rows, cols) in enumerate(blocks):
@@ -191,7 +178,7 @@ def _modulus_descent(Q, blocks, theta, tol: Tolerances) -> float:
     lam, grad, hess = _modulus_evaluate(Q, blocks, theta, tol)
     for _ in range(DESCENT_ITERATIONS):
         curv = None if hess is None else eig_hermitian(hess, tol)
-        if curv is not None and curv.eigenvalues[0] > 100 * tol.eig_tol:
+        if curv is not None and curv.eigenvalues[0] > tol.zero_cutoff:
             V = curv.eigenvectors
             step = -(V @ (V.conj().T @ grad / curv.eigenvalues)).real
             if -(grad @ step) / 2 <= tol.eig_tol:  # the Newton decrement

@@ -62,6 +62,31 @@ def test_system_command_with_alpha(tmp_path, capsys):
     assert max(report["dilation_spectrum"]) == pytest.approx(0.5)
 
 
+def test_verbose_lists_each_margin_on_stderr_only(pair_files, tmp_path, capsys):
+    a, b = pair_files
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(json.dumps(ss.system_to_json(ss.SubspaceSystem(
+        2, [ss.from_spanning(np.eye(2)[:, [0]]), ss.from_spanning(np.ones((2, 1)))]))))
+    for argv in (["pair", "--a", a, "--b", b],
+                 ["system", "--members", str(sysfile), "--alpha", "1.0,2.0"]):
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert main(argv + ["--verbose"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out and quiet.err == ""
+        # a "[section]" line, then one line per entry in report order
+        sections = {}
+        for line in loud.err.splitlines():
+            if line.startswith("["):
+                entries = sections.setdefault(line[1:-1], [])
+            else:
+                entries.append(line)
+        assert sections == {
+            name: [f"  {e['criterion']}: {float(e['margin'])} ({e['verdict']})"
+                   for e in section["entries"]]
+            for name, section in json.loads(quiet.out)["margins"].items()}
+
+
 def test_seed_flag_accepted_before_and_after_subcommand(pair_files, capsys):
     a, b = pair_files
     code1, r1 = _run(["--seed", "5", "pair", "--a", a, "--b", b], capsys)

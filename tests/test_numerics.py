@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import _count_lapack
 from sumspaces import numerics
@@ -139,6 +141,35 @@ def test_operator_norm_of_a_stack(rng):
     assert numerics.operator_norm(np.zeros((4, 0))) == 0.0
 
 
+def test_zero_cutoff_is_derived_from_eig_tol():
+    tol = numerics.Tolerances(eig_tol=3e-9)
+    assert tol.zero_cutoff == 100 * 3e-9
+    assert vars(tol) == {"rank_tol": 1e-10, "eig_tol": 3e-9, "margin_tol": 1e-8}
+    gap, kernel_dim = numerics.psd_gap(np.diag([tol.zero_cutoff, 1.01 * tol.zero_cutoff]), tol)
+    assert (gap, kernel_dim) == (1.01 * tol.zero_cutoff, 1)
+
+
+def _components(n, edges):
+    """scipy's component labels of the graph on vertices 0..n-1."""
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
+    return connected_components(coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)),
+                                directed=False)
+
+
+def test_spanning_forest_matches_scipy_components(rng):
+    for n in range(0, 9):
+        for density in (0.0, 0.2, 0.5, 1.0):
+            pairs = [(i, j) for i in range(n) for j in range(n)
+                     if i != j and rng.random() < density / 2]  # both orientations, repeats
+            forest = numerics.spanning_forest(n, pairs)
+            count, labels = _components(n, pairs)
+            assert len(forest) == n - count
+            assert (len(forest) >= n - 1) == (count <= 1)
+            _, forest_labels = _components(n, [pairs[e] for e in forest])
+            assert np.array_equal(forest_labels, labels)  # it spans each component
+    assert numerics.spanning_forest(0, []) == numerics.spanning_forest(1, []) == []
+
+
 def test_polynomial_roots():
     assert numerics.polynomial_roots(np.array([5.0])).shape == (0,)
     roots = numerics.polynomial_roots(np.array([2.0, -3.0, 1.0]))
@@ -167,6 +198,26 @@ def test_only_numerics_calls_lapack():
     calling = sorted(path.name for path in package.glob("*.py")
                      if LAPACK_CALL.search(path.read_text(encoding="utf-8")))
     assert calling == ["numerics.py"]
+
+
+# each decision cutoff is written once, in numerics; the two rank_tol rules kept
+# outside it are build_beta's 100 * rank_tol zero count and sum_as_two's tie rule
+ZERO_CUTOFF = re.compile(r"100 \* \w+\.eig_tol")
+RANK_CUTOFF = re.compile(r"rank_tol \*")
+
+
+def test_cutoffs_are_written_only_in_numerics():
+    package = pathlib.Path(numerics.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert sorted(name for name, text in sources.items() if ZERO_CUTOFF.search(text)) \
+        == ["numerics.py"]
+    rank_lines = {name: [line.strip() for line in text.splitlines() if RANK_CUTOFF.search(line)]
+                  for name, text in sources.items() if name != "numerics.py"}
+    assert {name: lines for name, lines in rank_lines.items() if lines} == {
+        "blockmodel.py": ["cut = eps - tol.rank_tol * s[:, 0]  # a value tied with eps is big"],
+        "images.py": ["zero_count = int(np.sum(np.abs(w) <= 100 * tol.rank_tol "
+                      "* max(1.0, abs(w[-1]))))"]}
+    assert RANK_CUTOFF.search(sources["numerics.py"])
 
 
 def test_every_numerics_function_has_a_caller():

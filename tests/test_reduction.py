@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sumspaces as ss
 from sumspaces.errors import (GapTooSmall, IndexOutOfRange, NotIndependent,
                               SumNotFull)
 
-from conftest import random_subspace, random_system, simplex_lines
+from conftest import _count_lapack, random_subspace, random_system, simplex_lines
 
 
 def _lines(*vecs):
@@ -58,6 +59,46 @@ def test_rps_margin_examples():
     indep = _lines([1, 0], [0, 1])
     rep = ss.rps_margin(indep, 1)
     assert rep.entry("rps_epsilon").note == "vacuous"
+
+
+def _gaussian_system(rng, d, dims):
+    return ss.SubspaceSystem(d, [ss.from_spanning(rng.normal(size=(d, r))
+                                                  + 1j * rng.normal(size=(d, r)))
+                                 for r in dims])
+
+
+def test_rps_margin_is_zero_when_the_head_is_dependent(monkeypatch):
+    # H1, H2 of dimension 3 in C^5 meet, so a kernel vector has no tail part and
+    # the true eps is 0; a square root of the squared round-off of a Gram
+    # product read about 1e-8 here and passed margin_tol on 9 of these seeds
+    for seed in range(300):
+        S = _gaussian_system(np.random.default_rng(seed), 5, (3, 3, 2))
+        rep = ss.rps_margin(S, 2)
+        assert rep.verdict("rps_epsilon") != "satisfied" and rep.margin("rps_epsilon") < 1e-12
+    # read from the factors: no Hermitian eigensolve
+    assert _count_lapack(monkeypatch, ss.rps_margin, S, 2) == {"svd": 1, "svdvals": 2}
+
+
+def test_rps_margin_matches_a_generalized_eigenvalue_oracle():
+    # the best eps^2 is the smallest mu in T c = mu H c, where H and T are the
+    # Gram matrices of the head and tail rows of a kernel basis; a tail that
+    # spans at most C^d keeps H positive definite
+    rng, compared = np.random.default_rng(7), 0
+    for _ in range(300):
+        d, n = int(rng.integers(3, 9)), int(rng.integers(2, 5))
+        m, dims = int(rng.integers(1, n)), [int(rng.integers(1, d)) for _ in range(n)]
+        if sum(dims[m:]) > d or sum(dims) <= d:
+            continue
+        S = _gaussian_system(rng, d, dims)
+        eps = ss.rps_margin(S, m).margin("rps_epsilon")
+        Z = scipy.linalg.null_space(np.hstack([member.basis for member in S.members]))
+        head, tail = Z[:sum(dims[:m])], Z[sum(dims[:m]):]
+        mu = scipy.linalg.eigh(tail.conj().T @ tail, head.conj().T @ head,
+                               eigvals_only=True)[0]
+        if eps > 1e-4:
+            assert eps == pytest.approx(np.sqrt(mu), rel=1e-12)
+            compared += 1
+    assert compared >= 50
 
 
 def test_reduce_pair_validates_eps(rng):

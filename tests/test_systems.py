@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sumspaces as ss
+from sumspaces import systems
 from sumspaces.errors import DimensionMismatch, GraphDisconnected
 
 from conftest import multiset_distance, random_subspace, random_system
@@ -16,6 +17,9 @@ def test_weighted_graph_validation():
         ss.WeightedGraph(3, [(1, 2, 0.0)])
     with pytest.raises(ValueError):
         ss.WeightedGraph(3, [(1, 2, 1.0), (2, 1, 2.0)])
+    for w in (np.nan, np.inf, -np.inf):  # refused before they reach an eigensolver
+        with pytest.raises(ValueError, match="positive and finite"):
+            ss.WeightedGraph(3, [(1, 2, 1.0), (2, 3, w)])
 
 
 def test_weighted_graph_rho_and_connectivity():
@@ -27,6 +31,36 @@ def test_weighted_graph_rho_and_connectivity():
     assert len(K4.edges) == 6
     back = ss.WeightedGraph.from_json(K4.to_json())
     assert back.edges == K4.edges
+
+
+def _free_edges_by_scan(G, support):
+    """The edges of support off a breadth-first spanning forest that scans
+    the whole support for each vertex it dequeues, roots lowest first."""
+    tree, seen = set(), set()
+    for root in range(1, G.n + 1):
+        queue = [] if root in seen else [root]
+        seen.add(root)
+        for u in queue:
+            for e in support:
+                i, j, _ = G.edges[e]
+                v = j if i == u else i if j == u else None
+                if v is not None and v not in seen:
+                    seen.add(v)
+                    tree.add(e)
+                    queue.append(v)
+    return [e for e in support if e not in tree]
+
+
+def test_free_edges_keep_the_scan_order(rng):
+    for n in range(1, 8):
+        for _ in range(20):
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                     if rng.random() < 0.6]
+            G = ss.WeightedGraph(n, [(i, j, 1.0) for i, j in rng.permutation(pairs)]
+                                 if pairs else [])
+            support = sorted(rng.choice(len(pairs), size=rng.integers(len(pairs) + 1),
+                                        replace=False).tolist())
+            assert systems._free_edges(G, support) == _free_edges_by_scan(G, support)
 
 
 def test_sum_gap_full_space():
