@@ -121,9 +121,9 @@ def _cmd_system(args, tol):
         "request": {"command": "system", "members": args.members},
         "margins": {"sum_gap": systems.sum_gap(S, tol)},
     }
-    P_delta, P_H = systems.dilation(S)
-    w = hermitian_eigenvalues(P_delta @ P_H @ P_delta, tol)
-    out["dilation_spectrum"] = [float(v) for v in w]
+    # sigma(P_delta P_Htilde P_delta) of ``systems.dilation``, in closed form
+    w = hermitian_eigenvalues(sum(S.projectors()), tol) / len(S)
+    out["dilation_spectrum"] = np.sort(np.append(np.zeros((len(S) - 1) * S.ambient_dim), w))
     if args.alpha:
         alpha = [float(a) for a in args.alpha.split(",")]
         out["margins"]["linear_combination"] = systems.linear_combination_check(S, alpha, tol)
@@ -194,12 +194,9 @@ def _cmd_images(args, tol):
                 "margins": {"sum_of_images": report}}
     if args.analysis == "pradius":
         seq, verdict = images.p_radius(F, p=args.p, depth=args.depth, tol=tol)
-        return {"request": req, "sequence": [float(v) for v in seq],
-                "verdict": verdict}
-    if args.analysis == "membership":
-        residual = images.m_membership_identity(F, tol)
-        return {"request": req, "residual": residual}
-    raise SumspacesError(f"unknown analysis {args.analysis}")
+        return {"request": req, "sequence": seq, "verdict": verdict}
+    # "membership", the last of the --analysis choices
+    return {"request": req, "residual": images.m_membership_identity(F, tol)}
 
 
 def _cmd_blocks(args, tol):
@@ -214,7 +211,7 @@ def _cmd_blocks(args, tol):
         "verdict": {"status": verdict.status, "inf_gap": verdict.inf_gap,
                     "trend_slope": verdict.trend_slope,
                     "trend_residual": verdict.trend_residual,
-                    "gaps": [g if np.isfinite(g) else "inf" for g in verdict.gaps]},
+                    "gaps": verdict.gaps},
     }
 
 

@@ -12,7 +12,7 @@ from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      MalformedInput, NormTooLarge, NotInvertible,
                      RangeConditionViolated, RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
-                       complex_to_json, eig_hermitian, independence_epsilon, numerical_rank,
+                       complex_to_json, eig_hermitian, independence_sigma, numerical_rank,
                        operator_norm, psd_gap, singular_values, spanning_forest, thin_svd)
 from .reduction import independence_certificate
 from .reports import MarginReport
@@ -322,7 +322,7 @@ def ibap_check(S: SubspaceSystem, F: OperatorFamily,
         report.add(f"embedding_margin_{k}", s[-1] if H.dim else 1.0, tol.margin_tol,
                    vacuous=H.dim == 0)
     stacked = np.hstack(blocks) if blocks else np.zeros((d, 0))
-    report.add("joint_epsilon", np.sqrt(independence_epsilon(stacked)), tol.margin_tol,
+    report.add("joint_epsilon", independence_sigma(stacked), tol.margin_tol,
                vacuous=stacked.shape[1] == 0)
     cert = independence_certificate(SubspaceSystem(d, ranges), tol)
     report.add("range_independence_epsilon", cert.epsilon, tol.margin_tol)

@@ -11,7 +11,7 @@ numerical policy wrapped around each decomposition:
 - rank: singular values above rank_tol times the largest one (or a larger scale);
 - zero: eigenvalues of a positive semidefinite matrix at or below
   ``Tolerances.zero_cutoff`` = 100 * eig_tol;
-- independence constant sigma_min^2 of stacked orthonormal bases;
+- independence: sigma_min of stacked bases, 1 with no columns, 0 when wide;
 - graphs: connectivity and spanning forests from one breadth-first search;
 - errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow;
 - the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
@@ -167,16 +167,17 @@ def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale: float | 
     return counts if s.ndim > 1 else int(counts)
 
 
-def independence_epsilon(stacked: np.ndarray) -> float:
-    """Best eps in ||sum x_i||^2 >= eps sum ||x_i||^2 when the x_i range over
-    members with orthonormal bases stacked side by side: sigma_min^2 of the
-    stack (the block Gram's smallest eigenvalue); 1 if empty, 0 if wide."""
+def independence_sigma(stacked: np.ndarray) -> float:
+    """Smallest singular value of the columns stacked side by side: 1 if there
+    are none, 0 if there are more columns than rows.  For orthonormal member
+    bases its square is the best eps in ||sum x_i||^2 >= eps sum ||x_i||^2
+    (the block Gram's smallest eigenvalue)."""
     rows, cols = stacked.shape
     if cols == 0:
         return 1.0
     if cols > rows:
         return 0.0
-    return float(singular_values(stacked)[-1] ** 2)
+    return float(singular_values(stacked)[-1])
 
 
 def polynomial_roots(c: np.ndarray) -> np.ndarray:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
                      NotIndependent, SumNotFull)
-from .numerics import (DEFAULT_TOL, Tolerances, hermitian_eigenvalues, independence_epsilon,
+from .numerics import (DEFAULT_TOL, Tolerances, hermitian_eigenvalues, independence_sigma,
                        numerical_rank, psd_gap, singular_values, svd, thin_svd)
 from .reports import MarginReport
-from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, intersect,
-                        subtract, sum_span, zero_subspace)
+from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, full_space,
+                        intersect, subtract, sum_span)
 from . import pairs as _pairs
 
 
@@ -59,7 +59,7 @@ class ReductionResult:
 def independence_certificate(S: SubspaceSystem,
                              tol: Tolerances = DEFAULT_TOL) -> IndependenceCertificate:
     """Smallest eigenvalue of the block Gram of the concatenated bases."""
-    eps = independence_epsilon(np.hstack([m.basis for m in S.members]))
+    eps = independence_sigma(np.hstack([m.basis for m in S.members])) ** 2
     return IndependenceCertificate(eps, eps > tol.margin_tol)
 
 
@@ -128,7 +128,8 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
 
 def _shrink(H1: Subspace, H2: Subspace, eps: float, tol: Tolerances):
     """(M2, delta) of the shrink in ``reduce_pair``, without its report.
-    M2 keeps no part of H2 & H1, so the meet drops out by construction."""
+    M2 keeps no part of H2 & H1, so the meet drops out by construction; its
+    basis is principal vectors of H2, orthonormal as they stand."""
     dec = _pairs.halmos_decompose(H2, H1, tol)  # H2 in the flat role
     delta = 1.0 - eps / 2.0
     x = dec.a_eigenvalues
@@ -138,7 +139,7 @@ def _shrink(H1: Subspace, H2: Subspace, eps: float, tol: Tolerances):
             raise EigenvalueOnBoundary("delta collides with sigma(a) twice")
     keep = x < delta
     pieces = [dec.first_only.basis, dec.k_basis_1[:, keep]]
-    return from_spanning(np.hstack(pieces), H1.ambient_dim, tol), delta
+    return Subspace(H1.ambient_dim, np.hstack(pieces)), delta
 
 
 def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
@@ -204,11 +205,11 @@ def c_constant(n: int) -> Fraction:
     return c
 
 
-def _certified_core(S: SubspaceSystem, tol: Tolerances):
+def _certified_core(S: SubspaceSystem, span: Subspace, tol: Tolerances):
     """The reduction theorem on S: the gap eps of sum P_k, the recursion and
-    the certificate slack on the sum span of S.
+    the certificate slack on ``span``, the sum of S.
 
-    Returns (reduced members, weights, eps, rhs, slack, sum span of S).
+    Returns (reduced members, weights, eps, rhs, slack).
     """
     d = S.ambient_dim
     eps, _ = psd_gap(sum(S.projectors()), tol)
@@ -218,12 +219,11 @@ def _certified_core(S: SubspaceSystem, tol: Tolerances):
         raise GapTooSmall(f"gap {eps} below margin_tol")
     eps = min(eps, 1.0 - 10 * tol.eig_tol)
     reduced, weights, rhs = _reduce_recursive(list(S.members), eps, tol)
-    original_sum = sum_span(S.members, tol)
     cert_op = sum(w * m.projector() for w, m in zip(weights, reduced))
-    B = original_sum.basis
+    B = span.basis
     restricted = B.conj().T @ (cert_op - rhs * np.eye(d)) @ B
     slack = float(hermitian_eigenvalues(restricted, tol)[0]) if B.shape[1] else 0.0
-    return reduced, weights, eps, rhs, slack, original_sum
+    return reduced, weights, eps, rhs, slack
 
 
 def _assemble(reduced, weights, eps, rhs, slack, original_sum: Subspace,
@@ -248,48 +248,42 @@ def reduce_system(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Reduction
     certificate inequality is evaluated on the sum span when the sum is not
     the whole space.
     """
-    reduced, weights, eps, rhs, slack, original_sum = _certified_core(S, tol)
+    span = sum_span(S.members, tol)
+    reduced, weights, eps, rhs, slack = _certified_core(S, span, tol)
     report = MarginReport()
     report.add("certificate_slack", slack, tol.margin_tol)
-    return _assemble(reduced, weights, eps, rhs, slack, original_sum, report, tol)
+    return _assemble(reduced, weights, eps, rhs, slack, span, report, tol)
 
 
 def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionResult:
     """Shrink H2..Hn to an independent system with the same sum.
 
-    Works inside the dilation space: with Htilde_k the block copies of H_k
-    in C^{nd} and Delta0 the kernel of the summation map, the theorem is
-    applied to (Delta0 + Htilde_1, Htilde_2, ..., Htilde_n) and the reduced
-    blocks are pulled back to the original ambient space.
+    The theorem is applied inside the dilation space, to (Delta0 + Htilde_1,
+    Htilde_2, ..., Htilde_n), where Htilde_k is the copy of H_k in the k-th
+    block of C^{nd} and Delta0 the kernel of the summation map.  All of these
+    lie in the range of the isometry diag(B_1, ..., B_n) from C^{r_1 + ... + r_n},
+    so the reduction runs in those coordinates c = (c_1, ..., c_n): Htilde_k is
+    the k-th block of coordinate columns, and with C = [B_1 ... B_n],
+    Delta0 + Htilde_1 = {c : sum B_k c_k in H_1} = ker((I - P_1) C).  That
+    kernel holds the first block, so the system sums to all of C^{r_1 + ... + r_n}.
+    Block k of a reduced member pulls back to H_k as B_k times its k-th rows.
     """
-    n, d = len(S), S.ambient_dim
     summap = np.hstack([m.basis for m in S.members])
-    if summap.shape[1] == 0:
+    total = summap.shape[1]
+    if total == 0:
         result = ReductionResult(reduced=S, sum_preserved=True)
         result.report.extras["sum_preserved"] = True
         return result
-
-    def embed(k: int, cols: np.ndarray) -> np.ndarray:
-        out = np.zeros((n * d, cols.shape[1]), dtype=complex)
-        out[k * d:(k + 1) * d, :] = cols
-        return out
-
-    tilde = [Subspace(n * d, embed(k, m.basis)) for k, m in enumerate(S.members)]
-    # G1 = Delta0 + Htilde_1 = {(x_1..x_n): x_k in H_k, sum x_k in H_1}
-    W = np.hstack([t.basis for t in tilde])
-    P1 = S.members[0].projector()
-    constraint = (np.eye(d) - P1) @ summap
-    _, s, V = svd(constraint)
+    offs = np.cumsum([0] + [m.dim for m in S.members])
+    B1 = S.members[0].basis
+    _, s, V = svd(summap - B1 @ (B1.conj().T @ summap))  # (I - P_1) C
     # columns are projections of unit vectors: rank cutoff on absolute scale
-    N = V[:, numerical_rank(s, tol, scale=1.0):]
-    G1 = from_spanning(W @ N, n * d, tol)
-
-    embedded = SubspaceSystem(n * d, [G1] + tilde[1:])
-    inner, _, eps, rhs, slack, _ = _certified_core(embedded, tol)
-    reduced = [S.members[0]]
-    for k, Mt in enumerate(inner[1:], start=1):
-        block = Mt.basis[k * d:(k + 1) * d, :]
-        reduced.append(from_spanning(block, d, tol, scale=1.0) if Mt.dim
-                       else zero_subspace(d))
-    return _assemble(reduced, [1.0] * n, eps, rhs, slack, sum_span(S.members, tol),
+    G1 = Subspace(total, V[:, numerical_rank(s, tol, scale=1.0):])
+    whole = full_space(total)
+    blocks = [Subspace(total, whole.basis[:, offs[k]:offs[k + 1]]) for k in range(1, len(S))]
+    inner, _, eps, rhs, slack = _certified_core(SubspaceSystem(total, [G1] + blocks), whole, tol)
+    reduced = [S.members[0]] + [
+        from_spanning(S.members[k].basis @ M.basis[offs[k]:offs[k + 1]], tol=tol, scale=1.0)
+        for k, M in enumerate(inner[1:], start=1)]
+    return _assemble(reduced, [1.0] * len(S), eps, rhs, slack, sum_span(S.members, tol),
                      MarginReport(), tol)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GraphDisconnected, MalformedInput
 from .numerics import (DEFAULT_TOL, Tolerances, dimension_from_json,
-                       eig_hermitian, hermitian_eigenvalues, independence_epsilon,
+                       eig_hermitian, hermitian_eigenvalues, independence_sigma,
                        operator_norm, psd_gap, real_from_json, spanning_forest)
 from .reports import MarginReport
 from .subspaces import SubspaceSystem, complement
@@ -279,7 +279,7 @@ def linear_combination_check(S: SubspaceSystem, alpha,
     report.extras["epsilon"] = eps
     report.extras["lambda_max"] = lam_max
     # independence via the block Gram of the concatenated bases
-    gram_eps = independence_epsilon(np.hstack([m.basis for m in S.members]))
+    gram_eps = independence_sigma(np.hstack([m.basis for m in S.members])) ** 2
     report.extras["independence_epsilon"] = gram_eps
     report.extras["applicable"] = bool(eps > tol.margin_tol and gram_eps > tol.margin_tol)
     return report

@@ -12,6 +12,8 @@ import pytest
 import sumspaces as ss
 from sumspaces.cli import COMMANDS, main
 
+from conftest import random_subspace
+
 
 @pytest.fixture
 def pair_files(tmp_path):
@@ -60,6 +62,27 @@ def test_system_command_with_alpha(tmp_path, capsys):
     assert code == 0
     assert "linear_combination" in report["margins"]
     assert max(report["dilation_spectrum"]) == pytest.approx(0.5)
+
+
+def test_system_and_preserve_sum_stay_out_of_the_dilation_space(tmp_path, monkeypatch,
+                                                                 capsys):
+    # d = 8 and member dims (3, 4, 3): no np.linalg call may see a matrix side
+    # above max(d, 3 + 4 + 3) = 10, where the dilation space C^{nd} has 24
+    gen = np.random.default_rng(7)
+    S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (3, 4, 3)])
+    members = tmp_path / "members.json"
+    members.write_text(json.dumps(ss.system_to_json(S)))
+    shapes = []
+    for name in ("svd", "eigh", "eigvalsh", "eigvals", "norm", "lstsq", "pinv", "inv",
+                 "solve", "qr", "cholesky"):
+        def recorded(a, *rest, _routine=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _routine(a, *rest, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    for argv in (["system", "--members", str(members), "--alpha", "1,2,3"],
+                 ["reduce", "--members", str(members), "--mode", "preserve-sum"]):
+        assert _run(argv, capsys)[0] == 0
+    assert shapes and max(max(shape[-2:], default=0) for shape in shapes) <= 10
 
 
 def test_verbose_lists_each_margin_on_stderr_only(pair_files, tmp_path, capsys):

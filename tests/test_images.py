@@ -237,6 +237,15 @@ def test_ibap_check_orthogonal_decomposition():
     assert rep.all_satisfied()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_ibap_joint_epsilon_is_sigma_min_at_extreme_scales(scale):
+    # sigma_min itself: its square would overflow at 1e170 and underflow at 1e-170
+    S = ss.SubspaceSystem(2, [ss.from_spanning(np.eye(2)[:, [0]])])
+    F = ss.OperatorFamily(2, [np.diag([scale, 0.0])])
+    assert ss.ibap_check(S, F).margin("joint_epsilon") == scale
+
+
 def test_ibap_check_rejects_range_violation():
     e = np.eye(2, dtype=complex)
     S = ss.SubspaceSystem(2, [ss.from_spanning(e[:, [0]]),

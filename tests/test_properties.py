@@ -19,7 +19,11 @@ per-point and per-word loops they replaced, and the one-factorization
 operator-range analyses with the formulas they replaced: ``pinv(B) A`` for
 ``douglas_factor``, the SVD of the matrix square root for ``sum_of_images``
 and the n^2-product sum for ``m_membership_identity``.  ``reduce_system``
-must keep the sum of systems with planted dependencies, and ``sum_as_two``
+must keep the sum of systems with planted dependencies, ``reduce_preserving_sum``
+must give what its construction in C^{nd} gave, the ``system`` command's
+closed-form dilation spectrum must match the eigenvalues of the dense
+P_delta P_Htilde P_delta on members that overlap inside a proper subspace,
+and ``sum_as_two``
 must split exactly the sum of a block whose members overlap inside a planted
 subspace, with a tilted line down to 1e-7 outside it; on block systems whose
 shape, rank and number of small directions change with k, the stacked
@@ -46,7 +50,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sumspaces as ss
-from sumspaces import numerics, systems
+from sumspaces import numerics, reduction, systems
 from sumspaces.cli import main
 from sumspaces.errors import GapTooSmall, HypothesisViolated
 from sumspaces.subspaces import equal, principal_pairs, principal_values
@@ -526,6 +530,87 @@ def test_reduce_system_keeps_the_sum_on_planted_dependencies(d, n, seed):
     reduced = np.hstack([m.basis for m in res.reduced.members])
     original = _projector_of_span(np.hstack(spans))
     assert np.linalg.norm(_projector_of_span(reduced) - original, 2) <= 1e-8
+
+
+def _overlapping_system(rng, d, n):
+    """n members of dimension 1-3 inside a planted proper subspace U of C^d,
+    so that sum P has a kernel; every member after the first holds the first
+    member's first vector, and a member may repeat an earlier one."""
+    U = _orthonormal(rng, d, int(rng.integers(1, d)))
+    spans = [U @ _orthonormal(rng, U.shape[1], int(rng.integers(1, min(3, U.shape[1]) + 1)))]
+    for _ in range(n - 1):
+        if rng.integers(4) == 0:
+            spans.append(spans[int(rng.integers(len(spans)))])
+        else:
+            extra = U @ (rng.normal(size=(U.shape[1], int(rng.integers(0, 3)))) + 0j)
+            spans.append(np.hstack([spans[0][:, :1], extra]))
+    return ss.SubspaceSystem(d, [ss.from_spanning(X) for X in spans])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(2, 7), st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_system_dilation_spectrum_matches_the_dense_dilation(d, n, seed):
+    """The CLI's closed form {0}^{(n-1)d} U sigma(sum P)/n against the
+    ascending eigenvalues of the dense P_delta P_Htilde P_delta."""
+    system = ss.system_to_json(_overlapping_system(np.random.default_rng(seed), d, n))
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/members.json", "w") as fh:
+            json.dump(system, fh)
+        with contextlib.redirect_stdout(out):
+            assert main(["system", "--members", f"{tmp}/members.json"]) == 0
+    got = np.array(json.loads(out.getvalue())["dilation_spectrum"])
+    P_delta, P_H = systems.dilation(ss.system_from_json(system))  # as the CLI decodes it
+    dense = np.linalg.eigvalsh(P_delta @ P_H @ P_delta)
+    assert got.shape == dense.shape and np.max(np.abs(got - dense)) <= 1e-12
+
+
+def _dilated_reduce_preserving_sum(S, tol=ss.DEFAULT_TOL):
+    """``reduce_preserving_sum`` built in C^{nd}: the block copies Htilde_k,
+    Delta0 + Htilde_1 re-orthonormalized from diag(B_k) times the kernel of
+    (I - P_1)[B_1 ... B_n], and each reduced block pulled back by its rows."""
+    n, d = len(S), S.ambient_dim
+    tilde = []
+    for k, m in enumerate(S.members):
+        B = np.zeros((n * d, m.dim), dtype=complex)
+        B[k * d:(k + 1) * d] = m.basis
+        tilde.append(ss.Subspace(n * d, B))
+    summap = np.hstack([m.basis for m in S.members])
+    _, s, Vh = np.linalg.svd((np.eye(d) - S.members[0].projector()) @ summap)
+    N = Vh.conj().T[:, numerics.numerical_rank(s, tol, scale=1.0):]
+    G1 = ss.from_spanning(np.hstack([t.basis for t in tilde]) @ N, n * d, tol)
+    embedded = ss.SubspaceSystem(n * d, [G1] + tilde[1:])
+    inner, _, eps, rhs, slack = reduction._certified_core(
+        embedded, ss.sum_span(embedded.members, tol), tol)
+    reduced = [S.members[0]] + [ss.from_spanning(M.basis[k * d:(k + 1) * d], d, tol, scale=1.0)
+                                for k, M in enumerate(inner[1:], start=1)]
+    return reduction._assemble(reduced, [1.0] * n, eps, rhs, slack,
+                               ss.sum_span(S.members, tol), ss.MarginReport(), tol)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(3, 8), st.integers(2, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_reduce_preserving_sum_matches_the_dilated_construction(d, n, overlapping, seed):
+    """On random systems and on overlapping ones, the reduction in the
+    coordinates of diag(B_k) gives what the C^{nd} construction gave."""
+    rng = np.random.default_rng(seed)
+    S = _overlapping_system(rng, d, n) if overlapping else ss.SubspaceSystem(
+        d, [ss.from_spanning(_orthonormal(rng, d, int(rng.integers(1, d)))) for _ in range(n)])
+    try:
+        old = _dilated_reduce_preserving_sum(S)
+    except GapTooSmall:
+        with pytest.raises(GapTooSmall):
+            ss.reduce_preserving_sum(S)
+        return
+    new = ss.reduce_preserving_sum(S)
+    assert [m.dim for m in new.reduced.members] == [m.dim for m in old.reduced.members]
+    for a, b in zip(new.reduced.members, old.reduced.members):
+        assert np.linalg.norm(a.projector() - b.projector(), 2) <= 1e-10
+    for name in ("epsilon", "rhs", "certificate_slack"):
+        assert abs(getattr(new, name) - getattr(old, name)) <= 1e-10, name
+    assert new.sum_preserved == old.sum_preserved
+    assert [(e.criterion, e.verdict) for e in new.report.entries] == \
+        [(e.criterion, e.verdict) for e in old.report.entries]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -181,8 +181,8 @@ def _count_factorizations(monkeypatch):
 
 
 @pytest.mark.parametrize("reduce, expected",
-                         [(ss.reduce_system, {"svd": 9, "eigvalsh": 2}),
-                          (ss.reduce_preserving_sum, {"svd": 14, "eigvalsh": 2})],
+                         [(ss.reduce_system, {"svd": 8, "eigvalsh": 2}),
+                          (ss.reduce_preserving_sum, {"svd": 11, "eigvalsh": 2})],
                          ids=["system", "preserve_sum"])
 def test_reduction_factorization_counts(reduce, expected, monkeypatch):
     # each decomposition once: one gap, one certificate slack, no discarded
