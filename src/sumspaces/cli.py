@@ -27,14 +27,8 @@ from . import blockmodel, images, paircalc, pairs, reduction, subspaces, systems
 
 
 def _load_json(path: str) -> dict:
-    enabled = gc.isenabled()
-    gc.disable()  # json.load builds an acyclic tree: a collection would free nothing
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    finally:
-        if enabled:
-            gc.enable()
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise MalformedInput(f"{path}: top level is not a JSON object")
     return data
@@ -332,9 +326,11 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
+    enabled = gc.isenabled()
     try:
         args = _parse(argv)
         tol = Tolerances(args.rank_tol, args.eig_tol, args.margin_tol)
+        gc.disable()  # decoded JSON and the arrays made from it hold no cycles to collect
         report = COMMANDS[args.command][1](args, tol)
     except (OSError, json.JSONDecodeError, KeyError, MalformedInput) as exc:
         _emit_error(exc)
@@ -342,6 +338,9 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, SumspacesError, ValueError, OverflowError) as exc:
         _emit_error(exc)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
     report["provenance"] = {"version": __version__, "tolerances": vars(tol), "seed": args.seed}
     _emit(report, args)
     return 0

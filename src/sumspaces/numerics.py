@@ -13,13 +13,15 @@ numerical policy wrapped around each decomposition:
   ``Tolerances.zero_cutoff`` = 100 * eig_tol;
 - independence: sigma_min of stacked bases, 1 with no columns, 0 when wide;
 - graphs: connectivity and spanning forests from one breadth-first search;
-- errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow;
+- orthonormal bases: ``qr`` once both sides exceed 16, else ``thin_svd`` (``from_spanning``);
+- errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow, and so
+  does a non-finite QR factor R or singular value (never read as rank 0);
 - the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
   dimensions, positive ambient dimensions.
 
 Functions of a matrix, inverses, spectral projectors, range bases and smallest
 nonzero singular values are not wrapped here: each caller forms them from its
-own single ``eig_hermitian`` or ``thin_svd`` and the shared ``numerical_rank``
+own single ``eig_hermitian``, ``thin_svd`` or ``qr`` and the shared ``numerical_rank``
 cutoff, so a matrix is factored once per analysis.
 """
 
@@ -68,11 +70,11 @@ class HermitianSpectrum:
     eigenvectors: np.ndarray
 
 
-def _refuse_overflow(M: np.ndarray, what: str) -> None:
-    """ComputationFailed when M holds an inf, which finite inputs reach only by overflow."""
-    if np.isinf(M).any():
+def _refuse_overflow(M: np.ndarray, what: str, nan_too: bool = False) -> None:
+    """ComputationFailed when M holds an inf (or with ``nan_too`` a NaN): an overflow."""
+    if (not np.isfinite(M).all()) if nan_too else np.isinf(M).any():
         raise ComputationFailed(f"overflow: entries too large for double precision "
-                                f"made the {what} input infinite")
+                                f"made the {what} non-finite")
 
 
 def _lapack(routine, *args, **kwargs):
@@ -80,7 +82,7 @@ def _lapack(routine, *args, **kwargs):
     try:
         return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        _refuse_overflow(args[0], routine.__name__)
+        _refuse_overflow(args[0], f"{routine.__name__} input")
         raise ComputationFailed(str(exc)) from exc
 
 
@@ -110,7 +112,7 @@ def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:
         size = np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1)))
         failed = asym[~(asym <= tol.eig_tol * size)]
     if len(failed):
-        _refuse_overflow(M, "Hermitian eigensolver")
+        _refuse_overflow(M, "Hermitian eigensolver input")
         raise NotHermitian(f"asymmetry {failed[0]:.3e} exceeds tolerance")
     return hermitize(M)
 
@@ -153,6 +155,13 @@ def thin_svd(M: np.ndarray):
     return U, s, Vh.conj().swapaxes(-1, -2)
 
 
+def qr(M: np.ndarray):
+    """Reduced QR of an m x n matrix: Q with min(m, n) orthonormal columns, and R."""
+    Q, R = _lapack(np.linalg.qr, M)
+    _refuse_overflow(R, "QR factor R", nan_too=True)
+    return Q, R
+
+
 def singular_values(M: np.ndarray) -> np.ndarray:
     """Descending singular values, min(m, n) of them per matrix of a (..., m, n) stack."""
     return _lapack(np.linalg.svd, M, compute_uv=False)
@@ -160,10 +169,13 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 
 def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale: float | None = None):
     """Count of descending singular values above rank_tol times the largest, or
-    times ``scale`` when that is larger; one count per row of a stack."""
+    times ``scale`` when that is larger; one count per row of a stack.  A
+    non-finite value, which only an overflow gives, is refused, not read as rank 0."""
     s = np.asarray(s)
     reference = s[..., :1] if scale is None else np.maximum(s[..., :1], scale)
     counts = (s > tol.rank_tol * reference).sum(axis=-1)
+    if s.ndim > 1 or counts < s.shape[-1]:  # all counted: no NaN and a finite top
+        _refuse_overflow(s, "singular values", nan_too=True)
     return counts if s.ndim > 1 else int(counts)
 
 

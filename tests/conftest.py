@@ -98,8 +98,8 @@ def random_search_min(f, dim, rng, samples=10 ** 5):
 def _count_lapack(monkeypatch, fn, *args):
     """Calls of fn into np.linalg: full SVDs ("svd"), reduced ones
     (full_matrices=False, "svd_thin"), singular-value-only SVDs ("svdvals"),
-    "eigh", "eigvalsh", "eigvals" (as ``polyroots`` calls it), "norm", "lstsq"
-    and "pinv" (whose own SVD is not seen as "svd")."""
+    "qr", "eigh", "eigvalsh", "eigvals" (as ``polyroots`` calls it), "norm",
+    "lstsq" and "pinv" (whose own SVD is not seen as "svd")."""
     calls = collections.Counter()
 
     def counting(name, routine):
@@ -116,7 +116,7 @@ def _count_lapack(monkeypatch, fn, *args):
         return counted
 
     with monkeypatch.context() as patch:
-        for name in ("svd", "eigh", "eigvalsh", "eigvals", "norm", "lstsq", "pinv"):
+        for name in ("svd", "qr", "eigh", "eigvalsh", "eigvals", "norm", "lstsq", "pinv"):
             patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         fn(*args)
     return calls

@@ -252,9 +252,11 @@ def test_main_restores_the_collector_state(enabled, malformed, pair_files, tmp_p
     if malformed:  # the error is raised inside json.load
         b = tmp_path / "bad.json"
         b.write_text("{not json")
-    parsing = []
-    load = json.load
+    parsing, analysing = [], []
+    load, report = json.load, ss.pairs.pair_report
     monkeypatch.setattr(json, "load", lambda fh: parsing.append(gc.isenabled()) or load(fh))
+    monkeypatch.setattr(ss.pairs, "pair_report",
+                        lambda *args: analysing.append(gc.isenabled()) or report(*args))
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -264,6 +266,7 @@ def test_main_restores_the_collector_state(enabled, malformed, pair_files, tmp_p
         (gc.enable if was else gc.disable)()
     assert code == (3 if malformed else 0)
     assert parsing == [False, False]  # no collection while a file is parsed
+    assert analysing == ([] if malformed else [False])  # nor while it is analysed
 
 
 def test_precondition_error_is_exit_2(tmp_path, capsys):
@@ -485,6 +488,28 @@ def test_overflowing_operator_entry_is_named(analysis, error, tmp_path, capsys):
     assert code == 2
     assert report["error"]["type"] == error
     assert "overflow" in f"{error} {report['error']['message']}".lower()
+
+
+@pytest.mark.parametrize("d, r", [(8, 4), (64, 32)], ids=["thin_svd", "qr"])
+def test_overflowing_subspace_is_refused_not_read_as_zero(d, r, tmp_path, capsys):
+    """Finite vectors, doubled until their singular values overflow: exit 2
+    with ComputationFailed naming the overflow, on either side of the QR size
+    rule, never the zero subspace with every independent_pair margin satisfied."""
+    assert (min(d, r) > ss.subspaces.QR_MIN_SIDE) == (d == 64)
+    rng = np.random.default_rng(d)
+    V = (rng.uniform(-1, 1, (d, r)) + 1j * rng.uniform(-1, 1, (d, r))) * 1e300
+    with np.errstate(all="ignore"):
+        while np.isfinite(np.linalg.svd(V, compute_uv=False)).all():
+            V *= 2
+    assert np.isfinite(V.view(float)).all()
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ambient_dim": d, "vectors": [[[z.real, z.imag] for z in col]
+                                                             for col in V.T]}))
+    with np.errstate(all="ignore"):
+        code, report = _run(["pair", "--a", str(path), "--b", str(path)], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ComputationFailed"
+    assert "overflow" in report["error"]["message"]
 
 
 BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import _count_lapack
 from sumspaces import numerics
-from sumspaces.errors import NonSquare, NotHermitian
+from sumspaces.errors import ComputationFailed, NonSquare, NotHermitian
 
 # both Hermitian eigen entry points share one validation and symmetrization
 EIGEN_PATHS = pytest.mark.parametrize(
@@ -112,6 +112,49 @@ def test_numerical_rank_scale_and_stacked_rows():
     assert numerics.numerical_rank(s).tolist() == [2, 0, 3]
     assert numerics.numerical_rank(s, scale=1e8).tolist() == [1, 0, 2]
     assert numerics.numerical_rank(np.zeros((4, 0))).tolist() == [0] * 4
+
+
+def test_numerical_rank_refuses_non_finite_values():
+    # an overflowed sigma_1 = inf would otherwise count nothing above rank_tol * inf
+    for s in ([np.inf, 1.0], [np.nan, 1.0], [1.0, np.nan], [[1.0, 0.5], [np.inf, 1.0]]):
+        with pytest.raises(ComputationFailed, match="overflow"):
+            numerics.numerical_rank(np.array(s))
+        with pytest.raises(ComputationFailed, match="overflow"):
+            numerics.numerical_rank(np.array(s), scale=1.0)
+
+
+# each LAPACK entry of the kernel and the numpy.linalg routine it calls
+KERNEL_ENTRIES = pytest.mark.parametrize("entry, routine", [
+    (numerics.svd, "svd"), (numerics.thin_svd, "svd"), (numerics.singular_values, "svd"),
+    (numerics.qr, "qr"), (numerics.eig_hermitian, "eigh"),
+    (lambda M: numerics.hermitian_eigenvalues(M, numerics.DEFAULT_TOL), "eigvalsh"),
+    (numerics.operator_norm, "norm")],
+    ids=["svd", "thin_svd", "singular_values", "qr", "eig_hermitian",
+         "hermitian_eigenvalues", "operator_norm"])
+
+
+@KERNEL_ENTRIES
+@pytest.mark.parametrize("overflowed", [False, True], ids=["finite", "inf"])
+def test_a_lapack_failure_is_computation_failed(entry, routine, overflowed, monkeypatch):
+    """A LinAlgError becomes ComputationFailed with LAPACK's message, or one
+    that names the overflow when the input holds an inf (as LAPACK itself
+    may never return on one, the failure is planted)."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(np.linalg, routine, fail)
+    M = np.eye(3, dtype=complex)
+    M[0, 0] = np.inf if overflowed else 2.0
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ComputationFailed, match="overflow" if overflowed else "did not converge"):
+        entry(M)
+
+
+def test_qr_refuses_an_overflowed_r():
+    # finite entries, but the column norm 2.1e308 is past the double range
+    with np.errstate(all="ignore"), pytest.raises(ComputationFailed, match="overflow"):
+        numerics.qr(np.full((2, 1), 1.5e308, dtype=complex))
+    Q, R = numerics.qr(np.full((2, 1), 1e308, dtype=complex))
+    assert np.isfinite(R).all() and abs(abs(R[0, 0]) - 2 ** 0.5 * 1e308) <= 1e293
 
 
 @pytest.mark.parametrize("path", [numerics.svd, numerics.thin_svd], ids=["svd", "thin_svd"])

@@ -80,6 +80,19 @@ def test_pair_request_runs_the_values_kernel_once(monkeypatch, tmp_path, capsys)
         "k_dim": 2}
 
 
+def test_pair_request_above_the_qr_size_decodes_by_qr(monkeypatch, tmp_path, capsys, rng):
+    # d = 64 with 24 and 40 vectors: both sides exceed QR_MIN_SIDE, so each
+    # decode takes a QR and sigma(R), then one principal_values run
+    paths = []
+    for name, r in zip("ab", (24, 40)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(ss.subspace_to_json(random_subspace(rng, 64, r))))
+    argv = ["pair", "--a", str(paths[0]), "--b", str(paths[1])]
+    assert _count_lapack(monkeypatch, main, argv) == {"qr": 2, "svdvals": 4}
+    assert json.loads(capsys.readouterr().out)["margins"]["pair_criteria"]["extras"] == {
+        "k_dim": 24}
+
+
 def test_a_eigenvalues_strictly_inside_unit_interval(rng):
     for _ in range(20):
         H1, H2 = random_pair(rng)

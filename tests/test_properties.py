@@ -14,6 +14,9 @@ The closed-form ``closed_range_margin`` of ``calculus_criteria`` is compared
 with the SVD of ``build_b`` on the same pairs, and its exact F != 0 check
 must refuse roots planted between the points of the 1001-point grid it
 replaced.
+``from_spanning`` on inputs whose both sides exceed ``QR_MIN_SIDE`` (its QR
+path) is compared with a numpy SVD of the same vectors, with singular values
+planted zero and on either side of the rank cutoff.
 The array paths of ``spectrum_of_b`` and ``p_radius`` are compared with the
 per-point and per-word loops they replaced, and the one-factorization
 operator-range analyses with the formulas they replaced: ``pinv(B) A`` for
@@ -53,7 +56,7 @@ import sumspaces as ss
 from sumspaces import numerics, reduction, systems
 from sumspaces.cli import main
 from sumspaces.errors import GapTooSmall, HypothesisViolated
-from sumspaces.subspaces import equal, principal_pairs, principal_values
+from sumspaces.subspaces import QR_MIN_SIDE, equal, principal_pairs, principal_values
 
 SAMPLES = 1024  # random phase vectors in the sampled oracle
 RANK_TOL = ss.DEFAULT_TOL.rank_tol
@@ -446,6 +449,30 @@ def test_douglas_factor_matches_pinv(d, r, seed):
     norm = np.linalg.norm(expected, 2)
     assert np.linalg.norm(C - expected, 2) <= 1e-12 * norm
     assert abs(lam - norm ** 2) <= 1e-12 * norm ** 2
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(QR_MIN_SIDE + 1, 64), st.integers(QR_MIN_SIDE + 1, 64),
+       st.sampled_from([0.0, 1e-11, 1e-9, 1e-7]), st.sampled_from([1.0, 1e-6, 1e-12]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_from_spanning_by_qr_matches_the_svd(m, n, ratio, size, scaled, seed):
+    # V = X diag(s) Y* of size * [1, k - 1 values in [0.5, 1], ratio on the rest]:
+    # every singular value sits 10x or more from the cutoff, with or without scale
+    rng = np.random.default_rng(seed)
+    p = min(m, n)
+    k = int(rng.integers(1, p + 1))
+    s = size * np.concatenate([[1.0], rng.uniform(0.5, 1.0, k - 1), np.full(p - k, ratio)])
+    V = (_unitary(rng, m)[:, :p] * s) @ _unitary(rng, n)[:, :p].conj().T
+    scale = 1.0 if scaled else None
+    B = ss.from_spanning(V, scale=scale).basis
+    U, sv, _ = np.linalg.svd(V, full_matrices=False)
+    r = int(np.sum(sv > RANK_TOL * max(sv[0], scale or 0.0)))
+    assert B.shape == (m, r)
+    assert np.abs(B.conj().T @ B - np.eye(r)).max(initial=0.0) <= 1e-13
+    if r:  # a kept sigma_r fixes its direction only to eps * sigma_1 / sigma_r (Wedin),
+        # in the oracle's SVD as in the QR, so tall inputs keeping 1e-9 get that slack
+        dist = np.linalg.norm(B @ B.conj().T - U[:, :r] @ U[:, :r].conj().T, 2)
+        assert dist <= 1e-12 + 1e-14 * sv[0] / sv[r - 1]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
