@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownFamily
-from .numerics import (DEFAULT_TOL, Tolerances, line_fit, numerical_rank, operator_norm,
-                       psd_gap, thin_svd)
+from .numerics import (DEFAULT_TOL, Tolerances, gram_gap, line_fit, numerical_rank,
+                       operator_norm, thin_svd)
 from .reports import MarginReport
 from .subspaces import Subspace, SubspaceSystem, from_spanning
 
@@ -23,9 +23,8 @@ from .subspaces import Subspace, SubspaceSystem, from_spanning
 @dataclass
 class BlockSystem:
     """Deterministic generator k -> SubspaceSystem; each call builds block k
-    afresh.  ``certify`` keeps one slab of block sums alive at a time;
-    ``sum_as_two`` keeps the stacked member bases of every block of its
-    horizon."""
+    afresh.  ``certify`` keeps the stacked member bases of one slab of blocks
+    alive at a time; ``sum_as_two`` those of every block of its horizon."""
 
     generator: object  # callable k >= 1 -> SubspaceSystem
     n_members: int
@@ -48,7 +47,7 @@ class ClosednessVerdict:
     horizon: int
 
 
-SLAB = 64  # blocks per stacked eigensolve in certify; bounds its transient memory
+SLAB = 64  # blocks per stacked SVD in certify; bounds its transient memory
 
 
 def certify(BS: BlockSystem, subset, K: int,
@@ -57,8 +56,9 @@ def certify(BS: BlockSystem, subset, K: int,
 
     The trend is a least-squares slope of log gap vs log k over the top half
     of the horizon; "closed_on_horizon" never claims closedness of the true
-    infinite object.  The block sums are collected SLAB blocks at a time,
-    and each shape within a slab takes one stacked ``psd_gap``.
+    infinite object.  A block's gap is ``gram_gap`` of its subset's member
+    bases side by side; the factors are collected SLAB blocks at a time, and
+    each shape within a slab takes one stacked SVD.
     """
     if K < 1:
         raise ValueError(f"horizon must be at least 1, got {K}")
@@ -68,10 +68,10 @@ def certify(BS: BlockSystem, subset, K: int,
     gaps = []
     for start in range(1, K + 1, SLAB):
         blocks = map(BS.block, range(start, min(start + SLAB, K + 1)))
-        sums = [sum(block.members[j - 1].projector() for j in subset) for block in blocks]
-        slab = np.empty(len(sums))
-        for _, rows in _groups(total.shape for total in sums):
-            slab[rows] = psd_gap(np.stack([sums[i] for i in rows]), tol)[0]
+        factors = [np.hstack([block.members[j - 1].basis for j in subset]) for block in blocks]
+        slab = np.empty(len(factors))
+        for _, rows in _groups(C.shape for C in factors):
+            slab[rows] = gram_gap(np.stack([factors[i] for i in rows]), tol)[0]
         gaps += slab.tolist()
     finite = [g for g in gaps if np.isfinite(g)]
     inf_gap = min(finite) if finite else float("inf")

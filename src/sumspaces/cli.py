@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import MalformedInput, SumspacesError
 from .numerics import (DEFAULT_TOL, Tolerances, complex_to_json,
-                       dimension_from_json, hermitian_eigenvalues, real_from_json)
+                       dimension_from_json, real_from_json, singular_values)
 from .reports import MarginReport
 from . import blockmodel, images, paircalc, pairs, reduction, subspaces, systems
 
@@ -111,16 +111,18 @@ def _cmd_calculus(args, tol):
 
 def _cmd_system(args, tol):
     S = subspaces.system_from_json(_load_json(args.members), tol)
+    s = singular_values(np.hstack([m.basis for m in S.members]))  # sigma(C), C = [B1 ... Bn]
     out = {
         "request": {"command": "system", "members": args.members},
-        "margins": {"sum_gap": systems.sum_gap(S, tol)},
+        "margins": {"sum_gap": systems.sum_gap(S, tol, s)},
     }
-    # sigma(P_delta P_Htilde P_delta) of ``systems.dilation``, in closed form
-    w = hermitian_eigenvalues(sum(S.projectors()), tol) / len(S)
-    out["dilation_spectrum"] = np.sort(np.append(np.zeros((len(S) - 1) * S.ambient_dim), w))
+    # sigma(P_delta P_Htilde P_delta) of ``systems.dilation``, in closed form: {0}^{(n-1)d}
+    # and sigma(sum P) = sigma(C)^2 zero-padded to d, over n
+    zeros = np.zeros(len(S) * S.ambient_dim - len(s))
+    out["dilation_spectrum"] = np.sort(np.append(zeros, s ** 2 / len(S)))
     if args.alpha:
         alpha = [float(a) for a in args.alpha.split(",")]
-        out["margins"]["linear_combination"] = systems.linear_combination_check(S, alpha, tol)
+        out["margins"]["linear_combination"] = systems.linear_combination_check(S, alpha, tol, s)
     return out
 
 

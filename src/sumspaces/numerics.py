@@ -4,13 +4,15 @@ This is the only module that calls LAPACK, and the only home of the
 numerical policy wrapped around each decomposition:
 
 - tolerances: strictly positive and finite;
-- Hermitian input: square shape, asymmetry ||M - M*||_F at most
+- Hermitian input: one square matrix, asymmetry ||M - M*||_F at most
   eig_tol * max(1, ||M||_F), explicit symmetrization, ascending eigenvalues
   with (``eig_hermitian``) or without (``hermitian_eigenvalues``) vectors;
-  a (..., n, n) stack is checked matrix by matrix and factored in one call;
 - rank: singular values above rank_tol times the largest one (or a larger scale);
-- zero: eigenvalues of a positive semidefinite matrix at or below
-  ``Tolerances.zero_cutoff`` = 100 * eig_tol;
+- sums of ranges: the gap of CC* (P_1 + ... + P_n for C = [B_1 ... B_n]) is sigma_r(C)^2,
+  r = numerical_rank(sigma, scale=1.0) (``gram_gap``): a cutoff at rank_tol, not its root;
+- zero: eigenvalues of a positive semidefinite matrix with no factor at hand, at or
+  below ``Tolerances.zero_cutoff`` = 100 * eig_tol: ``images``' sum gap (``psd_gap``),
+  ``paircalc``'s punctured-disk margin and the modulus descent's simplicity tests;
 - independence: sigma_min of stacked bases, 1 with no columns, 0 when wide;
 - graphs: connectivity and spanning forests from one breadth-first search;
 - orthonormal bases: ``qr`` once both sides exceed 16, else ``thin_svd`` (``from_spanning``);
@@ -86,12 +88,6 @@ def _lapack(routine, *args, **kwargs):
         raise ComputationFailed(str(exc)) from exc
 
 
-def hermitize(M: np.ndarray) -> np.ndarray:
-    """Explicit symmetrization (M + M*)/2, of each matrix of a (..., n, n)
-    stack; stops drift accumulation."""
-    return (M + M.conj().swapaxes(-1, -2)) / 2.0
-
-
 def operator_norm(M: np.ndarray):
     """Spectral norm, one per matrix of a (..., m, n) stack; 0 for empty matrices."""
     norms = _lapack(np.linalg.norm, M, 2, axis=(-2, -1)) if M.size else np.zeros(M.shape[:-2])
@@ -99,22 +95,16 @@ def operator_norm(M: np.ndarray):
 
 
 def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Validated, symmetrized copy of a square, numerically Hermitian matrix,
-    or of a (..., n, n) stack of them, each matrix checked on its own."""
+    """Validated copy of a square, numerically Hermitian matrix, explicitly
+    symmetrized to stop drift accumulation."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonSquare(f"expected square matrix, got shape {M.shape}")
-    if M.ndim == 2:  # one matrix: plain norms, cheaper than the axis= form
-        asym = np.linalg.norm(M - M.conj().T)
-        failed = [] if asym <= tol.eig_tol * max(1.0, np.linalg.norm(M)) else [asym]
-    else:
-        asym = np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=(-2, -1))
-        size = np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1)))
-        failed = asym[~(asym <= tol.eig_tol * size)]
-    if len(failed):
+    asym = np.linalg.norm(M - M.conj().T)
+    if not asym <= tol.eig_tol * max(1.0, np.linalg.norm(M)):  # NaN fails
         _refuse_overflow(M, "Hermitian eigensolver input")
-        raise NotHermitian(f"asymmetry {failed[0]:.3e} exceeds tolerance")
-    return hermitize(M)
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
+    return (M + M.conj().T) / 2.0
 
 
 def eig_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianSpectrum:
@@ -123,22 +113,16 @@ def eig_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianSpec
 
 
 def hermitian_eigenvalues(M: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors; one
-    row per matrix of a (..., n, n) stack."""
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors."""
     return _lapack(np.linalg.eigvalsh, _hermitian(M, tol))
 
 
 def psd_gap(M: np.ndarray, tol: Tolerances):
-    """Smallest eigenvalue above ``tol.zero_cutoff`` (+inf when there is none)
-    and the number of eigenvalues at or below it: a (float, int) for a matrix,
-    two arrays for a (..., n, n) stack."""
+    """Smallest eigenvalue of a positive semidefinite matrix above
+    ``tol.zero_cutoff`` (+inf when there is none) and the number at or below it."""
     w = hermitian_eigenvalues(M, tol)
-    kernel = w <= tol.zero_cutoff
-    if w.ndim == 1:
-        kernel_dim = int(np.sum(kernel))
-        gap = float(w[kernel_dim]) if kernel_dim < len(w) else float("inf")
-        return gap, kernel_dim
-    return np.where(kernel, np.inf, w).min(axis=-1, initial=np.inf), kernel.sum(axis=-1)
+    kernel_dim = int(np.sum(w <= tol.zero_cutoff))
+    return (float(w[kernel_dim]) if kernel_dim < len(w) else float("inf")), kernel_dim
 
 
 def svd(M: np.ndarray):
@@ -179,17 +163,29 @@ def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale: float | 
     return counts if s.ndim > 1 else int(counts)
 
 
-def independence_sigma(stacked: np.ndarray) -> float:
-    """Smallest singular value of the columns stacked side by side: 1 if there
-    are none, 0 if there are more columns than rows.  For orthonormal member
-    bases its square is the best eps in ||sum x_i||^2 >= eps sum ||x_i||^2
-    (the block Gram's smallest eigenvalue)."""
+def gram_gap(C: np.ndarray, tol: Tolerances, s: np.ndarray | None = None):
+    """Gap of CC* above 0 and its kernel dimension, for a d x m factor C or each
+    of a (..., d, m) stack, from one values-only SVD (none when the caller passes
+    sigma(C) as ``s``): sigma_r^2 with r = numerical_rank(sigma, tol, scale=1.0),
+    +inf when r = 0, and d - r.  A (float, int) for a factor, two arrays for a stack."""
+    s = singular_values(C) if s is None else s
+    r = numerical_rank(s, tol, scale=1.0)
+    s = np.concatenate([np.full(s.shape[:-1] + (1,), np.inf), s], axis=-1)  # s[r] = sigma_r
+    gap = np.take_along_axis(s, np.expand_dims(r, -1), axis=-1)[..., 0] ** 2
+    return (float(gap), C.shape[-2] - r) if s.ndim == 1 else (gap, C.shape[-2] - r)
+
+
+def independence_sigma(stacked: np.ndarray, s: np.ndarray | None = None) -> float:
+    """Smallest singular value of the columns stacked side by side (from ``s``,
+    when given): 1 if there are none, 0 if there are more columns than rows.
+    For orthonormal member bases its square is the best eps in
+    ||sum x_i||^2 >= eps sum ||x_i||^2 (the block Gram's smallest eigenvalue)."""
     rows, cols = stacked.shape
     if cols == 0:
         return 1.0
     if cols > rows:
         return 0.0
-    return float(singular_values(stacked)[-1])
+    return float((singular_values(stacked) if s is None else s)[-1])
 
 
 def polynomial_roots(c: np.ndarray) -> np.ndarray:

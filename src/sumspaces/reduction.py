@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
                      NotIndependent, SumNotFull)
-from .numerics import (DEFAULT_TOL, Tolerances, hermitian_eigenvalues, independence_sigma,
-                       numerical_rank, psd_gap, singular_values, svd, thin_svd)
+from .numerics import (DEFAULT_TOL, Tolerances, gram_gap, hermitian_eigenvalues,
+                       independence_sigma, numerical_rank, singular_values, svd, thin_svd)
 from .reports import MarginReport
 from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, full_space,
                         intersect, subtract, sum_span)
@@ -160,7 +160,7 @@ def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
     P1, P2, PM2 = H1.projector(), H2.projector(), M2.projector()
     report = MarginReport()
     report.extras["delta"] = delta
-    closed_gap, _ = psd_gap(P1 + PM2, tol)
+    closed_gap, _ = gram_gap(np.hstack([H1.basis, M2.basis]), tol)
     report.add("closed_margin", closed_gap, tol.margin_tol,
                vacuous=np.isinf(closed_gap))
     dom = 3 * (P1 + PM2) + eps * np.eye(d) - P1 - P2
@@ -206,17 +206,15 @@ def c_constant(n: int) -> Fraction:
 
 
 def _certified_core(S: SubspaceSystem, span: Subspace, tol: Tolerances):
-    """The reduction theorem on S: the gap eps of sum P_k, the recursion and
-    the certificate slack on ``span``, the sum of S.
+    """The reduction theorem on S: the gap eps of sum P_k (``gram_gap``), the
+    recursion and the certificate slack on ``span``, the sum of S.
 
     Returns (reduced members, weights, eps, rhs, slack).
     """
     d = S.ambient_dim
-    eps, _ = psd_gap(sum(S.projectors()), tol)
-    if not np.isfinite(eps) or eps <= tol.margin_tol:
-        if np.isinf(eps):
-            eps = 0.0
-        raise GapTooSmall(f"gap {eps} below margin_tol")
+    eps, _ = gram_gap(np.hstack([m.basis for m in S.members]), tol)
+    if not tol.margin_tol < eps < np.inf:
+        raise GapTooSmall(f"gap {eps if eps < np.inf else 0.0} below margin_tol")
     eps = min(eps, 1.0 - 10 * tol.eig_tol)
     reduced, weights, rhs = _reduce_recursive(list(S.members), eps, tol)
     cert_op = sum(w * m.projector() for w, m in zip(weights, reduced))

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GraphDisconnected, MalformedInput
 from .numerics import (DEFAULT_TOL, Tolerances, dimension_from_json,
-                       eig_hermitian, hermitian_eigenvalues, independence_sigma,
-                       operator_norm, psd_gap, real_from_json, spanning_forest)
+                       eig_hermitian, gram_gap, hermitian_eigenvalues, independence_sigma,
+                       operator_norm, real_from_json, spanning_forest)
 from .reports import MarginReport
 from .subspaces import SubspaceSystem, complement
 
@@ -78,9 +78,11 @@ class WeightedGraph:
                     for i, j, w in edges])
 
 
-def sum_gap(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> MarginReport:
-    """Smallest nonzero eigenvalue of P1+...+Pn, plus the full-sum flag."""
-    gap, kernel_dim = psd_gap(sum(S.projectors()), tol)
+def sum_gap(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL,
+            s: np.ndarray | None = None) -> MarginReport:
+    """Smallest nonzero eigenvalue of P1+...+Pn = CC*, C = [B1 ... Bn], from sigma(C)
+    (``numerics.gram_gap``; ``s`` when given), plus the full-sum flag."""
+    gap, kernel_dim = gram_gap(np.hstack([m.basis for m in S.members]), tol, s)
     report = MarginReport()
     report.add("sum_gap", gap, tol.margin_tol, vacuous=np.isinf(gap))
     report.extras["sum_dim"] = S.ambient_dim - kernel_dim
@@ -259,13 +261,13 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
     return report
 
 
-def linear_combination_check(S: SubspaceSystem, alpha,
-                             tol: Tolerances = DEFAULT_TOL) -> MarginReport:
+def linear_combination_check(S: SubspaceSystem, alpha, tol: Tolerances = DEFAULT_TOL,
+                             s: np.ndarray | None = None) -> MarginReport:
     """Spectral bound for positive combinations of the projectors.
 
     With eps = min eig(sum alpha_i P_i) > 0 and the system independent,
     lambda_max(sum alpha_i P_i) <= sum alpha_i - (n-1) eps.  Reports the
-    slack of that bound.
+    slack of that bound; ``s``, when given, is sigma of the stacked member bases.
     """
     alpha = np.asarray(alpha, dtype=float)
     if len(alpha) != len(S) or not np.all((alpha > 0) & (alpha < np.inf)):  # NaN fails
@@ -278,8 +280,7 @@ def linear_combination_check(S: SubspaceSystem, alpha,
     report.add("combination_bound_slack", slack, tol.margin_tol)
     report.extras["epsilon"] = eps
     report.extras["lambda_max"] = lam_max
-    # independence via the block Gram of the concatenated bases
-    gram_eps = independence_sigma(np.hstack([m.basis for m in S.members])) ** 2
+    gram_eps = independence_sigma(np.hstack([m.basis for m in S.members]), s) ** 2
     report.extras["independence_epsilon"] = gram_eps
     report.extras["applicable"] = bool(eps > tol.margin_tol and gram_eps > tol.margin_tol)
     return report

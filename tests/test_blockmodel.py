@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +8,7 @@ import sumspaces as ss
 from conftest import _count_lapack
 from sumspaces.blockmodel import SLAB
 from sumspaces.errors import UnknownFamily
-from sumspaces.numerics import psd_gap
+from sumspaces.numerics import gram_gap
 
 
 def test_paper_families_members_and_cache():
@@ -118,17 +119,17 @@ FAMILIES = [("one_over_k", {"n": 3}), ("one_over_k", {"n": 4}),
 
 @pytest.mark.parametrize("name, params", FAMILIES)
 def test_certify_takes_one_eigvalsh_per_slab(name, params, monkeypatch):
-    """One stacked eigvalsh per slab of blocks of one shape, no eigh."""
+    """One stacked values-only SVD per slab of blocks of one shape, and no
+    eigh or eigvalsh: an eigenvalue cutoff of 1e-8 on CC* sits at sigma = 1e-4."""
     BS = _prebuilt(ss.paper_families(name, params), 1000)
     for K in (1, 1000):
         counts = _count_lapack(monkeypatch, ss.certify, BS, range(1, BS.n_members + 1), K)
-        assert counts["eigvalsh"] == -(-K // SLAB)  # the number of slabs
-        assert "eigh" not in counts
+        assert counts == {"svdvals": -(-K // SLAB)}  # the number of slabs
 
 
 def _gaps_block_by_block(BS, subset, K, tol=ss.DEFAULT_TOL):
-    """The gaps of blocks 1..K, one 2-D psd_gap call per block."""
-    return [psd_gap(sum(BS.block(k).members[j - 1].projector() for j in subset), tol)[0]
+    """The gaps of blocks 1..K, one gram_gap call on each block's factor."""
+    return [gram_gap(np.hstack([BS.block(k).members[j - 1].basis for j in subset]), tol)[0]
             for k in range(1, K + 1)]
 
 
@@ -159,6 +160,41 @@ def test_certify_gaps_with_alternating_block_shapes(K):
         assert np.isinf(gaps[4]) and np.isfinite(gaps[0])
 
 
+def _oracle_gap(name, n, k):
+    """The gap of block k's vanishing subset at 50 digits, from the family's
+    definition: the smallest eigenvalue of the Gram matrix of its member
+    vectors, which are independent (so the gap of CC* is that of C*C)."""
+    with mpmath.workdps(50):
+        if name == "one_over_k":  # e_1 .. e_{n-1} and (1, ..., 1, 1/k) normalized
+            v = [mpmath.mpf(1)] * (n - 1) + [mpmath.mpf(1) / k]
+            cols = [[mpmath.mpf(i == j) for i in range(n)] for j in range(n - 1)] + [v]
+        else:  # compact_triple {2, 3}: e_1 and (sqrt(1 - a^2), a), a = 1/(k + 1)
+            a = mpmath.mpf(1) / (k + 1)
+            cols = [[mpmath.mpf(1), mpmath.mpf(0)], [mpmath.sqrt(1 - a * a), a]]
+        cols = [[x / mpmath.sqrt(mpmath.fsum(y * y for y in c)) for x in c] for c in cols]
+        gram = mpmath.matrix([[mpmath.fsum(x * y for x, y in zip(b, c)) for c in cols]
+                              for b in cols])
+        return float(min(mpmath.eigsy(gram, eigvals_only=True)))
+
+
+@pytest.mark.parametrize("name, params, subset", [
+    ("one_over_k", {"n": 3}, [1, 2, 3]), ("one_over_k", {"n": 4}, [1, 2, 3, 4]),
+    ("compact_triple", {}, [2, 3])])
+def test_vanishing_gaps_stay_vanishing_at_long_horizons(name, params, subset):
+    """The gap 1/(6k^2) of one_over_k n = 4 falls under 1e-8 near k = 4000;
+    read from sigma it stays a gap, so a longer horizon keeps the evidence,
+    and each gap matches the 50-digit value within 1e-13 relative."""
+    family = ss.paper_families(name, params)
+    BS = _prebuilt(family, 20000)
+    for K in (4000, 8000, 20000):
+        verdict = ss.certify(BS, subset, K)
+        assert verdict.status == "gap_vanishing" and verdict.trend_slope < -1.99
+    for k in (1000, 10000, 20000):
+        oracle = _oracle_gap(name, params.get("n"), k)
+        assert abs(verdict.gaps[k - 1] - oracle) <= 1e-13 * oracle
+    assert verdict.inf_gap == verdict.gaps[-1]
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -169,10 +205,10 @@ def _peak_bytes(fn, *args):
 
 
 def test_certify_transient_memory_is_one_slab():
-    """Going from 4 to 16 slabs of 8 x 8 block sums adds no more than the
+    """Going from 4 to 16 slabs of 8 x 8 block factors adds no more than the
     O(K) gaps list: a pointer and a float, 32 B per extra block, bounded at
-    64 B.  Stacking the whole horizon adds about 4 KB per block: its 1 KB
-    sum, held in the list, the stack and the eigensolver's copies."""
+    64 B.  Stacking the whole horizon would add its 1 KB factor per block,
+    held in the list and the stack."""
     S = ss.paper_families("one_over_k", {"n": 8}).block(3)
     BS = ss.BlockSystem(lambda k: S, len(S))
     peaks = [_peak_bytes(ss.certify, BS, range(1, 9), K) for K in (4 * SLAB, 16 * SLAB)]

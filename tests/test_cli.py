@@ -12,7 +12,7 @@ import pytest
 import sumspaces as ss
 from sumspaces.cli import COMMANDS, main
 
-from conftest import random_subspace
+from conftest import _count_lapack, random_subspace
 
 
 @pytest.fixture
@@ -66,8 +66,10 @@ def test_system_command_with_alpha(tmp_path, capsys):
 
 def test_system_and_preserve_sum_stay_out_of_the_dilation_space(tmp_path, monkeypatch,
                                                                  capsys):
-    # d = 8 and member dims (3, 4, 3): no np.linalg call may see a matrix side
-    # above max(d, 3 + 4 + 3) = 10, where the dilation space C^{nd} has 24
+    # d = 8 and member dims (3, 4, 3), which sum to C^8: no np.linalg call may see a
+    # matrix side above 12, where the dilation space C^{nd} has 24.  The widest
+    # factor is preserve-sum's [G1 | blocks] in C^{r1+r2+r3}: G1 = ker((I - P1)C)
+    # has dimension 10 - (8 - 3) = 5, so it is 10 x (5 + 4 + 3)
     gen = np.random.default_rng(7)
     S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (3, 4, 3)])
     members = tmp_path / "members.json"
@@ -82,7 +84,51 @@ def test_system_and_preserve_sum_stay_out_of_the_dilation_space(tmp_path, monkey
     for argv in (["system", "--members", str(members), "--alpha", "1,2,3"],
                  ["reduce", "--members", str(members), "--mode", "preserve-sum"]):
         assert _run(argv, capsys)[0] == 0
-    assert shapes and max(max(shape[-2:], default=0) for shape in shapes) <= 10
+    assert shapes and max(max(shape[-2:], default=0) for shape in shapes) <= 12
+
+
+def test_system_request_factors_the_stacked_bases_once(tmp_path, monkeypatch, capsys):
+    """sum_gap, the dilation spectrum and the independence epsilon all come
+    from one values-only SVD of C = [B1 B2 B3] (7 columns in C^8, so the
+    independence epsilon needs sigma_min); --alpha adds the one eigvalsh of
+    sum alpha_k P_k and the two norms of its symmetry check.  Decoding the
+    three members takes one thin SVD each."""
+    gen = np.random.default_rng(7)
+    S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (2, 3, 2)])
+    members = tmp_path / "members.json"
+    members.write_text(json.dumps(ss.system_to_json(S)))
+    argv = ["system", "--members", str(members)]
+    assert _count_lapack(monkeypatch, main, argv) == {"svd_thin": 3, "svdvals": 1}
+    assert _count_lapack(monkeypatch, main, argv + ["--alpha", "1,2,3"]) == {
+        "svd_thin": 3, "svdvals": 1, "eigvalsh": 1, "norm": 2}
+    capsys.readouterr()
+    report = _run(argv + ["--alpha", "1,2,3"], capsys)[1]
+    sigma = np.linalg.svd(np.hstack([m.basis for m in S.members]), compute_uv=False)
+    extras = report["margins"]["linear_combination"]["extras"]
+    assert abs(extras["independence_epsilon"] - sigma[-1] ** 2) <= 1e-15
+    assert report["margins"]["sum_gap"]["entries"][0]["margin"] == \
+        pytest.approx(sigma[-1] ** 2, rel=1e-14)
+    assert report["dilation_spectrum"][:17] == [0.0] * 17  # (n - 1) d + d - 7, exactly
+
+
+@pytest.mark.parametrize("theta", [1e-4, 3e-5, 1e-5, 1e-6])
+def test_two_lines_at_a_small_angle_keep_their_gap(theta, tmp_path, capsys):
+    """P1 + P2 of two lines at angle theta has the eigenvalues 1 +- cos(theta):
+    ``system`` reports the sum C^2 with the borderline gap 1 - cos(theta), and
+    ``reduce`` refuses that gap as too small instead of running on the next
+    eigenvalue and reporting a violated certificate."""
+    members = tmp_path / "members.json"
+    members.write_text(json.dumps(ss.system_to_json(ss.SubspaceSystem(2, [
+        ss.from_spanning(np.array([[1.0], [0.0]])),
+        ss.from_spanning(np.array([[np.cos(theta)], [np.sin(theta)]]))]))))
+    code, report = _run(["system", "--members", str(members)], capsys)
+    gap = report["margins"]["sum_gap"]
+    assert code == 0 and gap["extras"]["sum_dim"] == 2 and gap["extras"]["kernel_dim"] == 0
+    assert gap["entries"][0]["verdict"] == "borderline"
+    expected = 2 * np.sin(theta / 2) ** 2
+    assert abs(gap["entries"][0]["margin"] - expected) <= 1e-12 * expected
+    code, report = _run(["reduce", "--members", str(members), "--mode", "system"], capsys)
+    assert code == 2 and report["error"]["type"] == "GapTooSmall"
 
 
 def test_verbose_lists_each_margin_on_stderr_only(pair_files, tmp_path, capsys):

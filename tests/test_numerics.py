@@ -47,7 +47,7 @@ def test_eig_hermitian_ascending_and_unitary(rng, path):
 
 @EIGEN_PATHS
 def test_eig_hermitian_rejects_bad_input(path):
-    for shape in ((2, 3), (4, 2, 3), (2, 3, 1, 2), (3,)):  # a stack of non-square ones too
+    for shape in ((2, 3), (4, 2, 3), (2, 3, 1, 2), (3,), (3, 2, 2)):  # stacks too, square ones
         with pytest.raises(NonSquare):
             _eigenvalues(path, np.zeros(shape))
     with pytest.raises(NotHermitian):
@@ -61,40 +61,37 @@ def test_eig_hermitian_empty(path):
     assert _eigenvalues(path, np.zeros((0, 0))).shape == (0,)
 
 
-def _hermitian_stack(rng, K, n):
-    M = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
-    return M + M.conj().swapaxes(-1, -2)
-
-
-@EIGEN_PATHS
-def test_one_asymmetric_matrix_fails_the_stack(rng, path):
-    M = _hermitian_stack(rng, 5, 3)
-    _eigenvalues(path, M)
-    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)):
-        stack = M.copy()
-        stack[3, :2, :2] = bad
-        with pytest.raises(NotHermitian):
-            _eigenvalues(path, stack)
-    # each matrix is held to its own norm: asymmetry 1e-5 passes at norm 1e6,
-    # asymmetry 1e-9 fails at norm 1, beside it or alone
-    big, small = np.diag([1e6, 0.0]).astype(complex), np.zeros((2, 2), dtype=complex)
-    big[0, 1], small[0, 1] = 1e-5, 1e-9
-    _eigenvalues(path, big[None])
-    for stack in (np.stack([big, small]), small[None]):
-        with pytest.raises(NotHermitian):
-            _eigenvalues(path, stack)
-
-
-def test_psd_gap_of_a_stack_keeps_the_norm_and_eigensolve_counts(rng, monkeypatch):
-    """A matrix and a stack each take two Frobenius norms and one eigvalsh."""
-    M = _hermitian_stack(rng, 6, 4)
-    for X in (M[0], M):
-        counts = _count_lapack(monkeypatch, numerics.psd_gap, X, numerics.DEFAULT_TOL)
-        assert counts == {"norm": 2, "eigvalsh": 1}
-    gap, kernel_dim = numerics.psd_gap(M[0], numerics.DEFAULT_TOL)
+def test_gram_gap_of_a_factor_and_of_a_stack_takes_one_values_only_svd(rng, monkeypatch):
+    """A factor and a stack each take one values-only SVD, and none when the
+    caller passes sigma; a factor with no columns gives (inf, d)."""
+    C = rng.normal(size=(6, 4, 3)) + 1j * rng.normal(size=(6, 4, 3))
+    for X in (C[0], C):
+        counts = _count_lapack(monkeypatch, numerics.gram_gap, X, numerics.DEFAULT_TOL)
+        assert counts == {"svdvals": 1}
+    s = numerics.singular_values(C[0])
+    assert _count_lapack(monkeypatch, numerics.gram_gap, C[0], numerics.DEFAULT_TOL, s) == {}
+    gap, kernel_dim = numerics.gram_gap(C[0], numerics.DEFAULT_TOL)
     assert type(gap) is float and type(kernel_dim) is int
-    gaps, kernel_dims = numerics.psd_gap(M, numerics.DEFAULT_TOL)
+    assert (gap, kernel_dim) == (float(s[-1] ** 2), 1)
+    assert numerics.gram_gap(C[0], numerics.DEFAULT_TOL, s) == (gap, kernel_dim)
+    gaps, kernel_dims = numerics.gram_gap(C, numerics.DEFAULT_TOL)
     assert gaps.shape == kernel_dims.shape == (6,)
+    assert numerics.gram_gap(np.zeros((4, 0)), numerics.DEFAULT_TOL) == (np.inf, 4)
+    gaps, kernel_dims = numerics.gram_gap(np.zeros((3, 4, 0)), numerics.DEFAULT_TOL)
+    assert gaps.tolist() == [np.inf] * 3 and kernel_dims.tolist() == [4] * 3
+
+
+def test_gram_gap_cuts_sigma_at_rank_tol_not_its_square_root():
+    """Two lines at angle theta: CC* has the eigenvalues 1 +- cos(theta), and
+    the gap 1 - cos(theta) = 2 sin^2(theta/2) stays a gap down to sigma = rank_tol,
+    where an eigenvalue cutoff of 1e-8 would drop it below theta = 1.4e-4."""
+    tol = numerics.DEFAULT_TOL
+    for theta in (1e-4, 1e-6, 1e-9):
+        C = np.array([[1.0, np.cos(theta)], [0.0, np.sin(theta)]], dtype=complex)
+        gap, kernel_dim = numerics.gram_gap(C, tol)
+        assert kernel_dim == 0 and abs(gap - 2 * np.sin(theta / 2) ** 2) <= 1e-12 * gap
+    C = np.array([[1.0, 1.0], [0.0, 1e-11]], dtype=complex)  # sigma_2 = 7e-12 < rank_tol
+    assert numerics.gram_gap(C, tol) == (pytest.approx(2.0, rel=1e-15), 1)
 
 
 def test_numerical_rank():

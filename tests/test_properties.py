@@ -30,10 +30,12 @@ and ``sum_as_two``
 must split exactly the sum of a block whose members overlap inside a planted
 subspace, with a tilted line down to 1e-7 outside it; on block systems whose
 shape, rank and number of small directions change with k, the stacked
-``sum_as_two`` must give what the per-block construction gave, exactly, and
-on stacks of positive semidefinite matrices with eigenvalues planted either
-side of the zero cutoff the stacked ``psd_gap`` must give what the
-per-matrix calls gave, bit for bit.  The ``images`` and
+``sum_as_two`` must give what the per-block construction gave, exactly.  On
+stacks of factors with singular values planted either side of the rank
+cutoff the stacked ``gram_gap`` must give what the per-factor calls gave,
+bit for bit, and on planted pairs ``sum_gap`` must be 1 - cos of the
+Friedrichs angle, the eps of ``reduce_system`` and the codimension of the
+sum span.  The ``images`` and
 ``calculus`` commands are fed mutated operator files and polynomial strings,
 ``pair``, ``system``, ``graph`` and ``reduce`` mutated subspace and
 system files, and ``blocks`` and ``sum-as-two`` mutated family files; each
@@ -746,39 +748,68 @@ def test_stacked_sum_as_two_matches_the_per_block_construction(recipe):
         assert np.linalg.norm(P - Q, 2) <= 1e-8
 
 
-CUTOFF = 100 * ss.DEFAULT_TOL.eig_tol  # the zero cutoff of psd_gap
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2 ** 32 - 1), st.integers(0, 10))
-def test_stacked_psd_gap_matches_the_per_matrix_calls(n, K, seed, zero_at):
-    """K positive semidefinite n x n matrices U diag(w) U* whose eigenvalues
-    w are drawn from 0, CUTOFF / 2, 2 CUTOFF and [0.1, 3], with one all-zero
-    matrix when zero_at < K: the stacked ``hermitian_eigenvalues`` and
-    ``psd_gap`` give each matrix bit for bit what its own call gives, the
-    kernel holds the eigenvalues planted at or below the cutoff and the
-    all-zero matrix gives (inf, n)."""
+@given(st.integers(1, 6), st.integers(0, 8), st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 10))
+def test_stacked_gram_gap_matches_the_per_factor_calls(d, m, K, seed, zero_at):
+    """K factors C = U diag(s) V* of shape d x m whose singular values s are
+    drawn from 0, [0.1, 3] and half and twice the cutoff rank_tol * max(s_1, 1),
+    with one all-zero factor when zero_at < K: the stacked ``gram_gap`` gives
+    each factor bit for bit what its own call gives, the kernel holds the d - r
+    directions with no value above the cutoff, the gap is the square of the
+    smallest value above it, and the all-zero factor gives (inf, d)."""
     rng = np.random.default_rng(seed)
-    planted = rng.choice([0.0, CUTOFF / 2, 2 * CUTOFF, 1.0], size=(K, n))
-    planted = np.where(planted == 1.0, rng.uniform(0.1, 3.0, size=(K, n)), planted)
+    p = min(d, m)
+    kind = rng.integers(0, 4, size=(K, p))  # 0, big, cutoff / 2, 2 cutoff
     if zero_at < K:
-        planted[zero_at] = 0.0
-    stack = np.stack([(U * w) @ U.conj().T for U, w in
-                      zip((_orthonormal(rng, n, n) for _ in range(K)), planted)])
+        kind[zero_at] = 0
+    big = rng.uniform(0.1, 3.0, size=(K, p))
+    cutoff = RANK_TOL * np.maximum(np.where(kind == 1, big, 0.0).max(axis=1, initial=0.0), 1.0)
+    planted = np.select([kind == 1, kind == 2, kind == 3],
+                        [big, cutoff[:, None] / 2, 2 * cutoff[:, None]], 0.0)
+    stack = np.stack([(_orthonormal(rng, d, p) * s) @ _orthonormal(rng, m, p).conj().T
+                      for s in planted])
     tol = ss.DEFAULT_TOL
-    w = numerics.hermitian_eigenvalues(stack, tol)
-    assert np.array_equal(w, [numerics.hermitian_eigenvalues(X, tol) for X in stack])
-    gaps, kernel_dims = numerics.psd_gap(stack, tol)
-    alone = [numerics.psd_gap(X, tol) for X in stack]
+    gaps, kernel_dims = numerics.gram_gap(stack, tol)
+    alone = [numerics.gram_gap(C, tol) for C in stack]
     assert gaps.tolist() == [gap for gap, _ in alone]
     assert kernel_dims.tolist() == [dim for _, dim in alone]
-    assert kernel_dims.tolist() == (planted <= CUTOFF).sum(axis=1).tolist()
-    above = np.where(planted > CUTOFF, planted, np.inf).min(axis=1)
-    assert np.allclose(gaps, above, rtol=0.0, atol=1e-13)  # inf where nothing is above
+    above = planted > cutoff[:, None]
+    assert kernel_dims.tolist() == (d - above.sum(axis=1)).tolist()
+    expected = np.where(above, planted, np.inf).min(axis=1, initial=np.inf) ** 2
+    assert np.allclose(gaps, expected, rtol=0.0, atol=1e-13)  # inf where nothing is above
     if zero_at < K:
-        assert alone[zero_at] == (np.inf, n)
-    gaps4, kernel_dims4 = numerics.psd_gap(stack[None], tol)  # a (1, K, n, n) stack
+        assert alone[zero_at] == (np.inf, d)
+    gaps4, kernel_dims4 = numerics.gram_gap(stack[None], tol)  # a (1, K, d, m) stack
     assert gaps4.tolist() == [gaps.tolist()] and kernel_dims4.tolist() == [kernel_dims.tolist()]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(planted_pairs())
+def test_two_member_sum_gap_is_one_minus_the_friedrichs_cosine(case):
+    """On a pair, P1 + P2 has the eigenvalues 1 +- cos(theta) of each generic
+    angle, 2 on the meet and 1 elsewhere on the sum, so with a generic angle
+    (theta_F < pi/2) ``sum_gap`` is 1 - cos(theta_F); ``reduce_system`` takes
+    that gap as its eps (clamped below 1), and ``kernel_dim`` is the
+    codimension of the sum span."""
+    B1, B2, _, _ = case
+    d = len(B1)
+    S = ss.SubspaceSystem(d, [ss.Subspace(d, B1), ss.Subspace(d, B2)])
+    report = ss.sum_gap(S)
+    gap = report.margin("sum_gap")
+    angle = ss.friedrichs_angle(*S.members)
+    if angle < np.pi / 2:
+        assert abs(gap - (1.0 - np.cos(angle))) <= 1e-12
+    else:
+        assert gap >= 1.0 - 1e-12
+    assert report.extras["kernel_dim"] == d - ss.sum_span(S.members).dim
+    tol = ss.DEFAULT_TOL
+    try:
+        eps = ss.reduce_system(S).epsilon
+    except GapTooSmall:
+        assert not tol.margin_tol < gap < np.inf
+    else:
+        assert eps == min(gap, 1.0 - 10 * tol.eig_tol)
 
 
 def _run_cli(argv):

@@ -162,13 +162,13 @@ def test_reduce_system_certificate_holds(rng):
 
 
 def _count_factorizations(monkeypatch):
-    """Count full SVDs and eigvalsh calls made through np.linalg."""
-    counts = {"svd": 0, "eigvalsh": 0}
+    """Count SVDs with vectors, values-only SVDs and eigvalsh calls made
+    through np.linalg."""
+    counts = {"svd": 0, "svdvals": 0, "eigvalsh": 0}
     svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
     def counted_svd(*args, **kwargs):
-        if kwargs.get("compute_uv", True):
-            counts["svd"] += 1
+        counts["svd" if kwargs.get("compute_uv", True) else "svdvals"] += 1
         return svd(*args, **kwargs)
 
     def counted_eigvalsh(*args, **kwargs):
@@ -181,12 +181,13 @@ def _count_factorizations(monkeypatch):
 
 
 @pytest.mark.parametrize("reduce, expected",
-                         [(ss.reduce_system, {"svd": 8, "eigvalsh": 2}),
-                          (ss.reduce_preserving_sum, {"svd": 11, "eigvalsh": 2})],
+                         [(ss.reduce_system, {"svd": 8, "svdvals": 2, "eigvalsh": 1}),
+                          (ss.reduce_preserving_sum, {"svd": 11, "svdvals": 2, "eigvalsh": 1})],
                          ids=["system", "preserve_sum"])
 def test_reduction_factorization_counts(reduce, expected, monkeypatch):
-    # each decomposition once: one gap, one certificate slack, no discarded
-    # pair report and no meet above the last recursion level
+    # each decomposition once: one values-only SVD each for the gap and the
+    # independence certificate, one eigvalsh for the certificate slack, no
+    # discarded pair report and no meet above the last recursion level
     gen = np.random.default_rng(7)
     S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (3, 4, 3)])
     counts = _count_factorizations(monkeypatch)
