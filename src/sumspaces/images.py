@@ -12,8 +12,9 @@ from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      MalformedInput, NormTooLarge, NotInvertible,
                      RangeConditionViolated, RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
-                       complex_to_json, eig_hermitian, independence_sigma, numerical_rank,
-                       operator_norm, psd_gap, singular_values, spanning_forest, thin_svd)
+                       complex_to_json, eig_hermitian, hermitian_eigenvalues,
+                       independence_sigma, numerical_rank, operator_norm, singular_values,
+                       spanning_forest, thin_svd)
 from .reduction import independence_certificate
 from .reports import MarginReport
 from .subspaces import Subspace, SubspaceSystem, complement, from_spanning, sum_span
@@ -66,15 +67,15 @@ def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     the smallest lambda with A A* <= lambda B B*, which is ||C||^2 by
     Douglas's range-inclusion lemma (Proc. AMS 17 (1966) 413-415).  One thin
     SVD B = U s V* serves throughout: with r its numerical rank, U_r spans
-    Im(B), the inclusion residual is ||A - U_r U_r* A|| and
-    C = V_r s_r^{-1} U_r* A.
+    Im(B), the inclusion residual ||A - U_r U_r* A|| must be at most
+    margin_tol ||A|| (a precondition, so relative to A) and C = V_r s_r^{-1} U_r* A.
     """
     A = np.asarray(A, dtype=complex)
     U, s, V = thin_svd(B)
     r = numerical_rank(s, tol)
     UA = U[:, :r].conj().T @ A
     resid = operator_norm(A - U[:, :r] @ UA)
-    if resid > tol.margin_tol:
+    if resid > tol.margin_tol * operator_norm(A):
         raise RangeNotIncluded(f"Im(A) outside Im(B) by {resid:.3e}")
     C = V[:, :r] @ (UA / s[:r, None])
     return C, operator_norm(C) ** 2
@@ -87,7 +88,7 @@ def sum_of_images(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL):
 
     Returns the subspace and a report: the range equality against the column
     space of the concatenation, and for nonnegative families the gap of
-    sigma(sum a_k) above zero.
+    sigma(sum a_k) above zero, the least eigenvalue ``numerical_rank`` keeps (else +inf).
     """
     d = F.ambient_dim
     spec = eig_hermitian(sum(M @ M.conj().T for M in F.members), tol)
@@ -98,7 +99,8 @@ def sum_of_images(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL):
     dist = operator_norm(image.projector() - concat.projector())
     report.extras["range_equality_residual"] = dist
     if F.all_nonnegative():
-        gap, _ = psd_gap(sum(F.members), tol)
+        w = np.append(np.inf, hermitian_eigenvalues(sum(F.members), tol)[::-1])
+        gap = float(w[numerical_rank(w[1:], tol)])  # w[r]: the r-th largest, inf when r = 0
         report.add("nonnegative_sum_gap", gap, tol.margin_tol, vacuous=np.isinf(gap))
         report.extras["sum_image_dim"] = image.dim
     return image, report
@@ -214,7 +216,7 @@ def build_beta(alpha: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BetaMatrix:
 
     spec = eig_hermitian(beta, tol)
     w, v = spec.eigenvalues, spec.eigenvectors
-    zero_count = int(np.sum(np.abs(w) <= 100 * tol.rank_tol * max(1.0, abs(w[-1]))))
+    zero_count = n - numerical_rank(np.sort(np.abs(w))[::-1], tol)
     support = np.argwhere(np.triu(np.abs(beta) > tol.eig_tol, 1))  # edges i < j
     connected = len(spanning_forest(n, support)) >= n - 1
 

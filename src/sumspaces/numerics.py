@@ -10,9 +10,9 @@ numerical policy wrapped around each decomposition:
 - rank: singular values above rank_tol times the largest one (or a larger scale);
 - sums of ranges: the gap of CC* (P_1 + ... + P_n for C = [B_1 ... B_n]) is sigma_r(C)^2,
   r = numerical_rank(sigma, scale=1.0) (``gram_gap``): a cutoff at rank_tol, not its root;
-- zero: eigenvalues of a positive semidefinite matrix with no factor at hand, at or
-  below ``Tolerances.zero_cutoff`` = 100 * eig_tol: ``images``' sum gap (``psd_gap``),
-  ``paircalc``'s punctured-disk margin and the modulus descent's simplicity tests;
+- zero: the rank rule on one operator's descending values, at its own scale: ``images``'
+  sum gap and ``build_beta``'s zero count (none), ``paircalc``'s punctured disk (||b||),
+  the modulus descent's simplicity, coupling and curvature tests (largest edge weight);
 - independence: sigma_min of stacked bases, 1 with no columns, 0 when wide;
 - graphs: connectivity and spanning forests from one breadth-first search;
 - orthonormal bases: ``qr`` once both sides exceed 16, else ``thin_svd`` (``from_spanning``);
@@ -54,11 +54,6 @@ class Tolerances:
     def __post_init__(self):
         if not all(0 < t < np.inf for t in (self.rank_tol, self.eig_tol, self.margin_tol)):
             raise ValueError("tolerances must be strictly positive and finite")
-
-    @property
-    def zero_cutoff(self) -> float:
-        """Eigenvalues of a positive semidefinite matrix at or below this are zero."""
-        return 100 * self.eig_tol
 
 
 DEFAULT_TOL = Tolerances()
@@ -115,14 +110,6 @@ def eig_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianSpec
 def hermitian_eigenvalues(M: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors."""
     return _lapack(np.linalg.eigvalsh, _hermitian(M, tol))
-
-
-def psd_gap(M: np.ndarray, tol: Tolerances):
-    """Smallest eigenvalue of a positive semidefinite matrix above
-    ``tol.zero_cutoff`` (+inf when there is none) and the number at or below it."""
-    w = hermitian_eigenvalues(M, tol)
-    kernel_dim = int(np.sum(w <= tol.zero_cutoff))
-    return (float(w[kernel_dim]) if kernel_dim < len(w) else float("inf")), kernel_dim
 
 
 def svd(M: np.ndarray):

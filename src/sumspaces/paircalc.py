@@ -159,13 +159,14 @@ def calculus_report(pair: PairDecomposition, f1, f2, f3, f4,
                     tol: Tolerances = DEFAULT_TOL):
     """(spectrum of b, margins of Im(b)) from one pass over b's blocks; F must not
     vanish on [0, 1).  b's singular values are the |values| on the flat components
-    and each block's closed-form pair, cut at ``numerical_rank``."""
+    and each block's closed-form pair, cut at ``numerical_rank``; the punctured
+    disk cuts the descending |spectrum| there too, at the scale ||b|| = sv[0]."""
     values, flat, block, D, spectrum = _blocks(pair, (f1, f2, f3, f4))
     _check_F(pair, (f1, f2, f3, f4), tol)
     report = MarginReport()
-    modulus = np.abs(spectrum)
+    modulus = np.sort(np.abs(spectrum))[::-1]
     sv = np.sort(np.concatenate([np.abs(flat), *_block_singular_values(block, D)]))[::-1]
-    for name, kept in (("punctured_disk_margin", modulus[modulus > tol.zero_cutoff]),
+    for name, kept in (("punctured_disk_margin", modulus[:numerical_rank(modulus, tol, sv[0])]),
                        ("invertibility_margin", modulus),
                        ("closed_range_margin", sv[:numerical_rank(sv, tol)])):
         report.add(name, float(kept.min()) if len(kept) else 1.0, tol.margin_tol,

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, GraphDisconnected, MalformedInput
 from .numerics import (DEFAULT_TOL, Tolerances, dimension_from_json,
                        eig_hermitian, gram_gap, hermitian_eigenvalues, independence_sigma,
-                       operator_norm, real_from_json, spanning_forest)
+                       numerical_rank, operator_norm, real_from_json, spanning_forest)
 from .reports import MarginReport
 from .subspaces import SubspaceSystem, complement
 
@@ -148,10 +148,12 @@ def _modulus_lower_bound(Q, offs, G: WeightedGraph, tol: Tolerances) -> float:
     return float(hermitian_eigenvalues(M[np.ix_(live, live)], tol)[0])
 
 
-def _modulus_evaluate(Q, blocks, theta, tol: Tolerances):
+def _modulus_evaluate(Q, blocks, theta, tol: Tolerances, scale: float):
     """lambda_min of Q(theta), which twists each given block by e^{i theta_e},
-    with its gradient and Hessian in theta (None unless lambda_min is simple),
-    all from one eigendecomposition by perturbation theory."""
+    with its gradient and Hessian in theta, all from one eigendecomposition by
+    perturbation theory.  Eigenvalues that ``numerical_rank`` at ``scale`` cannot
+    tell from lambda_min are partners; the Hessian drops them when their couplings
+    u_j* Q_e v vanish at that scale, and is None (a crossing) when they do not."""
     twists = np.exp(1j * theta)
     Qt = Q.copy()
     for (rows, cols), t in zip(blocks, twists):
@@ -162,28 +164,31 @@ def _modulus_evaluate(Q, blocks, theta, tol: Tolerances):
     # p_e = t_e v_r* C_e v_c: v* Q_e v = -2 Im p_e and v* Q_ee v = -2 Re p_e
     p = np.array([t * (v[rows].conj() @ Q[rows, cols] @ v[cols])
                   for (rows, cols), t in zip(blocks, twists)])
-    if len(lam) > 1 and not lam[1] - lam[0] > tol.zero_cutoff:
-        return float(lam[0]), -2.0 * p.imag, None
     W = np.zeros((len(v), len(blocks)), dtype=complex)  # columns w_e = Q_e v
     for e, (rows, cols) in enumerate(blocks):
         W[rows, e], W[cols, e] = 1j * Qt[rows, cols] @ v[cols], -1j * Qt[cols, rows] @ v[rows]
-    # H_ef = v* Q_ef v + 2 Re sum_{j>0} conj(u_j* w_e) (u_j* w_f) / (lambda_0 - lambda_j)
     A = U[:, 1:].conj().T @ W
-    hess = np.diag(-2.0 * p.real) + 2.0 * (A.conj().T @ (A / (lam[0] - lam[1:])[:, None])).real
+    k = len(lam) - 1 - numerical_rank((lam[1:] - lam[0])[::-1], tol, scale)  # partners
+    if k and numerical_rank([np.abs(A[:k]).max(initial=0.0)], tol, scale):
+        return float(lam[0]), -2.0 * p.imag, None
+    # H_ef = v* Q_ef v + 2 Re sum_{j>k} conj(u_j* w_e) (u_j* w_f) / (lambda_0 - lambda_j)
+    A, gaps = A[k:], lam[0] - lam[k + 1:]
+    hess = np.diag(-2.0 * p.real) + 2.0 * (A.conj().T @ (A / gaps[:, None])).real
     return float(lam[0]), -2.0 * p.imag, hess
 
 
-def _modulus_descent(Q, blocks, theta, tol: Tolerances) -> float:
+def _modulus_descent(Q, blocks, theta, tol: Tolerances, scale: float) -> float:
     """Lowest lambda_min(Q(theta)) reached from theta by Newton steps with
-    Armijo backtracking, or by unit downhill steps where lambda_min is
-    multiple or its Hessian not positive definite."""
-    lam, grad, hess = _modulus_evaluate(Q, blocks, theta, tol)
+    Armijo backtracking, or by unit downhill steps where there is no Hessian or
+    ``numerical_rank`` at ``scale`` finds it not positive definite; it stops
+    once the Newton decrement or the drop is at most eig_tol * scale."""
+    lam, grad, hess = _modulus_evaluate(Q, blocks, theta, tol, scale)
     for _ in range(DESCENT_ITERATIONS):
         curv = None if hess is None else eig_hermitian(hess, tol)
-        if curv is not None and curv.eigenvalues[0] > tol.zero_cutoff:
+        if curv is not None and numerical_rank(curv.eigenvalues[::-1], tol, scale) == len(grad):
             V = curv.eigenvectors
             step = -(V @ (V.conj().T @ grad / curv.eigenvalues)).real
-            if -(grad @ step) / 2 <= tol.eig_tol:  # the Newton decrement
+            if -(grad @ step) / 2 <= tol.eig_tol * scale:  # the Newton decrement
                 break
         else:  # one radian: the natural scale of a phase, whatever the gradient
             size = np.linalg.norm(grad)
@@ -192,7 +197,7 @@ def _modulus_descent(Q, blocks, theta, tol: Tolerances) -> float:
             step = -grad / size
         slope = grad @ step
         for _ in range(DESCENT_HALVINGS + 1):
-            lam_new, grad_new, hess_new = _modulus_evaluate(Q, blocks, theta + step, tol)
+            lam_new, grad_new, hess_new = _modulus_evaluate(Q, blocks, theta + step, tol, scale)
             if lam_new <= lam + 1e-4 * slope:
                 break
             step, slope = step / 2, slope / 2
@@ -200,7 +205,7 @@ def _modulus_descent(Q, blocks, theta, tol: Tolerances) -> float:
             break
         drop = lam - lam_new
         theta, lam, grad, hess = theta + step, lam_new, grad_new, hess_new
-        if drop <= tol.eig_tol:
+        if drop <= tol.eig_tol * scale:
             break
     return lam
 
@@ -228,7 +233,8 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
     ``modulus_form_epsilon`` (an estimate, never above the difference form)
     is the lowest value that Newton steps on the exact Hessian of lambda_min
     over the free phases reach from theta = 0 and from DESCENT_STARTS random
-    phases drawn with ``seed``.
+    phases drawn with ``seed``.  Its zero tests use the largest edge weight as
+    scale: each entry of Q(theta) is a weight times one of an isometry product.
     """
     if G.n != len(S):
         raise DimensionMismatch("graph order must match member count")
@@ -251,10 +257,11 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
         free = _free_edges(G, [e for e, block in enumerate(edge_blocks) if Q[block].any()])
         if free:
             blocks = [edge_blocks[e] for e in free]
+            scale = max(w for _, _, w in G.edges)
             starts = np.random.default_rng(seed).uniform(
                 0.0, 2 * np.pi, size=(DESCENT_STARTS, len(free)))
             for theta in [np.zeros(len(free))] + list(starts):
-                upper = min(upper, _modulus_descent(Q, blocks, theta, tol))
+                upper = min(upper, _modulus_descent(Q, blocks, theta, tol, scale))
         report.add("modulus_form_epsilon", upper, tol.margin_tol, estimate=True)
         report.add("modulus_form_lower_bound",
                    _modulus_lower_bound(Q, offs, G, tol), tol.margin_tol)

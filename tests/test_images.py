@@ -31,15 +31,44 @@ def test_douglas_factor_invertible_case(rng):
 
 def test_douglas_factor_takes_one_thin_svd(monkeypatch, rng):
     # the basis of Im B, the residual and C = V_r s_r^-1 U_r* A come from one
-    # thin SVD of B; the two norms are the residual and ||C||; no pinv
+    # thin SVD of B; the three norms are the residual, ||A|| (the residual's
+    # scale) and ||C||; no pinv
     B = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 5))
     A = B @ rng.normal(size=(5, 5))
-    assert _count_lapack(monkeypatch, ss.douglas_factor, A, B) == {"svd_thin": 1, "norm": 2}
+    assert _count_lapack(monkeypatch, ss.douglas_factor, A, B) == {"svd_thin": 1, "norm": 3}
 
 
 def test_douglas_factor_rejects_non_inclusion():
     with pytest.raises(RangeNotIncluded):
         ss.douglas_factor(np.eye(2), np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("k", [-30, 0, 20, 30])
+def test_douglas_factor_does_not_refuse_a_scaled_inclusion(k):
+    # A = B X with B of rank 6 in C^12: an absolute residual bound of margin_tol
+    # refused it at 2^20 and 2^30 (residuals 1.5e-7 and 1.5e-4)
+    gen = np.random.default_rng(7)
+    B, X, Y = (gen.normal(size=s) + 1j * gen.normal(size=s)
+               for s in ((12, 6), (6, 12), (12, 12)))
+    A = B @ X @ Y
+    _, lam = ss.douglas_factor(2.0 ** k * A, 2.0 ** k * (B @ X))
+    assert lam == pytest.approx(ss.douglas_factor(A, B @ X)[1], rel=1e-12)
+    assert lam == pytest.approx(45.81375635452361, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [-30, 0, 30])
+def test_nonnegative_sum_gap_scales_with_the_operators(k):
+    # two rank-2 nonnegative operators in C^6: an absolute zero cutoff of
+    # 100 eig_tol read the gap as 16.4 at 2^-30 and as round-off (1.5e-15) at 2^30
+    gen = np.random.default_rng(14)
+    ops = []
+    for _ in range(2):
+        X = gen.normal(size=(6, 2)) + 1j * gen.normal(size=(6, 2))
+        ops.append(2.0 ** k * X @ X.conj().T)
+    image, rep = ss.sum_of_images(ss.OperatorFamily(6, ops, ["nonnegative"] * 2))
+    assert image.dim == rep.extras["sum_image_dim"] == 4
+    assert rep.margin("nonnegative_sum_gap") / 2.0 ** k \
+        == pytest.approx(0.4764078923671721, rel=1e-12)
 
 
 def test_sum_of_images_matches_column_space(rng):

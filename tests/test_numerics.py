@@ -31,6 +31,11 @@ def test_tolerances_must_be_positive():
         for value in (np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 numerics.Tolerances(**{field: value})
+    # three settings and no derived cutoff, so ``provenance`` lists three fields
+    tol = numerics.Tolerances(eig_tol=3e-9)
+    assert vars(tol) == {"rank_tol": 1e-10, "eig_tol": 3e-9, "margin_tol": 1e-8}
+    assert [name for name in dir(tol) if not name.startswith("_")] \
+        == ["eig_tol", "margin_tol", "rank_tol"]
 
 
 @EIGEN_PATHS
@@ -181,14 +186,6 @@ def test_operator_norm_of_a_stack(rng):
     assert numerics.operator_norm(np.zeros((4, 0))) == 0.0
 
 
-def test_zero_cutoff_is_derived_from_eig_tol():
-    tol = numerics.Tolerances(eig_tol=3e-9)
-    assert tol.zero_cutoff == 100 * 3e-9
-    assert vars(tol) == {"rank_tol": 1e-10, "eig_tol": 3e-9, "margin_tol": 1e-8}
-    gap, kernel_dim = numerics.psd_gap(np.diag([tol.zero_cutoff, 1.01 * tol.zero_cutoff]), tol)
-    assert (gap, kernel_dim) == (1.01 * tol.zero_cutoff, 1)
-
-
 def _components(n, edges):
     """scipy's component labels of the graph on vertices 0..n-1."""
     i, j = np.array(edges, dtype=int).reshape(-1, 2).T
@@ -240,8 +237,9 @@ def test_only_numerics_calls_lapack():
     assert calling == ["numerics.py"]
 
 
-# each decision cutoff is written once, in numerics; the two rank_tol rules kept
-# outside it are build_beta's 100 * rank_tol zero count and sum_as_two's tie rule
+# each decision cutoff is written once, in numerics (the one rank_tol rule kept
+# outside it is sum_as_two's tie rule), and no module derives an absolute zero
+# cutoff from eig_tol
 ZERO_CUTOFF = re.compile(r"100 \* \w+\.eig_tol")
 RANK_CUTOFF = re.compile(r"rank_tol \*")
 
@@ -249,14 +247,11 @@ RANK_CUTOFF = re.compile(r"rank_tol \*")
 def test_cutoffs_are_written_only_in_numerics():
     package = pathlib.Path(numerics.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
-    assert sorted(name for name, text in sources.items() if ZERO_CUTOFF.search(text)) \
-        == ["numerics.py"]
+    assert [name for name, text in sources.items() if ZERO_CUTOFF.search(text)] == []
     rank_lines = {name: [line.strip() for line in text.splitlines() if RANK_CUTOFF.search(line)]
                   for name, text in sources.items() if name != "numerics.py"}
     assert {name: lines for name, lines in rank_lines.items() if lines} == {
-        "blockmodel.py": ["cut = eps - tol.rank_tol * s[:, 0]  # a value tied with eps is big"],
-        "images.py": ["zero_count = int(np.sum(np.abs(w) <= 100 * tol.rank_tol "
-                      "* max(1.0, abs(w[-1]))))"]}
+        "blockmodel.py": ["cut = eps - tol.rank_tol * s[:, 0]  # a value tied with eps is big"]}
     assert RANK_CUTOFF.search(sources["numerics.py"])
 
 

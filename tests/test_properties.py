@@ -9,7 +9,10 @@ The modulus-form bracket of ``complement_graph_margin`` is compared with
 oracles built here with plain numpy: complement bases from a full SVD of the
 spanning vectors, the closed-form lower bound, and a sampled search over
 random edge phases, and the gradient and Hessian that drive its descent
-with central differences of lambda_min.
+with central differences of lambda_min.  Scaling every operator, spanning
+vector, coefficient, weight and alpha by 2^k must scale each margin of
+``images``, ``calculus``, ``graph`` and ``system`` by 2^(jk), j its degree,
+and move no dimension, rank, descent eigh count or refusal but the absolute ones.
 The closed-form ``closed_range_margin`` of ``calculus_criteria`` is compared
 with the SVD of ``build_b`` on the same pairs, and its exact F != 0 check
 must refuse roots planted between the points of the 1001-point grid it
@@ -43,6 +46,7 @@ run must end in exit 0, 2 or 3, never in a traceback, and a subspace without
 a ``vectors`` list in exit 3.
 """
 
+import collections
 import contextlib
 import copy
 import io
@@ -270,6 +274,40 @@ def _twisted(Q, blocks, theta):
     return Qt
 
 
+@contextlib.contextmanager
+def _counting_eigh(sizes):
+    """Count np.linalg.eigh calls by matrix size into ``sizes`` (a Counter)."""
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes[len(a)] += 1
+        return eigh(a, *args, **kwargs)
+
+    np.linalg.eigh = counted
+    try:
+        yield sizes
+    finally:
+        np.linalg.eigh = eigh
+
+
+def _central_differences(Q, blocks, theta, h=1e-4):
+    """Gradient and Hessian of lambda_min(Q(theta)) by central differences at
+    steps h and h/2, Richardson-extrapolated so the error is O(h^4), not O(h^2)."""
+    def lam_min(t):
+        return np.linalg.eigvalsh(_twisted(Q, blocks, t))[0]
+
+    def differences(h):
+        steps = h * np.eye(len(theta))
+        grad = np.array([(lam_min(theta + s) - lam_min(theta - s)) / (2 * h) for s in steps])
+        hess = np.array([[(lam_min(theta + s + t) - lam_min(theta + s - t)
+                           - lam_min(theta - s + t) + lam_min(theta - s - t)) / (4 * h * h)
+                          for t in steps] for s in steps])
+        return grad, hess
+
+    (grad, hess), (half_grad, half_hess) = differences(h), differences(h / 2)
+    return (4 * half_grad - grad) / 3, (4 * half_hess - hess) / 3
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(graph_systems().filter(lambda case: case[2] != "tree" and case[1].n > 2),
        st.integers(0, 2 ** 32 - 1))
@@ -281,18 +319,10 @@ def test_modulus_gradient_and_hessian_match_central_differences(case, seed):
     theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=len(blocks))
     spectrum = np.linalg.eigvalsh(_twisted(Q, blocks, theta))
     assume(spectrum[1] - spectrum[0] > 1e-3)
-    lam, grad, hess = systems._modulus_evaluate(Q, blocks, theta, ss.DEFAULT_TOL)
+    scale = max(w for _, _, w in G.edges)
+    lam, grad, hess = systems._modulus_evaluate(Q, blocks, theta, ss.DEFAULT_TOL, scale)
     assert abs(lam - spectrum[0]) <= 1e-12 * max(1.0, np.abs(spectrum).max())
-
-    def lam_min(t):
-        return np.linalg.eigvalsh(_twisted(Q, blocks, t))[0]
-
-    h = 1e-4
-    steps = h * np.eye(len(theta))
-    fd_grad = np.array([(lam_min(theta + s) - lam_min(theta - s)) / (2 * h) for s in steps])
-    fd_hess = np.array([[(lam_min(theta + s + t) - lam_min(theta + s - t)
-                          - lam_min(theta - s + t) + lam_min(theta - s - t)) / (4 * h * h)
-                         for t in steps] for s in steps])
+    fd_grad, fd_hess = _central_differences(Q, blocks, theta)
     scale = max(1.0, np.abs(hess).max())
     assert np.abs(grad - fd_grad).max() <= 1e-5 * scale
     assert np.abs(hess - fd_hess).max() <= 1e-5 * scale
@@ -302,9 +332,11 @@ def test_modulus_gradient_and_hessian_match_central_differences(case, seed):
 @pytest.mark.parametrize("layout", ["orthogonal", "doubled"])
 def test_modulus_descent_on_a_multiple_bottom_eigenvalue(layout):
     """On K4, complements that are mutually orthogonal lines make Q(theta)
-    constant (no phase is free), and complements b_i (x) C^2 double every
-    eigenvalue of Q(theta), so no Hessian exists: the descent must fall back
-    to downhill steps, with no division by the zero eigenvalue gap."""
+    constant: no phase is free, so the Hessian is empty.  Complements
+    b_i (x) C^2 double every eigenvalue of Q(theta), but the couplings of
+    lambda_min's partner vanish, so the Hessian exists and matches central
+    differences, Newton steps run (with no division by the zero eigenvalue
+    gap) and the estimate reaches the certified lower bound."""
     rng = np.random.default_rng(5)
     if layout == "orthogonal":
         comps = [np.eye(4)[:, [i]] for i in range(4)]
@@ -316,11 +348,123 @@ def test_modulus_descent_on_a_multiple_bottom_eigenvalue(layout):
     G = ss.WeightedGraph.complete(4)
     Q, blocks = _modulus_problem(S, G)
     theta = rng.uniform(0.0, 2 * np.pi, size=len(blocks))
-    assert systems._modulus_evaluate(Q, blocks, theta, ss.DEFAULT_TOL)[2] is None
-    rep = ss.complement_graph_margin(S, G, modulus=True, seed=3)
+    lam, grad, hess = systems._modulus_evaluate(Q, blocks, theta, ss.DEFAULT_TOL, 1.0)
+    spectrum = np.linalg.eigvalsh(_twisted(Q, blocks, theta))
+    assert spectrum[1] - spectrum[0] <= 1e-12  # lambda_min is multiple
+    if layout == "orthogonal":
+        assert blocks == [] and hess.shape == (0, 0)
+    else:
+        fd_grad, fd_hess = _central_differences(Q, blocks, theta)
+        assert np.abs(grad - fd_grad).max() <= 1e-5 and np.abs(hess - fd_hess).max() <= 1e-5
+    with _counting_eigh(collections.Counter()) as sizes:
+        rep = ss.complement_graph_margin(S, G, modulus=True, seed=3)
     lower, upper, difference = (rep.margin(name) for name in (
         "modulus_form_lower_bound", "modulus_form_epsilon", "difference_form_epsilon"))
     assert np.isfinite(upper) and lower <= upper + 1e-12 and upper <= difference
+    if layout == "orthogonal":
+        assert upper == difference and not sizes  # no descent runs
+    else:  # unit steps made 684 eigh of Q(theta) and stopped 1.8e-8 above the bound
+        assert sizes[len(Q)] <= 100, sizes
+        assert abs(upper - lower) <= 1e-12 * lower
+
+
+def _scaled_analyses(seed, c):
+    """Every input of the analyses below drawn with ``seed``, then times c: the
+    operators and spanning vectors of ``images`` (douglas, sum, membership),
+    ``calculus``, ``graph --modulus`` and ``system --alpha``, the polynomial
+    coefficients, the edge weights and alpha.
+    Returns the dimensions, ranks, notes and refusals, the margins as
+    {name: (value, degree j)}, a margin scaling by c^j, and the descent's eigh
+    counts by size."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    d = int(rng.integers(3, 8))
+    exact, margins = {}, {}
+    r = int(rng.integers(1, d))
+    B = cplx(d, r) @ cplx(r, d)
+    for name, A in (("included", B @ cplx(d, d)), ("outside", cplx(d, d))):
+        try:
+            margins[f"douglas_{name}"] = (ss.douglas_factor(c * A, c * B)[1], 0)
+        except ss.errors.RangeNotIncluded:
+            exact[f"douglas_{name}"] = "refused"
+    psd = []
+    for rank in rng.integers(1, d + 1, size=int(rng.integers(1, 4))):
+        X = cplx(d, rank)
+        psd.append(X @ X.conj().T)
+    image, rep = ss.sum_of_images(ss.OperatorFamily(d, [c * M for M in psd],
+                                                    ["nonnegative"] * len(psd)))
+    exact.update(image_dim=image.dim, sum_image_dim=rep.extras["sum_image_dim"],
+                 sum_gap_note=rep.entry("nonnegative_sum_gap").note)
+    margins["nonnegative_sum_gap"] = (rep.margin("nonnegative_sum_gap"), 1)
+    definite = [c * (M + np.eye(d) / 2) for M in psd]
+    margins["membership_floor"] = (np.linalg.eigvalsh(sum(M @ M for M in definite))[0], 2)
+    try:
+        margins["membership_residual"] = (
+            ss.m_membership_identity(ss.OperatorFamily(d, definite)), 1)
+        exact["membership_refused"] = False
+    except ss.errors.NotInvertible:
+        exact["membership_refused"] = True
+    pair = ss.halmos_decompose(*(ss.from_spanning(c * cplx(d, rank))
+                                 for rank in rng.integers(1, d, size=2)))
+    fs = [ss.ScalarFunction.from_poly(c * cplx(3)) for _ in range(4)]
+    exact["k_dim"] = pair.k_dim
+    try:
+        for entry in ss.calculus_criteria(pair, *fs).entries:
+            margins[f"calculus_{entry.criterion}"] = (entry.margin, int(entry.note != "vacuous"))
+        exact["calculus_refused"] = False
+    except HypothesisViolated:
+        exact["calculus_refused"] = True
+    n = int(rng.integers(2, 5))
+    spans = [cplx(d, rank) for rank in rng.integers(1, d + 1, size=n)]
+    S = ss.SubspaceSystem(d, [ss.from_spanning(c * X) for X in spans])
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    weights = rng.uniform(0.25, 4.0, size=len(pairs))
+    G = ss.WeightedGraph(n, [(i, j, c * w) for (i, j), w in zip(pairs, weights)])
+    with _counting_eigh(collections.Counter()) as sizes:
+        rep = ss.complement_graph_margin(S, G, modulus=True, seed=seed % 7)
+    for entry in rep.entries:
+        exact[entry.criterion] = entry.note
+        margins[entry.criterion] = (entry.margin, int(entry.note != "vacuous"))
+    rep = ss.sum_gap(S)
+    exact.update(sum_dim=rep.extras["sum_dim"], kernel_dim=rep.extras["kernel_dim"])
+    margins["sum_gap"] = (rep.margin("sum_gap"), 0)
+    rep = ss.linear_combination_check(S, c * rng.uniform(0.5, 2.0, size=n))
+    margins["combination_bound_slack"] = (rep.margin("combination_bound_slack"), 1)
+    margins["epsilon"] = (rep.extras["epsilon"], 1)
+    margins["lambda_max"] = (rep.extras["lambda_max"], 1)
+    margins["independence_epsilon"] = (rep.extras["independence_epsilon"], 0)
+    return exact, margins, sizes
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(-30, 30), st.integers(0, 2 ** 32 - 1))
+def test_scaling_every_input_by_a_power_of_two_scales_each_margin(k, seed):
+    """The criteria speak of operators and subspaces, so multiplying every
+    operator, spanning vector, weight and alpha by 2^k moves no dimension,
+    rank, kernel dimension, refusal or eigh count of the modulus descent, and
+    multiplies each margin by 2^(jk), j its degree, within 1e-12 relative.
+    The refusals that may move are absolute on purpose: membership's
+    invertibility check refuses exactly when lambda_min(sum a_k^2) is at most
+    margin_tol, and the F != 0 hypothesis of ``calculus``, with F of degree 2,
+    may refuse at a smaller scale, never at a larger one."""
+    exact, margins, sizes = _scaled_analyses(seed, 1.0)
+    scaled_exact, scaled_margins, scaled_sizes = _scaled_analyses(seed, 2.0 ** k)
+    refused = scaled_exact.pop("membership_refused")
+    assert exact.pop("membership_refused") is False
+    assert refused == (scaled_margins["membership_floor"][0] <= ss.DEFAULT_TOL.margin_tol)
+    calculus = exact.pop("calculus_refused"), scaled_exact.pop("calculus_refused")
+    assert calculus[0] == calculus[1] or (k < 0 and calculus == (False, True))
+    assert scaled_exact == exact and scaled_sizes == sizes
+    dropped = {"membership_residual"} if refused else set()
+    if any(calculus):
+        dropped |= {name for name in margins if name.startswith("calculus_")}
+    assert scaled_margins.keys() == margins.keys() - dropped
+    for name, (value, degree) in scaled_margins.items():
+        expected = margins[name][0] * 2.0 ** (degree * k)
+        assert value == expected or abs(value - expected) <= 1e-12 * abs(expected), name
 
 
 def _scalar_quadratic_roots(T, D):

@@ -142,6 +142,39 @@ def test_modulus_bracket_factorization_counts(monkeypatch):
     assert {size for name, size in counts if name == "eigh"} <= {N, 3}, counts
 
 
+@pytest.mark.parametrize("k", [-30, 0, 30])
+def test_modulus_bracket_scales_with_the_weights(k):
+    # K4 in C^8 with weights 1.1-1.4: stops at an absolute eig_tol ended the
+    # descent early at 2^-30, 1.4e-4 above the estimate at 2^0 and 2^30
+    gen = np.random.default_rng(7)
+    S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (3, 4, 5, 4)])
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    weights = (1.1, 1.2, 1.3, 1.4, 1.15, 1.25)
+    G = ss.WeightedGraph(4, [(i, j, 2.0 ** k * w) for (i, j), w in zip(pairs, weights)])
+    rep = ss.complement_graph_margin(S, G, modulus=True, seed=1)
+    expected = {"modulus_form_epsilon": 0.5034548972191961,
+                "modulus_form_lower_bound": 0.11130807153474634,
+                "difference_form_epsilon": 0.5039481834850058}
+    for name, value in expected.items():
+        assert rep.margin(name) / 2.0 ** k == pytest.approx(value, rel=1e-12), name
+
+
+def test_modulus_evaluate_has_no_hessian_at_a_crossing():
+    # the triangle with unit blocks and flux theta: lambda_min(Q(theta)) is
+    # 2 - 2 cos((theta - 2 pi k) / 3) minimized over k, two branches that cross
+    # with slopes -+1/sqrt(3) at theta = pi, so the partner's coupling does not vanish
+    Q = 2 * np.eye(3, dtype=complex) - (np.ones((3, 3)) - np.eye(3))
+    blocks = [(slice(0, 1), slice(2, 3))]
+    lam, _, hess = systems._modulus_evaluate(Q, blocks, np.array([np.pi]), ss.DEFAULT_TOL, 1.0)
+    assert lam == pytest.approx(1.0, abs=1e-14) and hess is None
+    for theta in (np.pi - 1e-3, np.pi + 1e-3):
+        lam, _, hess = systems._modulus_evaluate(Q, blocks, np.array([theta]),
+                                                 ss.DEFAULT_TOL, 1.0)
+        angle = (theta - 2 * np.pi * (theta > np.pi)) / 3  # the lower branch
+        assert lam == pytest.approx(2 - 2 * np.cos(angle), abs=1e-14)
+        assert hess.shape == (1, 1) and hess[0, 0] == pytest.approx(2 / 9 * np.cos(angle))
+
+
 def test_modulus_phases_of_empty_blocks_are_not_free(monkeypatch):
     # member 4 is the whole space, so its complement is 0 and its three edges
     # leave Q(theta) unchanged: one free phase (the cycle 1-2-3) remains of the
