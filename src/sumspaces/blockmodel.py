@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UnknownFamily
 from .numerics import (DEFAULT_TOL, Tolerances, gram_gap, line_fit, numerical_rank,
-                       operator_norm, thin_svd)
+                       range_residual, thin_svd)
 from .reports import MarginReport
 from .subspaces import Subspace, SubspaceSystem, from_spanning
 
@@ -174,8 +174,8 @@ def sum_as_two(BS: BlockSystem, K: int, tol: Tolerances = DEFAULT_TOL):
     As sum P_j = CC* for the stacked member bases C, the lam_i, u_i and the
     rank come from one SVD of C.  The horizon is factored in stacked calls:
     one SVD of the C of each shape, then per (rank, number of small
-    directions) one of the graph vectors, one of [M1 M2] and one norm of the
-    residual of span C in span [M1 M2].
+    directions) one of the graph vectors, one of [M1 M2] and the two norms of
+    ``range_residual`` of span C in span [M1 M2].
     """
     if K < 1:
         raise ValueError(f"horizon must be at least 1, got {K}")
@@ -197,8 +197,7 @@ def sum_as_two(BS: BlockSystem, K: int, tol: Tolerances = DEFAULT_TOL):
                 G, s2, _ = thin_svd(Us[:, :, :ns] * b + big[:, :, :ns] * (1.0 - b))
                 r2 = numerical_rank(s2, tol)
             A, sA, _ = thin_svd(np.concatenate([big, G[:, :, :ns]], axis=2))
-            resid = operator_norm(C - A @ (A.conj().swapaxes(-1, -2) @ C))
-            ok = (r2 == ns) & (numerical_rank(sA, tol) == rk) & (resid <= tol.margin_tol)
+            ok = (r2 == ns) & (numerical_rank(sA, tol) == rk) & range_residual(A, C, tol)[1]
             rank_ok = rank_ok and bool(ok.all())
             for j, i in enumerate(sub):
                 m1_blocks[rows[i]] = Subspace(d, big[j])

@@ -13,11 +13,11 @@ from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      RangeConditionViolated, RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
                        complex_to_json, eig_hermitian, hermitian_eigenvalues,
-                       independence_sigma, numerical_rank, operator_norm, singular_values,
-                       spanning_forest, thin_svd)
+                       independence_sigma, numerical_rank, operator_norm, range_residual,
+                       singular_values, spanning_forest, thin_svd)
 from .reduction import independence_certificate
 from .reports import MarginReport
-from .subspaces import Subspace, SubspaceSystem, complement, from_spanning, sum_span
+from .subspaces import Subspace, SubspaceSystem, complement, equal, from_spanning, sum_span
 
 
 @dataclass
@@ -66,18 +66,16 @@ def douglas_factor(A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     and Im C lies in the orthocomplement of ker B.  The inclusion margin is
     the smallest lambda with A A* <= lambda B B*, which is ||C||^2 by
     Douglas's range-inclusion lemma (Proc. AMS 17 (1966) 413-415).  One thin
-    SVD B = U s V* serves throughout: with r its numerical rank, U_r spans
-    Im(B), the inclusion residual ||A - U_r U_r* A|| must be at most
-    margin_tol ||A|| (a precondition, so relative to A) and C = V_r s_r^{-1} U_r* A.
+    SVD B = U s V* serves throughout: with r its numerical rank, U_r spans Im(B),
+    which must hold Im(A) by ``range_residual``, and C = V_r s_r^{-1} U_r* A.
     """
     A = np.asarray(A, dtype=complex)
     U, s, V = thin_svd(B)
     r = numerical_rank(s, tol)
-    UA = U[:, :r].conj().T @ A
-    resid = operator_norm(A - U[:, :r] @ UA)
-    if resid > tol.margin_tol * operator_norm(A):
+    resid, inside = range_residual(U[:, :r], A, tol)
+    if not inside:
         raise RangeNotIncluded(f"Im(A) outside Im(B) by {resid:.3e}")
-    C = V[:, :r] @ (UA / s[:r, None])
+    C = V[:, :r] @ ((U[:, :r].conj().T @ A) / s[:r, None])
     return C, operator_norm(C) ** 2
 
 
@@ -284,12 +282,9 @@ def quadratic_projector_criterion(S: SubspaceSystem, alpha,
     r = numerical_rank(s, tol)
     report.add("closed_range_margin", s[r - 1] if r else np.inf, tol.margin_tol,
                vacuous=r == 0)
-    imA = Subspace(d, U[:, :r])
-    total = sum_span(S.members, tol)
-    report.extras["range_equality_residual"] = operator_norm(
-        imA.projector() - total.projector())
-    report.extras["range_equals_sum"] = bool(
-        report.extras["range_equality_residual"] <= 100 * tol.margin_tol)
+    imA, total = Subspace(d, U[:, :r]), sum_span(S.members, tol)  # Im(A) lies in the sum
+    report.extras["range_equality_residual"] = range_residual(imA.basis, total.basis, tol)[0]
+    report.extras["range_equals_sum"] = equal(imA, total, tol)
     report.extras["beta_classification"] = beta.classification
     report.extras["beta_graph_connected"] = beta.graph_connected
 
@@ -303,9 +298,9 @@ def ibap_check(S: SubspaceSystem, F: OperatorFamily,
                tol: Tolerances = DEFAULT_TOL) -> MarginReport:
     """Inverse best approximation property margins for operators A_k.
 
-    Requires Im(A_k) inside H_k.  The joint constant is the smallest singular
-    value of the stacked map (y_1..y_n) -> sum A_k* y_k on +H_k; it is
-    positive iff each A_k* embeds H_k isomorphically and the ranges
+    Requires Im(A_k) inside H_k by ``range_residual``.  The joint constant is
+    the smallest singular value of the stacked map (y_1..y_n) -> sum A_k* y_k on
+    +H_k; it is positive iff each A_k* embeds H_k isomorphically and the ranges
     A_k*(H_k) form an independent system with closed sum.
     """
     if len(F.members) != len(S):
@@ -314,8 +309,8 @@ def ibap_check(S: SubspaceSystem, F: OperatorFamily,
     blocks, ranges = [], []
     report = MarginReport()
     for k, (M, H) in enumerate(zip(F.members, S.members), start=1):
-        resid = operator_norm(M - H.basis @ (H.basis.conj().T @ M))
-        if resid > tol.margin_tol:
+        resid, inside = range_residual(H.basis, M, tol)
+        if not inside:
             raise RangeConditionViolated(f"Im(A_{k}) outside H_{k} by {resid:.3e}")
         block = M.conj().T @ H.basis  # A_k* restricted to H_k
         blocks.append(block)

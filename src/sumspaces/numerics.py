@@ -13,6 +13,8 @@ numerical policy wrapped around each decomposition:
 - zero: the rank rule on one operator's descending values, at its own scale: ``images``'
   sum gap and ``build_beta``'s zero count (none), ``paircalc``'s punctured disk (||b||),
   the modulus descent's simplicity, coupling and curvature tests (largest edge weight);
+- range inclusion: ||X - QQ*X|| <= margin_tol ||X|| (``range_residual``) for ``contains``
+  (so ``equal`` and ``reduce``), ``douglas_factor``, ``ibap_check`` and ``sum_as_two``;
 - independence: sigma_min of stacked bases, 1 with no columns, 0 when wide;
 - graphs: connectivity and spanning forests from one breadth-first search;
 - orthonormal bases: ``qr`` once both sides exceed 16, else ``thin_svd`` (``from_spanning``);
@@ -87,6 +89,13 @@ def operator_norm(M: np.ndarray):
     """Spectral norm, one per matrix of a (..., m, n) stack; 0 for empty matrices."""
     norms = _lapack(np.linalg.norm, M, 2, axis=(-2, -1)) if M.size else np.zeros(M.shape[:-2])
     return norms if M.ndim > 2 else float(norms)
+
+
+def range_residual(Q: np.ndarray, X: np.ndarray, tol: Tolerances):
+    """(||X - QQ*X||, whether Im X lies in the span of orthonormal columns Q: that
+    residual is at most margin_tol ||X||), per matrix of a (..., d, m) stack; m = 0: (0, True)."""
+    resid = operator_norm(X - Q @ (Q.conj().swapaxes(-1, -2) @ X))
+    return resid, resid <= tol.margin_tol * operator_norm(X)
 
 
 def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:

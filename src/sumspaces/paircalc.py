@@ -159,8 +159,8 @@ def calculus_report(pair: PairDecomposition, f1, f2, f3, f4,
                     tol: Tolerances = DEFAULT_TOL):
     """(spectrum of b, margins of Im(b)) from one pass over b's blocks; F must not
     vanish on [0, 1).  b's singular values are the |values| on the flat components
-    and each block's closed-form pair, cut at ``numerical_rank``; the punctured
-    disk cuts the descending |spectrum| there too, at the scale ||b|| = sv[0]."""
+    and each block's closed-form pair, cut at ``numerical_rank``; the punctured disk's
+    descending |spectrum| and b's value on H1&H2 are cut there too, at the scale ||b|| = sv[0]."""
     values, flat, block, D, spectrum = _blocks(pair, (f1, f2, f3, f4))
     _check_F(pair, (f1, f2, f3, f4), tol)
     report = MarginReport()
@@ -171,7 +171,7 @@ def calculus_report(pair: PairDecomposition, f1, f2, f3, f4,
                        ("closed_range_margin", sv[:numerical_rank(sv, tol)])):
         report.add(name, float(kept.min()) if len(kept) else 1.0, tol.margin_tol,
                    vacuous=len(kept) == 0)
-    report.extras["sum_at_one_nonzero"] = bool(abs(values[0]) > tol.margin_tol)
+    report.extras["sum_at_one_nonzero"] = bool(numerical_rank(np.abs(values[:1]), tol, sv[0]))
     return spectrum, report
 
 

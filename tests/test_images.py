@@ -275,6 +275,22 @@ def test_ibap_joint_epsilon_is_sigma_min_at_extreme_scales(scale):
     assert ss.ibap_check(S, F).margin("joint_epsilon") == scale
 
 
+@pytest.mark.parametrize("k", [-30, 0, 20, 30])
+def test_ibap_check_does_not_refuse_a_scaled_family(k):
+    # A_k = B_k X_k on members of dimensions 3 and 4 in C^8: an absolute bound of
+    # margin_tol on ||A_k - B_k B_k* A_k|| refused it at 2^30 (residual 3.8e-6)
+    gen = np.random.default_rng(3)
+
+    def cplx(*shape):
+        return gen.normal(size=shape) + 1j * gen.normal(size=shape)
+
+    S = ss.SubspaceSystem(8, [ss.from_spanning(cplx(8, r)) for r in (3, 4)])
+    ops = [2.0 ** k * H.basis @ cplx(H.dim, 8) for H in S.members]
+    rep = ss.ibap_check(S, ss.OperatorFamily(8, ops))
+    assert rep.margin("joint_epsilon") / 2.0 ** k \
+        == pytest.approx(0.771589613937388, rel=1e-12)
+
+
 def test_ibap_check_rejects_range_violation():
     e = np.eye(2, dtype=complex)
     S = ss.SubspaceSystem(2, [ss.from_spanning(e[:, [0]]),

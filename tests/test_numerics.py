@@ -242,6 +242,7 @@ def test_only_numerics_calls_lapack():
 # cutoff from eig_tol
 ZERO_CUTOFF = re.compile(r"100 \* \w+\.eig_tol")
 RANK_CUTOFF = re.compile(r"rank_tol \*")
+MARGIN_PRODUCT = re.compile(r"margin_tol \*|\* \w+\.margin_tol")
 
 
 def test_cutoffs_are_written_only_in_numerics():
@@ -253,6 +254,37 @@ def test_cutoffs_are_written_only_in_numerics():
     assert {name: lines for name, lines in rank_lines.items() if lines} == {
         "blockmodel.py": ["cut = eps - tol.rank_tol * s[:, 0]  # a value tied with eps is big"]}
     assert RANK_CUTOFF.search(sources["numerics.py"])
+    # one range-inclusion rule: margin_tol scaled by anything only in range_residual,
+    # and in the block model's closed_on_horizon threshold
+    margin_lines = {name: [line.strip() for line in text.splitlines()
+                           if MARGIN_PRODUCT.search(line)] for name, text in sources.items()}
+    assert {name: lines for name, lines in margin_lines.items() if lines} == {
+        "numerics.py": ["return resid, resid <= tol.margin_tol * operator_norm(X)"],
+        "blockmodel.py": ["elif inf_gap > 100 * tol.margin_tol and slope >= -0.2:"]}
+
+
+def test_range_residual_per_matrix_of_a_stack(rng):
+    tol = numerics.DEFAULT_TOL
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    Q = np.stack([np.linalg.qr(cplx(6, 2))[0] for _ in range(4)])
+    X = np.concatenate([Q[:2] @ cplx(2, 2, 3), cplx(2, 6, 3)])  # two inside, two not
+    resid, inside = numerics.range_residual(Q, X, tol)
+    assert inside.tolist() == [True, True, False, False]
+    for i in range(4):
+        one = numerics.range_residual(Q[i], X[i], tol)
+        assert one[1] == inside[i] and one[0] == pytest.approx(resid[i], rel=1e-14, abs=1e-15)
+        oracle = np.linalg.norm((np.eye(6) - Q[i] @ Q[i].conj().T) @ X[i], 2)
+        assert abs(one[0] - oracle) <= 1e-14 * np.linalg.norm(X[i], 2)
+        for k in (-30, 30):  # relative to ||X||: no scale moves the verdict
+            assert numerics.range_residual(Q[i], 2.0 ** k * X[i], tol)[1] == inside[i]
+    assert numerics.range_residual(Q[0], np.zeros((6, 0)), tol) == (0.0, True)
+    resid, inside = numerics.range_residual(Q, np.zeros((4, 6, 0)), tol)
+    assert resid.tolist() == [0.0] * 4 and inside.all()
+    resid, inside = numerics.range_residual(np.zeros((6, 0)), X[2], tol)
+    assert resid == pytest.approx(np.linalg.norm(X[2], 2), rel=1e-14) and not inside
 
 
 def test_every_numerics_function_has_a_caller():

@@ -63,7 +63,8 @@ def test_sum_of_projectors_special_case():
 def test_punctured_disk_margin_scales_with_b(k):
     # f = 2^k (0.1, 0.2, -0.3, 0): b's value on the meet H1&H2 is the round-off
     # f1(1) + f2(1) + f3(1) = 5.6e-17 * 2^k, which an absolute cutoff of 1e-8 read
-    # as the punctured-disk margin at 2^30; measured against ||b|| it is zero
+    # as the punctured-disk margin, and as a nonzero sum at 1, at 2^30; measured
+    # against ||b|| it is zero
     e = np.eye(4, dtype=complex)
     t = 0.7
     H2 = ss.Subspace(4, np.stack([e[:, 0], np.cos(t) * e[:, 1] + np.sin(t) * e[:, 2]], 1))
@@ -73,6 +74,7 @@ def test_punctured_disk_margin_scales_with_b(k):
     assert np.sort(np.abs(spectrum))[1] / 2.0 ** k == pytest.approx(5.551115123125783e-17)
     assert rep.margin("punctured_disk_margin") / 2.0 ** k \
         == pytest.approx(0.09110613904121714, rel=1e-12)
+    assert rep.extras["sum_at_one_nonzero"] is False
 
 
 def test_calculus_criteria_margins(rng):

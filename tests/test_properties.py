@@ -370,9 +370,9 @@ def test_modulus_descent_on_a_multiple_bottom_eigenvalue(layout):
 
 def _scaled_analyses(seed, c):
     """Every input of the analyses below drawn with ``seed``, then times c: the
-    operators and spanning vectors of ``images`` (douglas, sum, membership),
-    ``calculus``, ``graph --modulus`` and ``system --alpha``, the polynomial
-    coefficients, the edge weights and alpha.
+    operators and spanning vectors of ``images`` (douglas, sum, membership,
+    ``ibap_check`` with A_k = B_k X_k), ``calculus``, ``graph --modulus`` and
+    ``system --alpha``, the polynomial coefficients, the edge weights and alpha.
     Returns the dimensions, ranks, notes and refusals, the margins as
     {name: (value, degree j)}, a margin scaling by c^j, and the descent's eigh
     counts by size."""
@@ -412,8 +412,10 @@ def _scaled_analyses(seed, c):
     fs = [ss.ScalarFunction.from_poly(c * cplx(3)) for _ in range(4)]
     exact["k_dim"] = pair.k_dim
     try:
-        for entry in ss.calculus_criteria(pair, *fs).entries:
+        rep = ss.calculus_criteria(pair, *fs)
+        for entry in rep.entries:
             margins[f"calculus_{entry.criterion}"] = (entry.margin, int(entry.note != "vacuous"))
+        exact["calculus_sum_at_one_nonzero"] = rep.extras["sum_at_one_nonzero"]
         exact["calculus_refused"] = False
     except HypothesisViolated:
         exact["calculus_refused"] = True
@@ -436,6 +438,11 @@ def _scaled_analyses(seed, c):
     margins["epsilon"] = (rep.extras["epsilon"], 1)
     margins["lambda_max"] = (rep.extras["lambda_max"], 1)
     margins["independence_epsilon"] = (rep.extras["independence_epsilon"], 0)
+    ops = [c * H.basis @ cplx(H.dim, d) for H in S.members]
+    rep = ss.ibap_check(S, ss.OperatorFamily(d, ops))
+    for entry in rep.entries:  # each A_k* B_k scales with c, their independence does not
+        margins[f"ibap_{entry.criterion}"] = (
+            entry.margin, int(entry.criterion != "range_independence_epsilon"))
     return exact, margins, sizes
 
 
@@ -449,7 +456,9 @@ def test_scaling_every_input_by_a_power_of_two_scales_each_margin(k, seed):
     The refusals that may move are absolute on purpose: membership's
     invertibility check refuses exactly when lambda_min(sum a_k^2) is at most
     margin_tol, and the F != 0 hypothesis of ``calculus``, with F of degree 2,
-    may refuse at a smaller scale, never at a larger one."""
+    may refuse at a smaller scale, never at a larger one.  The range conditions
+    of ``douglas_factor`` and ``ibap_check`` are relative, so neither refuses
+    an included range at any scale."""
     exact, margins, sizes = _scaled_analyses(seed, 1.0)
     scaled_exact, scaled_margins, scaled_sizes = _scaled_analyses(seed, 2.0 ** k)
     refused = scaled_exact.pop("membership_refused")
@@ -457,10 +466,12 @@ def test_scaling_every_input_by_a_power_of_two_scales_each_margin(k, seed):
     assert refused == (scaled_margins["membership_floor"][0] <= ss.DEFAULT_TOL.margin_tol)
     calculus = exact.pop("calculus_refused"), scaled_exact.pop("calculus_refused")
     assert calculus[0] == calculus[1] or (k < 0 and calculus == (False, True))
-    assert scaled_exact == exact and scaled_sizes == sizes
     dropped = {"membership_residual"} if refused else set()
     if any(calculus):
         dropped |= {name for name in margins if name.startswith("calculus_")}
+        for analysis in (exact, scaled_exact):
+            analysis.pop("calculus_sum_at_one_nonzero", None)
+    assert scaled_exact == exact and scaled_sizes == sizes
     assert scaled_margins.keys() == margins.keys() - dropped
     for name, (value, degree) in scaled_margins.items():
         expected = margins[name][0] * 2.0 ** (degree * k)
