@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, MalformedInput) as exc:
         _emit_error(exc)
         return 3
-    except (argparse.ArgumentError, SumspacesError, ValueError, OverflowError) as exc:
+    except (argparse.ArgumentError, SumspacesError, ValueError, OverflowError, MemoryError) as exc:
         _emit_error(exc)
         return 2
     finally:

@@ -89,9 +89,9 @@ def sum_of_images(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL):
     sigma(sum a_k) above zero, the least eigenvalue ``numerical_rank`` keeps (else +inf).
     """
     d = F.ambient_dim
-    spec = eig_hermitian(sum(M @ M.conj().T for M in F.members), tol)
-    root = np.sqrt(np.maximum(spec.eigenvalues[::-1], 0.0))
-    image = Subspace(d, spec.eigenvectors[:, ::-1][:, :numerical_rank(root, tol)])
+    w, V = eig_hermitian(sum(M @ M.conj().T for M in F.members), tol)
+    root = np.sqrt(np.maximum(w[::-1], 0.0))
+    image = Subspace(d, V[:, ::-1][:, :numerical_rank(root, tol)])
     concat = from_spanning(np.hstack(F.members), d, tol)
     report = MarginReport()
     dist = operator_norm(image.projector() - concat.projector())
@@ -176,8 +176,7 @@ def m_membership_identity(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL) -> f
     eigendecomposition of S.
     """
     S = sum(M @ M for M in F.members)
-    spec = eig_hermitian(S, tol)
-    w, V = spec.eigenvalues, spec.eigenvectors
+    w, V = eig_hermitian(S, tol)
     if w[0] <= tol.margin_tol:
         raise NotInvertible(f"sum of squares has min eigenvalue {w[0]:.3e}")
     half = (V * np.sqrt(w)) @ V.conj().T
@@ -212,8 +211,7 @@ def build_beta(alpha: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BetaMatrix:
             im = np.imag(alpha[i, j]) - np.imag(alpha[j, i])
             beta[i, j] = beta[j, i] = -0.5 * np.hypot(re, im)
 
-    spec = eig_hermitian(beta, tol)
-    w, v = spec.eigenvalues, spec.eigenvectors
+    w, v = eig_hermitian(beta, tol)
     zero_count = n - numerical_rank(np.sort(np.abs(w))[::-1], tol)
     support = np.argwhere(np.triu(np.abs(beta) > tol.eig_tol, 1))  # edges i < j
     connected = len(spanning_forest(n, support)) >= n - 1

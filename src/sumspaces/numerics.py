@@ -26,7 +26,10 @@ numerical policy wrapped around each decomposition:
 Functions of a matrix, inverses, spectral projectors, range bases and smallest
 nonzero singular values are not wrapped here: each caller forms them from its
 own single ``eig_hermitian``, ``thin_svd`` or ``qr`` and the shared ``numerical_rank``
-cutoff, so a matrix is factored once per analysis.
+cutoff, so a matrix is factored once per analysis.  Two are factored twice: the stacked
+bases of ``reduce_system`` (for the sum span, and values only for eps, which must equal
+``sum_gap``'s) and the Q(0) of ``graph --modulus`` (``eigvalsh`` for its epsilon and
+``eigh`` to start the phase descent).
 """
 
 from __future__ import annotations
@@ -59,14 +62,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass
-class HermitianSpectrum:
-    """Eigenvalues (ascending) and a unitary of eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _refuse_overflow(M: np.ndarray, what: str, nan_too: bool = False) -> None:
@@ -111,9 +106,9 @@ def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:
     return (M + M.conj().T) / 2.0
 
 
-def eig_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues."""
-    return HermitianSpectrum(*_lapack(np.linalg.eigh, _hermitian(M, tol)))
+def eig_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """(w, V): ascending eigenvalues and a unitary of eigenvectors of a Hermitian matrix."""
+    return _lapack(np.linalg.eigh, _hermitian(M, tol))
 
 
 def hermitian_eigenvalues(M: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -144,7 +139,9 @@ def qr(M: np.ndarray):
 
 def singular_values(M: np.ndarray) -> np.ndarray:
     """Descending singular values, min(m, n) of them per matrix of a (..., m, n) stack."""
-    return _lapack(np.linalg.svd, M, compute_uv=False)
+    s = _lapack(np.linalg.svd, M, compute_uv=False)
+    _refuse_overflow(s, "singular values", nan_too=True)  # only an overflow makes one non-finite
+    return s
 
 
 def numerical_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale: float | None = None):

@@ -69,14 +69,13 @@ def oblique_projections(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL):
     Requires an independent system with full sum; then every x splits
     uniquely as x = x_1 + ... + x_n with x_k in H_k and Q_k x = x_k.
     """
-    cert = independence_certificate(S, tol)
-    if not cert.independent:
-        raise NotIndependent("system is not linearly independent")
     stacked = np.hstack([m.basis for m in S.members])
+    U, s, V = thin_svd(stacked)  # serves the independence test and the inverse
+    if not independence_sigma(stacked, s) ** 2 > tol.margin_tol:
+        raise NotIndependent("system is not linearly independent")
     if stacked.shape[1] != S.ambient_dim:
         raise SumNotFull("sum of the members must be the whole space")
-    U, s, V = thin_svd(stacked)  # square, and sigma_min^2 > margin_tol: invertible
-    inverse = (V / s) @ U.conj().T
+    inverse = (V / s) @ U.conj().T  # square, and sigma_min^2 > margin_tol: invertible
     out = []
     offset = 0
     for m in S.members:
@@ -152,6 +151,8 @@ def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
     Conclusions (verified as operator inequalities):
       3 (P_H1 + P_M2) + eps I >= P_H1 + P_H2
       P_H1 + P_M2 >= (eps/4) P_{H1+M2}
+    The second is read from sigma of C = [H1 | M2]: P_H1 + P_M2 = CC* has its
+    range H1 + M2 and the gap ``closed_margin`` there, and 0 on its kernel.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
@@ -160,15 +161,14 @@ def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
     P1, P2, PM2 = H1.projector(), H2.projector(), M2.projector()
     report = MarginReport()
     report.extras["delta"] = delta
-    closed_gap, _ = gram_gap(np.hstack([H1.basis, M2.basis]), tol)
+    closed_gap, kernel_dim = gram_gap(np.hstack([H1.basis, M2.basis]), tol)
     report.add("closed_margin", closed_gap, tol.margin_tol,
                vacuous=np.isinf(closed_gap))
     dom = 3 * (P1 + PM2) + eps * np.eye(d) - P1 - P2
     report.add("domination_slack",
                float(hermitian_eigenvalues(dom, tol)[0]), tol.margin_tol)
-    low = P1 + PM2 - (eps / 4.0) * sum_span([H1, M2], tol).projector()
-    report.add("lower_bound_slack",
-               float(hermitian_eigenvalues(low, tol)[0]), tol.margin_tol)
+    report.add("lower_bound_slack", min(closed_gap - eps / 4.0, 0.0 if kernel_dim else np.inf),
+               tol.margin_tol)
     return M2, report
 
 
@@ -209,32 +209,36 @@ def _certified_core(S: SubspaceSystem, span: Subspace, tol: Tolerances):
     """The reduction theorem on S: the gap eps of sum P_k (``gram_gap``), the
     recursion and the certificate slack on ``span``, the sum of S.
 
+    The slack is lambda_min(B*(sum w_k P_k)B) - rhs for B = span.basis, k columns;
+    B*(sum w_k P_k)B = (B*C_w)(B*C_w)* for C_w = [sqrt(w_k) M_k], so it is
+    sigma_k(B*C_w)^2 - rhs, and -rhs when B*C_w has fewer than k values.
+
     Returns (reduced members, weights, eps, rhs, slack).
     """
-    d = S.ambient_dim
     eps, _ = gram_gap(np.hstack([m.basis for m in S.members]), tol)
     if not tol.margin_tol < eps < np.inf:
         raise GapTooSmall(f"gap {eps if eps < np.inf else 0.0} below margin_tol")
     eps = min(eps, 1.0 - 10 * tol.eig_tol)
     reduced, weights, rhs = _reduce_recursive(list(S.members), eps, tol)
-    cert_op = sum(w * m.projector() for w, m in zip(weights, reduced))
-    B = span.basis
-    restricted = B.conj().T @ (cert_op - rhs * np.eye(d)) @ B
-    slack = float(hermitian_eigenvalues(restricted, tol)[0]) if B.shape[1] else 0.0
+    B, C_w = span.basis, np.hstack([np.sqrt(w) * m.basis for w, m in zip(weights, reduced)])
+    s, k = singular_values(B.conj().T @ C_w), B.shape[1]
+    slack = float((s[k - 1] ** 2 if len(s) == k else 0.0) - rhs) if k else 0.0
     return reduced, weights, eps, rhs, slack
 
 
 def _assemble(reduced, weights, eps, rhs, slack, original_sum: Subspace,
               report: MarginReport, tol: Tolerances) -> ReductionResult:
     """ReductionResult of the reduced members, with the independence epsilon
-    and the sum preservation against ``original_sum`` added to ``report``."""
-    reduced_sys = SubspaceSystem(original_sum.ambient_dim, reduced)
-    sum_preserved = equal(sum_span(reduced, tol), original_sum, tol)
-    cert = independence_certificate(reduced_sys, tol)
-    report.add("independence_epsilon", cert.epsilon, tol.margin_tol)
+    and the sum preservation against ``original_sum`` added to ``report``, both
+    from one thin SVD of the stacked reduced bases."""
+    d = original_sum.ambient_dim
+    stacked = np.hstack([m.basis for m in reduced])
+    U, s, _ = thin_svd(stacked)
+    sum_preserved = equal(Subspace(d, U[:, :numerical_rank(s, tol)]), original_sum, tol)
+    report.add("independence_epsilon", independence_sigma(stacked, s) ** 2, tol.margin_tol)
     report.extras["sum_preserved"] = sum_preserved
     return ReductionResult(
-        reduced=reduced_sys, weights=weights, c_n=c_constant(len(reduced)),
+        reduced=SubspaceSystem(d, reduced), weights=weights, c_n=c_constant(len(reduced)),
         epsilon=eps, rhs=rhs, certificate_slack=slack, sum_preserved=sum_preserved,
         numerically_vacuous=rhs < tol.margin_tol, report=report)
 

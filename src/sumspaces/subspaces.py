@@ -135,10 +135,10 @@ def equal(A: Subspace, B: Subspace, tol: Tolerances) -> bool:
 
 
 def subtract(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthogonal difference A minus (A intersect B-closure): span of (I - P_B) A."""
+    """Orthogonal difference A minus (A intersect B-closure): span of A - B(B*A) = (I - P_B) A."""
     _check_ambient(A, B)
-    P = np.eye(A.ambient_dim) - B.projector()
-    return from_spanning(P @ A.basis, A.ambient_dim, tol, scale=1.0)
+    Q = B.basis
+    return from_spanning(A.basis - Q @ (Q.conj().T @ A.basis), A.ambient_dim, tol, scale=1.0)
 
 
 @dataclass

@@ -159,8 +159,8 @@ def _modulus_evaluate(Q, blocks, theta, tol: Tolerances, scale: float):
     for (rows, cols), t in zip(blocks, twists):
         Qt[rows, cols] *= t
         Qt[cols, rows] *= t.conjugate()
-    spec = eig_hermitian(Qt, tol)
-    lam, U, v = spec.eigenvalues, spec.eigenvectors, spec.eigenvectors[:, 0]
+    lam, U = eig_hermitian(Qt, tol)
+    v = U[:, 0]
     # p_e = t_e v_r* C_e v_c: v* Q_e v = -2 Im p_e and v* Q_ee v = -2 Re p_e
     p = np.array([t * (v[rows].conj() @ Q[rows, cols] @ v[cols])
                   for (rows, cols), t in zip(blocks, twists)])
@@ -184,10 +184,9 @@ def _modulus_descent(Q, blocks, theta, tol: Tolerances, scale: float) -> float:
     once the Newton decrement or the drop is at most eig_tol * scale."""
     lam, grad, hess = _modulus_evaluate(Q, blocks, theta, tol, scale)
     for _ in range(DESCENT_ITERATIONS):
-        curv = None if hess is None else eig_hermitian(hess, tol)
-        if curv is not None and numerical_rank(curv.eigenvalues[::-1], tol, scale) == len(grad):
-            V = curv.eigenvectors
-            step = -(V @ (V.conj().T @ grad / curv.eigenvalues)).real
+        w, V = (None, None) if hess is None else eig_hermitian(hess, tol)
+        if w is not None and numerical_rank(w[::-1], tol, scale) == len(grad):
+            step = -(V @ (V.conj().T @ grad / w)).real
             if -(grad @ step) / 2 <= tol.eig_tol * scale:  # the Newton decrement
                 break
         else:  # one radian: the natural scale of a phase, whatever the gradient

@@ -536,6 +536,36 @@ def test_overflowing_operator_entry_is_named(analysis, error, tmp_path, capsys):
     assert "overflow" in f"{error} {report['error']['message']}".lower()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("depth", ["2", "3"])
+def test_overflowing_p_radius_words_are_named(depth, tmp_path, capsys):
+    """Words of I - T_i with entries 1e300 overflow at depth 2: exit 2 naming the
+    overflow at every depth, not a NaN in the sequence (which is not JSON) or an
+    unconverged SVD."""
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps(ss.OperatorFamily(2, [np.full((2, 2), 1e300)] * 2).to_json()))
+    with np.errstate(all="ignore"):
+        code = main(["images", "--operators", str(path), "--analysis", "pradius",
+                     "--depth", depth])
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert code == 2
+    assert report["error"]["type"] == "ComputationFailed"
+    assert "overflow" in report["error"]["message"]
+
+
+def test_an_allocation_numpy_cannot_make_is_exit_2(capsys):
+    # the 10^8 x 10^8 complex identity of one block is 142 PiB, past any 64-bit
+    # address space, so numpy refuses it at once
+    code, report = _run(["blocks", "--family", "one_over_k", "--n", "100000000",
+                         "--subset", "1", "--horizon", "1"], capsys)
+    assert code == 2
+    assert "MemoryError" in report["error"]["type"]
+    assert "Unable to allocate" in report["error"]["message"]
+
+
 @pytest.mark.parametrize("d, r", [(8, 4), (64, 32)], ids=["thin_svd", "qr"])
 def test_overflowing_subspace_is_refused_not_read_as_zero(d, r, tmp_path, capsys):
     """Finite vectors, doubled until their singular values overflow: exit 2

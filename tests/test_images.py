@@ -216,6 +216,11 @@ def test_build_beta_classifications():
     neither = np.eye(2, dtype=complex)
     neither[0, 1] = neither[1, 0] = -3.0
     assert ss.build_beta(neither).classification == "neither"
+    # a zero eigenvalue on a disconnected support: neither (B1)(B2) nor definite
+    split = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    beta = ss.build_beta(split)
+    assert beta.classification == "borderline"
+    assert not beta.graph_connected and beta.kernel_vector is None
     with pytest.raises(DiagonalNotPositive):
         ss.build_beta(np.diag([1.0, -1.0]).astype(complex))
 
@@ -289,6 +294,13 @@ def test_ibap_check_does_not_refuse_a_scaled_family(k):
     rep = ss.ibap_check(S, ss.OperatorFamily(8, ops))
     assert rep.margin("joint_epsilon") / 2.0 ** k \
         == pytest.approx(0.771589613937388, rel=1e-12)
+
+
+def test_ibap_check_needs_one_operator_per_member():
+    e = np.eye(2, dtype=complex)
+    S = ss.SubspaceSystem(2, [ss.from_spanning(e[:, [0]]), ss.from_spanning(e[:, [1]])])
+    with pytest.raises(DimensionMismatch, match="one operator per member"):
+        ss.ibap_check(S, ss.OperatorFamily(2, [np.diag([1.0, 0.0])]))
 
 
 def test_ibap_check_rejects_range_violation():

@@ -19,7 +19,7 @@ EIGEN_PATHS = pytest.mark.parametrize(
 
 def _eigenvalues(path, M):
     out = path(M, numerics.DEFAULT_TOL)
-    return getattr(out, "eigenvalues", out)
+    return out[0] if path is numerics.eig_hermitian else out
 
 
 def test_tolerances_must_be_positive():
@@ -44,7 +44,7 @@ def test_eig_hermitian_ascending_and_unitary(rng, path):
     M = M + M.conj().T
     w = _eigenvalues(path, M)
     assert np.all(np.diff(w) >= 0)
-    V = numerics.eig_hermitian(M).eigenvectors
+    _, V = numerics.eig_hermitian(M)
     assert np.allclose(V.conj().T @ V, np.eye(6), atol=1e-12)
     recon = (V * w) @ V.conj().T
     assert np.linalg.norm(recon - M, 2) <= 1e-10
@@ -149,6 +149,21 @@ def test_a_lapack_failure_is_computation_failed(entry, routine, overflowed, monk
     with np.errstate(invalid="ignore"), \
             pytest.raises(ComputationFailed, match="overflow" if overflowed else "did not converge"):
         entry(M)
+
+
+def test_independence_sigma_of_no_columns_is_one():
+    # an empty system is independent: every x_i is 0
+    assert numerics.independence_sigma(np.zeros((3, 0), dtype=complex)) == 1.0
+    assert numerics.independence_sigma(np.zeros((3, 0)), np.zeros(0)) == 1.0
+
+
+def test_singular_values_refuse_an_overflow():
+    # finite entries whose sigma_1 = 3e308 is past the double range give inf, and
+    # inf entries give NaN values with no LAPACK error: both are refused
+    for M in (np.full((2, 2), 1.5e308, dtype=complex), np.full((2, 2), np.inf)):
+        with np.errstate(all="ignore"), pytest.raises(ComputationFailed, match="overflow"):
+            numerics.singular_values(M)
+    assert numerics.singular_values(np.full((2, 2), 1e300))[0] == pytest.approx(2e300)
 
 
 def test_qr_refuses_an_overflowed_r():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 import scipy.linalg
 
 import sumspaces as ss
-from sumspaces.errors import (GapTooSmall, IndexOutOfRange, NotIndependent,
-                              SumNotFull)
+from sumspaces.cli import main
+from sumspaces.errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
+                              NotIndependent, SumNotFull)
 
 from conftest import _count_lapack, random_subspace, random_system, simplex_lines
 
@@ -161,38 +163,122 @@ def test_reduce_system_certificate_holds(rng):
         assert res.c_n == ss.c_constant(n)
 
 
-def _count_factorizations(monkeypatch):
-    """Count SVDs with vectors, values-only SVDs and eigvalsh calls made
-    through np.linalg."""
-    counts = {"svd": 0, "svdvals": 0, "eigvalsh": 0}
-    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
-
-    def counted_svd(*args, **kwargs):
-        counts["svd" if kwargs.get("compute_uv", True) else "svdvals"] += 1
-        return svd(*args, **kwargs)
-
-    def counted_eigvalsh(*args, **kwargs):
-        counts["eigvalsh"] += 1
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    return counts
+def _small_mix_shapes():
+    """The reduce inputs of the benchmark's small_mix: three members of
+    dimensions 3, 4, 3 in C^8, and a pair of dimensions 4, 5 in C^10."""
+    gen = np.random.default_rng(7)
+    S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (3, 4, 3)])
+    return S, random_subspace(gen, 10, 4), random_subspace(gen, 10, 5)
 
 
 @pytest.mark.parametrize("reduce, expected",
-                         [(ss.reduce_system, {"svd": 8, "svdvals": 2, "eigvalsh": 1}),
-                          (ss.reduce_preserving_sum, {"svd": 11, "svdvals": 2, "eigvalsh": 1})],
+                         [(ss.reduce_system,
+                           {"svd": 2, "svd_thin": 6, "svdvals": 2, "norm": 2}),
+                          (ss.reduce_preserving_sum,
+                           {"svd": 3, "svd_thin": 8, "svdvals": 2, "norm": 2})],
                          ids=["system", "preserve_sum"])
 def test_reduction_factorization_counts(reduce, expected, monkeypatch):
     # each decomposition once: one values-only SVD each for the gap and the
-    # independence certificate, one eigvalsh for the certificate slack, no
-    # discarded pair report and no meet above the last recursion level
-    gen = np.random.default_rng(7)
-    S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (3, 4, 3)])
-    counts = _count_factorizations(monkeypatch)
-    reduce(S)
-    assert counts == expected
+    # certificate slack, one thin SVD of the reduced stack for the sum and the
+    # independence epsilon (its two norms are the sum's range residual), no
+    # Hermitian eigensolve, no discarded pair report and no meet above the last
+    # recursion level
+    S, _, _ = _small_mix_shapes()
+    assert _count_lapack(monkeypatch, reduce, S) == expected
+
+
+def test_reduce_pair_factorization_counts(monkeypatch):
+    # the lower bound is read from the closed_margin's values-only SVD of [H1 | M2]:
+    # no thin SVD for the span of H1 + M2 and no eigvalsh (with its two Frobenius
+    # norms) of P_H1 + P_M2 - (eps/4) P_{H1+M2}, one of each fewer than before
+    _, H1, H2 = _small_mix_shapes()
+    assert _count_lapack(monkeypatch, ss.reduce_pair, H1, H2, 0.5) == {
+        "svd": 1, "svd_thin": 1, "svdvals": 1, "eigvalsh": 1, "norm": 2}
+
+
+@pytest.mark.parametrize("mode, expected", [("system", 0), ("preserve-sum", 0), ("pair", 3)])
+def test_reduce_forms_no_projector_sum(mode, expected, tmp_path, monkeypatch, capsys):
+    """Only domination_slack, which has no Gram factor, forms d x d projectors:
+    P_H1, P_H2 and P_M2 in pair mode, none in the other modes."""
+    S, H1, H2 = _small_mix_shapes()
+    path = tmp_path / "members.json"
+    path.write_text(json.dumps(ss.system_to_json(
+        ss.SubspaceSystem(10, [H1, H2]) if mode == "pair" else S)))
+    calls = []
+    projector = ss.Subspace.projector
+    monkeypatch.setattr(ss.Subspace, "projector", lambda self: calls.append(1) or projector(self))
+    assert main(["reduce", "--members", str(path), "--mode", mode]) == 0
+    capsys.readouterr()
+    assert len(calls) == expected
+
+
+def _dense_lower_bound(H1, M2, eps):
+    """The lemma's lower-bound slack as the least eigenvalue of the d x d operator."""
+    P = H1.projector() + M2.projector()
+    span = ss.sum_span([H1, M2]).projector()
+    return float(np.linalg.eigvalsh(P - eps / 4.0 * span)[0])
+
+
+def test_lower_bound_slack_matches_the_projector_sum(rng):
+    """min(closed_margin - eps/4, 0 when H1 + M2 is not all of C^d) is the least
+    eigenvalue of P_H1 + P_M2 - (eps/4) P_{H1+M2}; pairs that span C^d, pairs
+    that do not and an empty pair are all compared."""
+    compared = set()
+    for _ in range(60):
+        d = int(rng.integers(2, 8))
+        H1 = random_subspace(rng, d, int(rng.integers(0, d + 1)))
+        H2 = random_subspace(rng, d, int(rng.integers(0, d + 1)))
+        eps = float(rng.uniform(0.05, 0.95))
+        M2, rep = ss.reduce_pair(H1, H2, eps)
+        assert rep.margin("lower_bound_slack") == pytest.approx(
+            _dense_lower_bound(H1, M2, eps), abs=1e-12)
+        compared.add(H1.dim + M2.dim == d)
+    assert compared == {True, False}
+    empty = ss.zero_subspace(3)
+    assert ss.reduce_pair(empty, empty, 0.5)[1].margin("lower_bound_slack") == 0.0
+
+
+def test_certificate_slack_matches_the_projector_sum(rng):
+    """sigma_k(B* C_w)^2 - rhs equals the least eigenvalue of B*(sum w P - rhs I)B,
+    also when the sum is not the whole space."""
+    for d, dims in ((8, (3, 4, 3)), (9, (2, 2, 3)), (6, (1, 2)), (7, (2, 1, 1, 2))):
+        S = ss.SubspaceSystem(d, [random_subspace(rng, d, r) for r in dims])
+        res = ss.reduce_system(S)
+        B = ss.sum_span(S.members).basis
+        op = sum(w * m.projector() for w, m in zip(res.weights, res.reduced.members))
+        dense = np.linalg.eigvalsh(B.conj().T @ (op - res.rhs * np.eye(d)) @ B)[0]
+        assert res.certificate_slack == pytest.approx(dense, abs=1e-13)
+    # on a span larger than the sum, B* C_w has fewer than k values: sigma_k is 0
+    S = ss.SubspaceSystem(5, [random_subspace(rng, 5, 1), random_subspace(rng, 5, 2)])
+    _, _, _, rhs, slack = ss.reduction._certified_core(S, ss.full_space(5), ss.DEFAULT_TOL)
+    assert slack == -rhs < 0
+
+
+def test_shrink_moves_delta_off_a_compression_eigenvalue():
+    # cos^2 of the angle pi/6 is delta = 1 - eps/2 = 3/4: delta moves up by
+    # 10 eig_tol, so the line is kept; a second eigenvalue at the moved delta
+    # leaves no place for it
+    t = np.pi / 6
+    H1 = ss.from_spanning(np.array([[1.0], [0.0]]))
+    H2 = ss.from_spanning(np.array([[np.cos(t)], [np.sin(t)]]))
+    M2, rep = ss.reduce_pair(H1, H2, 0.5)
+    assert rep.extras["delta"] == 0.75 + 10 * ss.DEFAULT_TOL.eig_tol
+    assert M2.dim == 1
+    b = np.arccos(np.sqrt(0.75 + 10 * ss.DEFAULT_TOL.eig_tol))
+    e = np.eye(4)
+    H1 = ss.from_spanning(e[:, [0, 2]])
+    H2 = ss.from_spanning(np.column_stack([np.cos(t) * e[:, 0] + np.sin(t) * e[:, 1],
+                                           np.cos(b) * e[:, 2] + np.sin(b) * e[:, 3]]))
+    with pytest.raises(EigenvalueOnBoundary):
+        ss.reduce_pair(H1, H2, 0.5)
+
+
+def test_reduce_preserving_sum_of_members_with_no_columns():
+    # nothing to shrink: the system comes back as it is, with its sum
+    S = ss.SubspaceSystem(3, [ss.zero_subspace(3), ss.zero_subspace(3)])
+    res = ss.reduce_preserving_sum(S)
+    assert res.reduced is S and res.sum_preserved
+    assert res.report.extras["sum_preserved"] is True
 
 
 def test_reduce_preserving_sum_pair_case(rng):
