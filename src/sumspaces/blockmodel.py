@@ -97,10 +97,10 @@ def certify(BS: BlockSystem, subset, K: int,
     return ClosednessVerdict(status, inf_gap, gaps, slope, residual, K)
 
 
-def _one_over_k_block(n: int, k: int) -> SubspaceSystem:
-    """Block k: coordinate lines e_1..e_{n-1} plus the tilted line
-    e_1 + ... + e_{n-1} + (1/k) e_n in C^n."""
-    eye = np.eye(n, dtype=complex)
+def _one_over_k_block(eye: np.ndarray, k: int) -> SubspaceSystem:
+    """Block k: coordinate lines e_1..e_{n-1}, the columns of the n x n
+    identity ``eye``, plus the tilted line e_1 + ... + e_{n-1} + (1/k) e_n in C^n."""
+    n = len(eye)
     members = [Subspace(n, eye[:, [j]]) for j in range(n - 1)]
     v = np.ones((n, 1), dtype=complex)
     v[-1, 0] = 1.0 / k
@@ -141,8 +141,8 @@ def paper_families(name: str, params: dict | None = None) -> BlockSystem:
         n = int(params.get("n", 3))
         if n < 1:
             raise ValueError(f"one_over_k needs n >= 1, got {n}")
-        return BlockSystem(lambda k: _one_over_k_block(n, k), n,
-                           "one_over_k", {"n": n})
+        eye = np.eye(n, dtype=complex)  # one per family, so a huge n fails here
+        return BlockSystem(lambda k: _one_over_k_block(eye, k), n, "one_over_k", {"n": n})
     if name == "halmos_accumulating":
         rate = params.get("rate", lambda k: 1.0 / k)
         if isinstance(rate, (int, float)):

@@ -2,9 +2,10 @@
 
 Exit codes: 0 = analysis completed, 2 = precondition or usage error, 3 =
 I/O or parse error (including entries that are not [re, im] pairs of finite
-numbers); 2 and 3 print {"error": {"type", "message"}}.  Reports are
-deterministic: re-running with the same request and seed reproduces every
-byte.
+numbers, a file that is not UTF-8 or nests too deep, and an --out that cannot
+be written); 2 and 3 print {"error": {"type", "message"}}.  Reports are strict
+JSON and deterministic: re-running with the same request and seed reproduces
+every byte.
 """
 
 from __future__ import annotations
@@ -27,50 +28,38 @@ from . import blockmodel, images, paircalc, pairs, reduction, subspaces, systems
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested too deep
+        raise MalformedInput(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise MalformedInput(f"{path}: top level is not a JSON object")
     return data
 
 
-def _canonical(value):
-    """Make a report JSON-serializable with deterministic formatting."""
+def _json_value(value):
+    """json.dumps' default: the two non-JSON types a report holds."""
     if isinstance(value, MarginReport):
-        return _canonical(value.to_dict())
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, complex):
-        return complex_to_json(value)
-    if isinstance(value, (np.floating,)):
-        return _canonical(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
+        return value.to_dict()
     if isinstance(value, np.ndarray):
-        return _canonical(value.tolist())
-    if isinstance(value, float) and value in (float("inf"), float("-inf")):
-        return "inf" if value > 0 else "-inf"
-    return value
+        return value.tolist()
+    raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(_canonical(report), sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_value,
+                      allow_nan=False) + "\n"  # strict JSON: no NaN or Infinity token
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     if args.verbose:
-        margins = report.get("margins", {})
-        for name, rep in margins.items() if isinstance(margins, dict) else []:
+        for name, rep in report.get("margins", {}).items():
             sys.stderr.write(f"[{name}]\n")
-            if isinstance(rep, MarginReport):
-                for e in rep.entries:
-                    sys.stderr.write(f"  {e.criterion}: {e.margin} ({e.verdict})\n")
+            for e in rep.entries:
+                sys.stderr.write(f"  {e.criterion}: {e.margin} ({e.verdict})\n")
 
 
 def _poly(text: str) -> paircalc.ScalarFunction:
@@ -334,6 +323,8 @@ def main(argv=None) -> int:
         tol = Tolerances(args.rank_tol, args.eig_tol, args.margin_tol)
         gc.disable()  # decoded JSON and the arrays made from it hold no cycles to collect
         report = COMMANDS[args.command][1](args, tol)
+        report["provenance"] = {"version": __version__, "tolerances": vars(tol), "seed": args.seed}
+        _emit(report, args)
     except (OSError, json.JSONDecodeError, KeyError, MalformedInput) as exc:
         _emit_error(exc)
         return 3
@@ -343,8 +334,6 @@ def main(argv=None) -> int:
     finally:
         if enabled:
             gc.enable()
-    report["provenance"] = {"version": __version__, "tolerances": vars(tol), "seed": args.seed}
-    _emit(report, args)
     return 0
 
 

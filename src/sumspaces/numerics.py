@@ -19,7 +19,8 @@ numerical policy wrapped around each decomposition:
 - graphs: connectivity and spanning forests from one breadth-first search;
 - orthonormal bases: ``qr`` once both sides exceed 16, else ``thin_svd`` (``from_spanning``);
 - errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow, and so
-  does a non-finite QR factor R or singular value (never read as rank 0);
+  do a non-finite QR factor R or singular value (never read as rank 0) and a
+  non-finite input to ``svd`` or ``thin_svd`` (checked before LAPACK runs);
 - the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
   dimensions, positive ambient dimensions.
 
@@ -119,14 +120,18 @@ def hermitian_eigenvalues(M: np.ndarray, tol: Tolerances) -> np.ndarray:
 def svd(M: np.ndarray):
     """Full SVD with descending singular values, plus V (not V*); M may be a
     (..., m, n) stack."""
-    U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=complex))
+    M = np.asarray(M, dtype=complex)
+    _refuse_overflow(M, "SVD input", nan_too=True)  # an inf may hang LAPACK or give NaNs
+    U, s, Vh = _lapack(np.linalg.svd, M)
     return U, s, Vh.conj().swapaxes(-1, -2)
 
 
 def thin_svd(M: np.ndarray):
     """Reduced SVD: U with min(m, n) columns, descending singular values, V;
     M may be a (..., m, n) stack."""
-    U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=complex), full_matrices=False)
+    M = np.asarray(M, dtype=complex)
+    _refuse_overflow(M, "SVD input", nan_too=True)
+    U, s, Vh = _lapack(np.linalg.svd, M, full_matrices=False)
     return U, s, Vh.conj().swapaxes(-1, -2)
 
 

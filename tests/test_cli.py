@@ -5,11 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import sumspaces as ss
+from sumspaces import cli
 from sumspaces.cli import COMMANDS, main
 
 from conftest import _count_lapack, random_subspace
@@ -430,6 +432,33 @@ def test_out_flag_writes_file(pair_files, tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["request"]["command"] == "pair"
+
+
+def test_the_json_default_takes_only_margin_reports_and_arrays():
+    assert cli._json_value(np.arange(3.0)) == [0.0, 1.0, 2.0]
+    report = ss.MarginReport()
+    report.add("vacuous", 0.0, 1e-8, vacuous=True)
+    assert cli._json_value(report) == {"entries": [
+        {"criterion": "vacuous", "margin": "inf", "verdict": "satisfied", "note": "vacuous"}]}
+    for value in (1j, np.float64(0.5), np.int64(1), np.bool_(True), {1, 2}, Fraction(1, 2),
+                  object()):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            cli._json_value(value)
+
+
+@pytest.mark.parametrize("leak", [np.inf, np.nan, np.array([1.0, np.inf])],
+                         ids=["inf", "nan", "array"])
+def test_a_non_finite_number_outside_a_margin_is_exit_2(leak, pair_files, monkeypatch,
+                                                        capsys):
+    """Reports are strict JSON: a non-finite value anywhere but a margin is an
+    error from the emit step, inside main's exit-code mapping, and no report."""
+    help_, _, flags = COMMANDS["pair"]
+    monkeypatch.setitem(COMMANDS, "pair", (help_, lambda args, tol: {"leak": leak}, flags))
+    a, b = pair_files
+    code, report = _run(["pair", "--a", a, "--b", b], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
+    assert "JSON compliant" in report["error"]["message"]
 
 
 def _members_file(tmp_path, n):

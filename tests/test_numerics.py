@@ -166,6 +166,18 @@ def test_singular_values_refuse_an_overflow():
     assert numerics.singular_values(np.full((2, 2), 1e300))[0] == pytest.approx(2e300)
 
 
+@pytest.mark.parametrize("path", [numerics.svd, numerics.thin_svd], ids=["svd", "thin_svd"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_svd_refuses_a_non_finite_input(path, entry, value):
+    # LAPACK need not return on an inf on the diagonal of I, and one off it gives
+    # NaN singular values with no error: the input is refused before LAPACK runs
+    M = np.eye(3, dtype=complex)
+    M[entry] = value
+    with pytest.raises(ComputationFailed, match="overflow.*SVD input"):
+        path(M)
+
+
 def test_qr_refuses_an_overflowed_r():
     # finite entries, but the column norm 2.1e308 is past the double range
     with np.errstate(all="ignore"), pytest.raises(ComputationFailed, match="overflow"):

@@ -175,6 +175,57 @@ def test_modulus_evaluate_has_no_hessian_at_a_crossing():
         assert hess.shape == (1, 1) and hess[0, 0] == pytest.approx(2 / 9 * np.cos(angle))
 
 
+def test_modulus_descent_stops_on_a_zero_gradient(monkeypatch):
+    # a frustrated triangle (couplings -1, -1 and +0.5): on real Q, theta = 0 is a
+    # critical point, here the maximum of lambda_min(Q(theta)) with a negative
+    # Hessian, so the downhill step has no direction and the descent stops at
+    # once with lambda_min(Q), above the value at theta = pi
+    Q = np.array([[2, -1, 0.5], [-1, 2, -1], [0.5, -1, 2]], dtype=complex)
+    blocks = [(slice(0, 1), slice(2, 3))]
+    tol, evaluate = ss.DEFAULT_TOL, systems._modulus_evaluate
+    lam0, grad, hess = evaluate(Q, blocks, np.zeros(1), tol, 1.0)
+    assert grad.tolist() == [0.0] and hess[0, 0] < 0
+    assert evaluate(Q, blocks, np.array([np.pi]), tol, 1.0)[0] < lam0 - 0.1
+    calls = []
+    monkeypatch.setattr(systems, "_modulus_evaluate",
+                        lambda *args: calls.append(args[2]) or evaluate(*args))
+    assert systems._modulus_descent(Q, blocks, np.zeros(1), tol, 1.0) == lam0
+    assert len(calls) == 1
+
+
+def _planted_lambda(monkeypatch, values, elsewhere):
+    """Replace _modulus_evaluate by a planted lambda(theta) of one phase: ``values``
+    maps theta to (lambda, gradient), any other theta gives ``elsewhere``; there
+    is no Hessian, so each step is a unit downhill step.  Returns the thetas asked."""
+    calls = []
+
+    def evaluate(Q, blocks, theta, tol, scale):
+        calls.append(float(theta[0]))
+        lam, grad = values.get(float(theta[0]), elsewhere)
+        return lam, np.array([grad]), None
+
+    monkeypatch.setattr(systems, "_modulus_evaluate", evaluate)
+    return calls
+
+
+def test_modulus_descent_stops_when_the_line_search_is_exhausted(monkeypatch):
+    # theta = -1 is accepted; every step from there raises lambda, through all
+    # the halvings, so the descent ends at the last accepted lambda
+    calls = _planted_lambda(monkeypatch, {0.0: (1.0, 1.0), -1.0: (0.5, 1.0)}, (5.0, 1.0))
+    assert systems._modulus_descent(None, [], np.zeros(1), ss.DEFAULT_TOL, 1.0) == 0.5
+    assert calls == [0.0, -1.0] + [-1.0 - 2.0 ** -i for i in
+                                   range(systems.DESCENT_HALVINGS + 1)]
+
+
+def test_modulus_descent_stops_on_a_small_drop(monkeypatch):
+    # the first step passes the Armijo test but drops lambda by 5e-11, at most
+    # eig_tol * scale = 1e-10: the descent stops there, though lambda 0 lies further on
+    lam1 = 1.0 - 5e-11
+    calls = _planted_lambda(monkeypatch, {0.0: (1.0, 1e-8), -1.0: (lam1, 1e-8)}, (0.0, 1.0))
+    assert systems._modulus_descent(None, [], np.zeros(1), ss.DEFAULT_TOL, 1.0) == lam1
+    assert calls == [0.0, -1.0]
+
+
 def test_modulus_phases_of_empty_blocks_are_not_free(monkeypatch):
     # member 4 is the whole space, so its complement is 0 and its three edges
     # leave Q(theta) unchanged: one free phase (the cycle 1-2-3) remains of the
