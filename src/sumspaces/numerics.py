@@ -19,8 +19,8 @@ numerical policy wrapped around each decomposition:
 - graphs: connectivity and spanning forests from one breadth-first search;
 - orthonormal bases: ``qr`` once both sides exceed 16, else ``thin_svd`` (``from_spanning``);
 - errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow, and so
-  do a non-finite QR factor R or singular value (never read as rank 0) and a
-  non-finite input to ``svd`` or ``thin_svd`` (checked before LAPACK runs);
+  do a non-finite QR factor R, singular value (never read as rank 0) or spectral norm,
+  and a non-finite input to ``svd``, ``thin_svd`` or ``operator_norm`` (before LAPACK);
 - the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
   dimensions, positive ambient dimensions.
 
@@ -82,8 +82,11 @@ def _lapack(routine, *args, **kwargs):
 
 
 def operator_norm(M: np.ndarray):
-    """Spectral norm, one per matrix of a (..., m, n) stack; 0 for empty matrices."""
+    """Spectral norm, one per matrix of a (..., m, n) stack; 0 for empty matrices.
+    A non-finite entry or norm is refused as an overflow (an inf gives a NaN norm)."""
+    _refuse_overflow(M, "operator norm input", nan_too=True)
     norms = _lapack(np.linalg.norm, M, 2, axis=(-2, -1)) if M.size else np.zeros(M.shape[:-2])
+    _refuse_overflow(norms, "operator norm")  # finite entries near the double range
     return norms if M.ndim > 2 else float(norms)
 
 

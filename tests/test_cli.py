@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sumspaces as ss
 from sumspaces import cli
@@ -263,21 +266,98 @@ def _count_parsers(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("command", list(OWN_FLAGS))
-def test_main_builds_only_the_requested_parser(command, monkeypatch, capsys):
-    """Two parsers per call, none kept between calls: the top one (-h, the 6
-    common flags, the command name and its arguments) and the command's own
-    (-h, the 6 common flags and its flags)."""
-    argv = {"pair": ["--a", "/nonexistent.json", "--b", "/nonexistent.json"],
+_NO_FILE = {"pair": ["--a", "/nonexistent.json", "--b", "/nonexistent.json"],
             "calculus": ["--a", "/nonexistent.json", "--b", "/nonexistent.json"],
             "images": ["--operators", "/nonexistent.json", "--analysis", "sum"],
-            "blocks": ["--horizon", "0"], "sum-as-two": ["--horizon", "0"]}.get(
-                command, ["--members", "/nonexistent.json"])
+            "blocks": ["--horizon", "0"], "sum-as-two": ["--horizon", "0"]}
+
+
+@pytest.mark.parametrize("command", list(OWN_FLAGS))
+def test_main_builds_only_the_requested_parser(command, monkeypatch, capsys):
+    """One parser per call that names a command, also after common flags, none
+    kept between calls: the command's own (-h, the 6 common flags and its flags)."""
+    argv = [command] + _NO_FILE.get(command, ["--members", "/nonexistent.json"])
     counts = _count_parsers(monkeypatch)
-    assert main([command] + argv) in (2, 3)
-    assert counts == {"parsers": 2, "add_argument": 9 + 7 + OWN_FLAGS[command]}
-    assert main([command] + argv) in (2, 3)
-    assert counts == {"parsers": 4, "add_argument": 2 * (9 + 7 + OWN_FLAGS[command])}
+    assert main(argv) in (2, 3)
+    assert counts == {"parsers": 1, "add_argument": 7 + OWN_FLAGS[command]}
+    assert main(["--seed", "3", "--m=1e-8", "--out=/nonexistent/r", "--v"] + argv) in (2, 3)
+    assert counts == {"parsers": 2, "add_argument": 2 * (7 + OWN_FLAGS[command])}
+
+
+# the top-level parser adds -h, the 6 common flags, the command name and the rest
+@pytest.mark.parametrize("argv, parsers, add_argument", [
+    (["--help"], 1, 9), ([], 1, 9), (["frobnicate"], 1, 9),
+    (["--", "pair"] + _NO_FILE["pair"], 2, 9 + 7 + 2),
+    (["pair", "--"] + _NO_FILE["pair"], 2, 9 + 7 + 2),
+    (["pair", "--a", "/nonexistent.json"], 3, (7 + 2) + 9 + (7 + 2))],
+    ids=["help", "no_command", "unknown_command", "double_dash_first",
+         "double_dash_after", "usage_error"])
+def test_the_top_level_parser_is_built_only_without_a_parsed_command(
+        argv, parsers, add_argument, monkeypatch, capsys):
+    """Help, a missing or unknown command and -- go to the two-stage parse: the
+    top-level parser, then the command's when the top level names one.  A usage
+    error in the command's parse is read again by the two-stage parse."""
+    counts = _count_parsers(monkeypatch)
+    try:
+        assert main(argv) in (2, 3)
+    except SystemExit as exit_:
+        assert exit_.code == 0 and argv == ["--help"]
+    assert counts == {"parsers": parsers, "add_argument": add_argument}
+
+
+def _two_stage_parse(argv):
+    """The reference: the top-level parser reads the common flags and the
+    command name, then the command's parser the rest."""
+    width = shutil.get_terminal_size().columns - 2
+    top = cli._parser("sumspaces", [], argparse.RawDescriptionHelpFormatter, width,
+                      description="Closedness certificates for sums of subspaces",
+                      epilog="commands:\n" + "\n".join(
+                          f"  {name:<12} {help_}" for name, (help_, _, _) in COMMANDS.items()))
+    top.add_argument("command", choices=COMMANDS, metavar="command",
+                     help="one of the commands listed below")
+    top.add_argument("args", nargs=argparse.REMAINDER,
+                     help="the command's flags (sumspaces <command> --help)")
+    args = top.parse_args(argv)
+    help_, _, flags = COMMANDS[args.command]
+    command = cli._parser(f"sumspaces {args.command}", flags, argparse.HelpFormatter, width,
+                          description=help_)
+    return command.parse_args(args.args, namespace=args)
+
+
+def _outcome(parse, argv):
+    """The namespace (without the two-stage parse's remainder), the exit code and
+    stdout of help, or the usage error's message."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            parsed = vars(parse(list(argv)))
+    except SystemExit as exit_:
+        return "exit", exit_.code, out.getvalue()
+    except argparse.ArgumentError as exc:
+        return "error", str(exc)
+    parsed.pop("args", None)
+    return "parsed", parsed
+
+
+_COMMON = [flag for flag, _ in cli.COMMON]
+_FLAGS = _COMMON + [flag[:k] for flag in _COMMON for k in range(3, len(flag))] + sorted(
+    {flag for _, _, flags in COMMANDS.values() for flag, _ in flags})
+_VALUES = list(COMMANDS) + ["x", "", "1", "0.5", "-1", "-0.5", "-1,1,1", "a b", "sum"]
+_TOKENS = st.one_of(
+    st.sampled_from(_FLAGS + _VALUES + ["--", "-h", "--help", "--he", "-", "--=1", "-x"]),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS + ["--help", "--"]),
+              st.sampled_from(_VALUES)))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(_TOKENS, max_size=3), st.sampled_from([[]] + [[c] for c in COMMANDS]),
+       st.lists(_TOKENS, max_size=5))
+def test_parse_matches_the_two_stage_parse(before, command, after):
+    """Common flags exact, abbreviated or with =value, the commands' own flags,
+    values named like a command, negative numbers, -- and -h, before and after
+    the command: the same namespace, help and exit code, or usage error."""
+    argv = before + command + after
+    assert _outcome(cli._parse, argv) == _outcome(_two_stage_parse, argv), argv
 
 
 def test_missing_file_is_io_error(capsys):

@@ -76,6 +76,20 @@ def test_every_command_gives_strict_json_in_a_fresh_process(inputs):
         assert report["request"]["command"] == argv[0]
 
 
+def test_common_flags_before_or_after_the_command_give_one_report(inputs, tmp_path):
+    """main() reads the command off sys.argv: the common flags before the command
+    write the same bytes as the same flags after it."""
+    first, last = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+    runs = _run_all([["--seed", "7", "--out", first, "graph", "--members", "members.json",
+                      "--modulus"],
+                     ["graph", "--members", "members.json", "--modulus", "--seed", "7",
+                      "--out", last]], inputs)
+    assert [(res.returncode, res.stdout, res.stderr) for res in runs] == [(0, "", "")] * 2
+    report = (tmp_path / "r1.json").read_bytes()
+    assert report == (tmp_path / "r2.json").read_bytes()
+    assert json.loads(report)["provenance"]["seed"] == 7
+
+
 @pytest.fixture(scope="module")
 def boundary_runs(inputs):
     return dict(zip(BOUNDARY, _run_all(list(BOUNDARY.values()), inputs)))

@@ -178,6 +178,26 @@ def test_svd_refuses_a_non_finite_input(path, entry, value):
         path(M)
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+def test_operator_norm_and_range_residual_refuse_an_inf(entry):
+    # an inf gives a NaN norm with no LAPACK error, and X - QQ*X holds NaN
+    # (inf - inf), on which LAPACK stops: both are refused as an overflow
+    M = np.eye(3, dtype=complex)
+    M[entry] = np.inf
+    with pytest.raises(ComputationFailed, match="overflow.*operator norm input"):
+        numerics.operator_norm(M)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ComputationFailed, match="overflow.*operator norm input"):
+        numerics.range_residual(np.eye(3, dtype=complex), M, numerics.DEFAULT_TOL)
+
+
+def test_operator_norm_refuses_an_overflowed_norm():
+    # finite entries whose norm 3e308 is past the double range
+    with np.errstate(all="ignore"), pytest.raises(ComputationFailed, match="overflow"):
+        numerics.operator_norm(np.full((2, 2), 1.5e308, dtype=complex))
+    assert numerics.operator_norm(np.full((2, 2), 1e300)) == pytest.approx(2e300)
+
+
 def test_qr_refuses_an_overflowed_r():
     # finite entries, but the column norm 2.1e308 is past the double range
     with np.errstate(all="ignore"), pytest.raises(ComputationFailed, match="overflow"):
