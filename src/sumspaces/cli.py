@@ -5,8 +5,8 @@ I/O or parse error (including entries that are not [re, im] pairs of finite
 numbers, a file that is not UTF-8 or nests too deep, and an --out that cannot
 be written); 2 and 3 print {"error": {"type", "message"}}.  Reports are strict
 JSON and deterministic: re-running with the same request and seed reproduces
-every byte.  Only the command's parser is built, unless help, --, a missing or
-unknown command or a usage error needs the top-level parser.
+every byte.  Only the command's parser is built when argv starts with the
+command; otherwise, and for a usage error, the top-level parser reads argv first.
 """
 
 from __future__ import annotations
@@ -244,7 +244,6 @@ COMMON = [("--out", {"help": "write the JSON report here"}),
           ("--rank-tol", {"type": float, "default": DEFAULT_TOL.rank_tol}),
           ("--eig-tol", {"type": float, "default": DEFAULT_TOL.eig_tol}),
           ("--margin-tol", {"type": float, "default": DEFAULT_TOL.margin_tol})]
-_TAKES_VALUE = {flag: options.get("action") != "store_true" for flag, options in COMMON}
 # name: (one-line help, handler, the command's own flags); main builds the
 # parser of the requested command only
 COMMANDS = {
@@ -294,29 +293,11 @@ def _parser(prog: str, flags, formatter, width: int, **kwargs) -> _Parser:
     return parser
 
 
-def _find_command(argv):
-    """(command, argv for its parser) when the command is the first entry that is
-    neither a common flag, exact or as a unique --prefix (spelled out here) and
-    maybe with =value, nor such a flag's value; else None."""
-    rest, args = [], iter(argv)
-    for arg in args:
-        if arg in COMMANDS:
-            return arg, rest + list(args)
-        flag, eq, value = arg.partition("=")
-        names = [name for name in ("--help", *_TAKES_VALUE) if name.startswith(flag)]
-        if len(names) != 1 or names[0] not in _TAKES_VALUE:
-            return None
-        rest.append(names[0] + eq + value)
-        if _TAKES_VALUE[names[0]] and not eq:
-            rest.append(next(args, ""))
-    return None
-
-
 def _parse(argv):
-    """Only the command's parser, the common flags and its own, on the argv of
-    ``_find_command``.  If argv holds --, no command is found or that parse fails,
-    the top-level parser reads the common flags and the command name, then the
-    command's parser the rest: help and every usage error are this two-stage parse's."""
+    """Only the command's parser, the common flags and its own, when argv starts
+    with the command and holds no --.  Else, or if that parse fails, the top-level
+    parser reads the common flags and the command name, then the command's parser
+    the rest: help and every usage error are this two-stage parse's."""
     argv = sys.argv[1:] if argv is None else argv
     width = shutil.get_terminal_size().columns - 2  # argparse's default, read once
 
@@ -324,10 +305,9 @@ def _parse(argv):
         return _parser(f"sumspaces {name}", COMMANDS[name][2], argparse.HelpFormatter,
                        width, description=COMMANDS[name][0])
 
-    found = "--" not in argv and _find_command(argv)
-    if found:
+    if argv and argv[0] in COMMANDS and "--" not in argv:
         try:
-            return command(found[0]).parse_args(found[1], argparse.Namespace(command=found[0]))
+            return command(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         except argparse.ArgumentError:
             pass  # reported by the two-stage parse
     top = _parser("sumspaces", [], argparse.RawDescriptionHelpFormatter, width,

@@ -274,14 +274,16 @@ _NO_FILE = {"pair": ["--a", "/nonexistent.json", "--b", "/nonexistent.json"],
 
 @pytest.mark.parametrize("command", list(OWN_FLAGS))
 def test_main_builds_only_the_requested_parser(command, monkeypatch, capsys):
-    """One parser per call that names a command, also after common flags, none
-    kept between calls: the command's own (-h, the 6 common flags and its flags)."""
+    """One parser per call that starts with the command, none kept between
+    calls: the command's own (-h, the 6 common flags and its flags).  Common
+    flags before the command add the top-level parser (-h, the 6 common flags,
+    the command name and the rest)."""
     argv = [command] + _NO_FILE.get(command, ["--members", "/nonexistent.json"])
     counts = _count_parsers(monkeypatch)
     assert main(argv) in (2, 3)
     assert counts == {"parsers": 1, "add_argument": 7 + OWN_FLAGS[command]}
     assert main(["--seed", "3", "--m=1e-8", "--out=/nonexistent/r", "--v"] + argv) in (2, 3)
-    assert counts == {"parsers": 2, "add_argument": 2 * (7 + OWN_FLAGS[command])}
+    assert counts == {"parsers": 3, "add_argument": 2 * (7 + OWN_FLAGS[command]) + 9}
 
 
 # the top-level parser adds -h, the 6 common flags, the command name and the rest

@@ -77,8 +77,8 @@ def test_every_command_gives_strict_json_in_a_fresh_process(inputs):
 
 
 def test_common_flags_before_or_after_the_command_give_one_report(inputs, tmp_path):
-    """main() reads the command off sys.argv: the common flags before the command
-    write the same bytes as the same flags after it."""
+    """main() reads sys.argv: the common flags before the command (the two-stage
+    parse) write the same bytes as the same flags after it (the command's parser)."""
     first, last = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     runs = _run_all([["--seed", "7", "--out", first, "graph", "--members", "members.json",
                       "--modulus"],
