@@ -17,7 +17,7 @@ from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_f
                        singular_values, spanning_forest, thin_svd)
 from .reduction import independence_certificate
 from .reports import MarginReport
-from .subspaces import Subspace, SubspaceSystem, complement, equal, from_spanning, sum_span
+from .subspaces import Subspace, SubspaceSystem, complement, from_spanning, sum_span
 
 
 @dataclass
@@ -280,9 +280,9 @@ def quadratic_projector_criterion(S: SubspaceSystem, alpha,
     r = numerical_rank(s, tol)
     report.add("closed_range_margin", s[r - 1] if r else np.inf, tol.margin_tol,
                vacuous=r == 0)
-    imA, total = Subspace(d, U[:, :r]), sum_span(S.members, tol)  # Im(A) lies in the sum
-    report.extras["range_equality_residual"] = range_residual(imA.basis, total.basis, tol)[0]
-    report.extras["range_equals_sum"] = equal(imA, total, tol)
+    total = sum_span(S.members, tol)  # Im(A) lies in the sum
+    report.extras["range_equality_residual"], inside = range_residual(U[:, :r], total.basis, tol)
+    report.extras["range_equals_sum"] = r == total.dim and bool(inside)
     report.extras["beta_classification"] = beta.classification
     report.extras["beta_graph_connected"] = beta.graph_connected
 

@@ -23,8 +23,7 @@ from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
 from .numerics import (DEFAULT_TOL, Tolerances, gram_gap, hermitian_eigenvalues,
                        independence_sigma, numerical_rank, singular_values, svd, thin_svd)
 from .reports import MarginReport
-from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, full_space,
-                        intersect, subtract, sum_span)
+from .subspaces import Subspace, SubspaceSystem, equal, from_spanning, full_space, sum_span
 from . import pairs as _pairs
 
 
@@ -125,12 +124,11 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
     return report
 
 
-def _shrink(H1: Subspace, H2: Subspace, eps: float, tol: Tolerances):
-    """(M2, delta) of the shrink in ``reduce_pair``, without its report.
-    M2 keeps no part of H2 & H1, so the meet drops out by construction; its
+def _shrink(H1: Subspace, H2: Subspace, delta: float, tol: Tolerances):
+    """(M2, delta) of the shrink in ``reduce_pair`` at cutoff delta, without its report.
+    M2 keeps no part of H2 & H1, and at delta = inf it is H2 minus H1 & H2; its
     basis is principal vectors of H2, orthonormal as they stand."""
     dec = _pairs.halmos_decompose(H2, H1, tol)  # H2 in the flat role
-    delta = 1.0 - eps / 2.0
     x = dec.a_eigenvalues
     if np.any(np.abs(x - delta) <= tol.eig_tol):
         delta += 10 * tol.eig_tol
@@ -157,7 +155,7 @@ def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
     d = H1.ambient_dim
-    M2, delta = _shrink(H1, H2, eps, tol)
+    M2, delta = _shrink(H1, H2, 1.0 - eps / 2.0, tol)
     P1, P2, PM2 = H1.projector(), H2.projector(), M2.projector()
     report = MarginReport()
     report.extras["delta"] = delta
@@ -173,7 +171,8 @@ def reduce_pair(H1: Subspace, H2: Subspace, eps: float,
 
 
 def _reduce_recursive(members, eps, tol):
-    """Recursion of the reduction theorem.
+    """Recursion of the reduction theorem: H2 shrinks at delta = 1 - eps/8, and
+    the last pair at delta = inf, which drops only H1 & H2.
 
     Returns (reduced members, weights, rhs) with
     sum_i w_i P_reduced_i >= rhs I on the sum of the originals.
@@ -181,12 +180,10 @@ def _reduce_recursive(members, eps, tol):
     n = len(members)
     if n == 1:
         return [members[0]], [1.0], eps
-    H1, H2 = members[0], members[1]
+    H1 = members[0]
+    M2, _ = _shrink(H1, members[1], np.inf if n == 2 else 1.0 - eps / 8.0, tol)
     if n == 2:
-        meet = intersect(H1, H2, tol)
-        H2p = subtract(H2, meet, tol) if meet.dim else H2
-        return [H1, H2p], [1.0, 1.0], eps / 2.0
-    M2, _ = _shrink(H1, H2, eps / 4.0, tol)
+        return [H1, M2], [1.0, 1.0], eps / 2.0
     inner_members = [sum_span([H1, M2], tol)] + list(members[2:])
     inner_red, inner_w, inner_rhs = _reduce_recursive(inner_members, eps / 24.0, tol)
     scale = eps / 16.0

@@ -1,6 +1,8 @@
 """Shared generators and oracles for the test suite."""
 
 import collections
+import importlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -125,3 +127,16 @@ def _count_lapack(monkeypatch, fn, *args):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def pytest_collection_finish(session):
+    """Import every test module, and so every local module they import, before
+    the first test runs.  Hypothesis draws some examples from the literals of
+    the local modules imported so far, so without this a property run with its
+    file alone draws other examples than in the full run.  A module that fails
+    to import still fails only its own collection."""
+    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+        try:
+            importlib.import_module(path.stem)
+        except (Exception, pytest.skip.Exception):
+            pass

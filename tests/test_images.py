@@ -7,9 +7,10 @@ import sumspaces as ss
 from sumspaces.errors import (BudgetExceeded, DiagonalNotPositive,
                               DimensionMismatch, NormTooLarge, NotInvertible,
                               RangeConditionViolated, RangeNotIncluded)
+from sumspaces.subspaces import equal
 
-from conftest import (_count_lapack, random_independent_full_system, random_system,
-                      simplex_lines)
+from conftest import (_count_lapack, random_independent_full_system, random_subspace,
+                      random_system, simplex_lines)
 
 
 def test_operator_family_round_trip(rng):
@@ -258,6 +259,27 @@ def test_quadratic_projector_criterion_takes_one_svd_of_a(monkeypatch, rng):
     assert "invertibility_margin" in {e.criterion for e in rep.entries}
     calls = _count_lapack(monkeypatch, ss.quadratic_projector_criterion, S, ss.cycle_alpha(3))
     assert calls["svdvals"] == 0
+
+
+def test_quadratic_projector_criterion_reads_the_range_equality_once(monkeypatch, rng):
+    # both range extras come from one range_residual of the sum against Im A: its
+    # two spectral norms plus the two of beta's Hermitian check
+    S = random_system(rng, 6, 3)
+    assert _count_lapack(monkeypatch, ss.quadratic_projector_criterion, S,
+                         ss.cycle_alpha(3))["norm"] == 4
+    # on H1 = H2, alpha = [[1, -1], [-1, 1]] gives A = (P1 - P2)^2 = 0, whose range
+    # is not the sum
+    H = random_subspace(rng, 6, 2)
+    for S, alpha in ((S, ss.cycle_alpha(3)), (ss.SubspaceSystem(6, [H, H]), [[1, -1], [-1, 1]])):
+        A = sum(a * P @ Q for row, P in zip(alpha, S.projectors())
+                for a, Q in zip(row, S.projectors()))
+        image, total = ss.from_spanning(A), ss.sum_span(S.members)
+        extras = ss.quadratic_projector_criterion(S, alpha)[1].extras
+        assert extras["range_equals_sum"] is equal(image, total, ss.DEFAULT_TOL)
+        assert extras["range_equality_residual"] == pytest.approx(
+            np.linalg.norm(total.basis - image.projector() @ total.basis, 2), abs=1e-12)
+    assert extras["range_equals_sum"] is False
+    assert extras["range_equality_residual"] == pytest.approx(1.0)
 
 
 def test_ibap_check_orthogonal_decomposition():

@@ -152,8 +152,8 @@ def test_reduce_system_certificate_holds(rng):
     assert res.certificate_slack >= -1e-8
     assert res.c_n == Fraction(1, 768)
     assert res.rhs == pytest.approx(float(res.c_n) * res.epsilon ** 2)
-    # a planted H1 & H2, which the shrink for n >= 3 drops without intersecting
-    for n in (3, 4):
+    # a planted H1 & H2, which every shrink drops without intersecting
+    for n in (2, 3, 4):
         S = _planted_meet(rng, 8, n)
         assert ss.intersect(S.members[0], S.members[1]).dim == 1
         res = ss.reduce_system(S)
@@ -173,16 +173,17 @@ def _small_mix_shapes():
 
 @pytest.mark.parametrize("reduce, expected",
                          [(ss.reduce_system,
-                           {"svd": 2, "svd_thin": 6, "svdvals": 2, "norm": 2}),
+                           {"svd": 2, "svd_thin": 5, "svdvals": 2, "norm": 2}),
                           (ss.reduce_preserving_sum,
-                           {"svd": 3, "svd_thin": 8, "svdvals": 2, "norm": 2})],
+                           {"svd": 3, "svd_thin": 7, "svdvals": 2, "norm": 2})],
                          ids=["system", "preserve_sum"])
 def test_reduction_factorization_counts(reduce, expected, monkeypatch):
     # each decomposition once: one values-only SVD each for the gap and the
     # certificate slack, one thin SVD of the reduced stack for the sum and the
     # independence epsilon (its two norms are the sum's range residual), no
-    # Hermitian eigensolve, no discarded pair report and no meet above the last
-    # recursion level
+    # Hermitian eigensolve, no discarded pair report, and no meet or second
+    # rank cutoff at the last pair, which shrinks through the same principal
+    # pairs as every other level
     S, _, _ = _small_mix_shapes()
     assert _count_lapack(monkeypatch, reduce, S) == expected
 
@@ -291,9 +292,33 @@ def test_reduce_preserving_sum_pair_case(rng):
     cert = ss.independence_certificate(res.reduced)
     assert cert.independent
     # the pair shrink is exactly H2 minus the intersection with H1
-    expected = ss.subtract(H2, ss.intersect(H1, H2))
-    got = res.reduced.members[1]
+    _assert_pair_shrink(S, res.reduced.members[1])
+
+
+def _assert_pair_shrink(S, got):
+    """got is H2 minus H1 & H2, with an orthonormal basis."""
+    expected = ss.subtract(S.members[1], ss.intersect(*S.members))
     assert got.dim == expected.dim
+    assert np.linalg.norm(got.basis.conj().T @ got.basis - np.eye(got.dim), 2) <= 1e-12
+    assert np.linalg.norm(got.projector() - expected.projector(), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("reduce", [ss.reduce_system, ss.reduce_preserving_sum],
+                         ids=["system", "preserve_sum"])
+def test_last_pair_shrink_drops_only_the_meet(reduce):
+    # the base case n = 2 shrinks at delta = inf: every generic direction stays,
+    # so M2 spans what subtracting the intersection leaves, with and without a meet
+    for seed in range(40):
+        gen = np.random.default_rng(seed)
+        d, planted = int(gen.integers(6, 10)), seed % 2
+        if planted:
+            S = _planted_meet(gen, d, 2)
+        else:
+            r1 = int(gen.integers(1, d // 2 + 1))
+            S = ss.SubspaceSystem(d, [random_subspace(gen, d, r1),
+                                      random_subspace(gen, d, int(gen.integers(1, d - r1 + 1)))])
+        assert ss.intersect(*S.members).dim == planted
+        _assert_pair_shrink(S, reduce(S).reduced.members[1])
 
 
 def test_reduce_preserving_sum_simplex(rng):

@@ -15,6 +15,22 @@ def test_from_spanning_drops_dependent_columns():
     assert ss.from_spanning(np.zeros((3, 2))).dim == 0
 
 
+def test_from_spanning_takes_a_vector_as_its_column():
+    v = np.array([1.0, 2j, -1.0])
+    line = ss.from_spanning(v)
+    assert line.basis.shape == (3, 1)
+    assert np.linalg.norm(line.projector() - ss.from_spanning(v[:, None]).projector(), 2) <= 1e-15
+
+
+@pytest.mark.parametrize("op", [ss.contains, ss.subtract, ss.intersect, ss.principal_angles,
+                                lambda A, B: ss.sum_span([A, B])])
+def test_pair_operations_refuse_different_ambient_spaces(op, rng):
+    for A, B in ((random_subspace(rng, 3, 1), random_subspace(rng, 4, 1)),
+                 (ss.zero_subspace(4), ss.zero_subspace(3))):
+        with pytest.raises(DimensionMismatch, match="ambient dimensions differ"):
+            op(A, B)
+
+
 def test_from_spanning_scale_collapses_noise_columns():
     noise = 1e-14 * np.ones((3, 1))
     assert ss.from_spanning(noise).dim == 1
