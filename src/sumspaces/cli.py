@@ -110,7 +110,7 @@ def _cmd_system(args, tol):
     # and sigma(sum P) = sigma(C)^2 zero-padded to d, over n
     zeros = np.zeros(len(S) * S.ambient_dim - len(s))
     out["dilation_spectrum"] = np.sort(np.append(zeros, s ** 2 / len(S)))
-    if args.alpha:
+    if args.alpha is not None:
         alpha = [float(a) for a in args.alpha.split(",")]
         out["margins"]["linear_combination"] = systems.linear_combination_check(S, alpha, tol, s)
     return out
@@ -202,19 +202,12 @@ def _cmd_blocks(args, tol):
 
 
 def _family_from_args(args) -> blockmodel.BlockSystem:
-    if args.family_file:
-        spec = _load_json(args.family_file)
-        name = spec["family"]
-        params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise MalformedInput("family params must be a JSON object")
-        params = {key: dimension_from_json(value) if key == "n" else real_from_json(value)
-                  for key, value in params.items()}
-        for key in spec.keys() - {"family", "params"}:  # only n may stand at the top level
-            if key != "n" or "n" in params:
-                raise ValueError(f"family file key {key!r} is unknown or given twice")
-            params["n"] = dimension_from_json(spec["n"])
-        return blockmodel.paper_families(name, params)
+    if args.family_file:  # {"family": name, <parameter>: value, ...}
+        params = _load_json(args.family_file)
+        name = params.pop("family")
+        return blockmodel.paper_families(name, {
+            key: dimension_from_json(value) if key == "n" else real_from_json(value)
+            for key, value in params.items()})
     params = {}
     if args.n is not None:
         params["n"] = args.n

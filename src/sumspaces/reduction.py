@@ -23,8 +23,8 @@ from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
 from .numerics import (DEFAULT_TOL, Tolerances, gram_gap, hermitian_eigenvalues,
                        independence_sigma, numerical_rank, singular_values, svd, thin_svd)
 from .reports import MarginReport
-from .subspaces import Subspace, SubspaceSystem, equal, from_spanning, full_space, sum_span
-from . import pairs as _pairs
+from .subspaces import (Subspace, SubspaceSystem, equal, from_spanning, full_space,
+                        principal_pairs, sum_span)
 
 
 @dataclass
@@ -126,16 +126,18 @@ def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> Marg
 
 def _shrink(H1: Subspace, H2: Subspace, delta: float, tol: Tolerances):
     """(M2, delta) of the shrink in ``reduce_pair`` at cutoff delta, without its report.
-    M2 keeps no part of H2 & H1, and at delta = inf it is H2 minus H1 & H2; its
-    basis is principal vectors of H2, orthonormal as they stand."""
-    dec = _pairs.halmos_decompose(H2, H1, tol)  # H2 in the flat role
-    x = dec.a_eigenvalues
+    M2 is spanned by the principal vectors of H2 against H1 that lie in H1-perp and
+    the generic ones with x = cos^2 < delta (ascending), orthonormal as they stand;
+    so it keeps no part of H2 & H1, and at delta = inf it is H2 minus H1 & H2."""
+    pairs = principal_pairs(H2, H1)
+    _, orth, generic = pairs.classify(tol)
+    generic = np.flatnonzero(generic)[::-1]  # ascending cosines
+    x = pairs.cos[generic] ** 2
     if np.any(np.abs(x - delta) <= tol.eig_tol):
         delta += 10 * tol.eig_tol
         if np.any(np.abs(x - delta) <= tol.eig_tol):
             raise EigenvalueOnBoundary("delta collides with sigma(a) twice")
-    keep = x < delta
-    pieces = [dec.first_only.basis, dec.k_basis_1[:, keep]]
+    pieces = [pairs.a_rest, pairs.in_a[:, orth], pairs.in_a[:, generic[x < delta]]]
     return Subspace(H1.ambient_dim, np.hstack(pieces)), delta
 
 

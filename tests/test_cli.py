@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import gc
 import io
@@ -458,6 +459,22 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_analysis_layer_imports_another():
+    """A command's module pulls in only the core modules, so that cli can import
+    the requested one alone; paircalc's API takes a pairs.PairDecomposition."""
+    layers = {"pairs", "paircalc", "reduction", "images", "systems", "blockmodel"}
+    imported = {}
+    for layer in layers:
+        with open(os.path.join(os.path.dirname(ss.__file__), f"{layer}.py")) as fh:
+            tree = ast.parse(fh.read())
+        imported[layer] = {name for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom) and node.level == 1
+                           for name in ([node.module.split(".")[0]] if node.module
+                                        else [alias.name for alias in node.names])}
+    assert {layer: names & layers for layer, names in imported.items()} == {
+        layer: {"pairs"} if layer == "paircalc" else set() for layer in layers}
+
+
 def test_blocks_command_family_file(tmp_path, capsys):
     spec = tmp_path / "family.json"
     spec.write_text(json.dumps({"family": "one_over_k", "n": 3}))
@@ -572,13 +589,16 @@ def test_malformed_graph_file_is_input_error(graph, tmp_path, capsys):
     assert report["error"]["type"] == "MalformedInput"
 
 
+# every key but "family" is a parameter read as a number, so a "params" list or
+# object is malformed
 BAD_FAMILIES = {"n_list": {"family": "one_over_k", "n": [3]},
                 "params_list": {"family": "halmos_accumulating", "params": [1]},
-                "rate_string": {"family": "halmos_accumulating", "params": {"rate": "x"}},
-                "n_param_string": {"family": "one_over_k", "params": {"n": "x"}},
-                "rate_infinite": {"family": "halmos_accumulating",
-                                  "params": {"rate": float("inf")}},
-                "n_param_fraction": {"family": "one_over_k", "params": {"n": 2.5}}}
+                "params_object": {"family": "halmos_accumulating", "params": {"rate": 0.5}},
+                "rate_list": {"family": "halmos_accumulating", "rate": [1]},
+                "rate_string": {"family": "halmos_accumulating", "rate": "x"},
+                "n_param_string": {"family": "one_over_k", "n": "x"},
+                "rate_infinite": {"family": "halmos_accumulating", "rate": float("inf")},
+                "n_param_fraction": {"family": "one_over_k", "n": 2.5}}
 
 
 @pytest.mark.parametrize("command", ["blocks", "sum-as-two"])
@@ -700,24 +720,19 @@ def test_overflowing_subspace_is_refused_not_read_as_zero(d, r, tmp_path, capsys
 
 
 BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},
-                       "rate_two": {"family": "halmos_accumulating", "params": {"rate": 2}},
-                       "rate_negative": {"family": "halmos_accumulating",
-                                         "params": {"rate": -1}},
+                       "rate_two": {"family": "halmos_accumulating", "rate": 2},
+                       "rate_negative": {"family": "halmos_accumulating", "rate": -1},
                        "halmos_n": {"family": "halmos_accumulating", "n": 2},
-                       "compact_triple_n_param": {"family": "compact_triple",
-                                                  "params": {"n": 3}},
-                       "zzz_param": {"family": "compact_triple", "params": {"zzz": 1}},
-                       "one_over_k_rate": {"family": "one_over_k", "params": {"rate": 0.5}},
-                       "top_level_rate": {"family": "halmos_accumulating", "rate": 0.5},
-                       "n_twice": {"family": "one_over_k", "n": 3, "params": {"n": 4}}}
+                       "compact_triple_n_param": {"family": "compact_triple", "n": 3},
+                       "zzz_param": {"family": "compact_triple", "zzz": 1},
+                       "one_over_k_rate": {"family": "one_over_k", "rate": 0.5}}
 
 
 @pytest.mark.parametrize("case", ["p_nan", "f1_nan", "n_zero", "family_n_zero",
                                   "rate_two", "rate_negative", "halmos_n",
                                   "compact_triple_n_param", "compact_triple_n",
-                                  "zzz_param", "one_over_k_rate", "top_level_rate",
-                                  "n_twice", "f_overflow", "rank_tol_inf",
-                                  "eig_tol_inf", "margin_tol_inf"])
+                                  "zzz_param", "one_over_k_rate", "f_overflow",
+                                  "rank_tol_inf", "eig_tol_inf", "margin_tol_inf"])
 def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     a, b = pair_files
     path = tmp_path / "input.json"
@@ -748,6 +763,37 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     for key in ("rate", "zzz"):  # the offending parameter is named
         if key in case:
             assert key in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["blocks", "sum-as-two"])
+def test_family_file_rate_is_a_parameter(command, tmp_path, capsys):
+    """{"family": ..., "rate": c} reports as paper_families(..., {"rate": c})."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": "halmos_accumulating", "rate": 0.5}))
+    code, report = _run([command, "--family-file", str(path), "--horizon", "5"], capsys)
+    assert code == 0
+    assert report["request"]["params"] == {"rate": 0.5}
+    BS = ss.paper_families("halmos_accumulating", {"rate": 0.5})
+    if command == "blocks":
+        verdict = ss.certify(BS, [1, 2], 5)
+        assert report["verdict"] == json.loads(json.dumps(
+            {"status": verdict.status, "inf_gap": verdict.inf_gap, "gaps": verdict.gaps,
+             "trend_slope": verdict.trend_slope, "trend_residual": verdict.trend_residual}))
+    else:
+        m1, m2, margins = ss.sum_as_two(BS, 5)
+        assert report["artifacts"] == {"m1_dims": [s.dim for s in m1],
+                                       "m2_dims": [s.dim for s in m2]}
+        assert report["margins"]["sum_as_two"] == json.loads(json.dumps(margins.to_dict()))
+
+
+@pytest.mark.parametrize("argv_alpha", [["--alpha", ""], ["--alpha="], ["--alpha", "1,,2"]],
+                         ids=["empty", "empty_equals", "empty_entry"])
+def test_malformed_alpha_is_exit_2(argv_alpha, tmp_path, capsys):
+    """An empty --alpha is refused like any other malformed list, not skipped."""
+    code, report = _run(["system", "--members", _members_file(tmp_path, 3)] + argv_alpha,
+                        capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
 
 
 @pytest.mark.parametrize("alpha", ["nan,1,1", "inf,1,1"])

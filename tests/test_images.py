@@ -134,6 +134,15 @@ def test_p_radius_deficient_single_projector():
     assert verdict == "deficient"
 
 
+def test_p_radius_is_not_deficient_when_the_images_span():
+    # T1 and T2 share the kernel vector e2, yet Im T1 + Im T2 = C^2 (T2 e1 = 1e-9 e2):
+    # the verdict reads the rank of [T1 T2], not that of the rows stacked
+    F = ss.OperatorFamily(2, [np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1e-9, 0.0]])])
+    seq, verdict = ss.p_radius(F, depth=4)
+    assert seq == pytest.approx([1.0] * 4, abs=1e-9)  # stationary: the rank decides
+    assert verdict == "inconclusive"
+
+
 @pytest.mark.parametrize("p", [1e20, np.inf])
 @pytest.mark.parametrize("line", [(1.0, 8.0), (1.0, 2.0)], ids=["norm_below_1", "norm_above_1"])
 def test_p_radius_deficient_at_huge_p(line, p):

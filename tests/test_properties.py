@@ -1143,36 +1143,31 @@ def test_subspace_commands_on_mutated_files_exits_0_2_or_3(name):
 
 @st.composite
 def family_files(draw):
-    """A valid family file (one_over_k with n <= 8 at the top level or in
-    params, halmos_accumulating with a rate in [0, 1], compact_triple), then
-    one mutation: a missing or non-string family, non-object params, an
-    unknown key, a negative, float or bool n, a string, NaN or out-of-range
-    rate."""
+    """A valid family file (one_over_k with n <= 8, halmos_accumulating with a
+    rate in [0, 1], compact_triple), then one mutation: a missing or non-string
+    family, the parameters nested in a params object, an unknown key, a
+    negative, float or bool n, a string, NaN or out-of-range rate.  Returns the
+    file and the mutation."""
     family = draw(st.sampled_from(["one_over_k", "halmos_accumulating", "compact_triple"]))
-    spec, params = {"family": family}, {}
+    spec = {"family": family}
     if family == "one_over_k" and draw(st.booleans()):
-        params["n"] = draw(st.integers(1, 8))
+        spec["n"] = draw(st.integers(1, 8))
     elif family == "halmos_accumulating" and draw(st.booleans()):
-        params["rate"] = draw(st.floats(0.0, 1.0))
-    if draw(st.booleans()):
-        spec["params"] = params
-    else:
-        spec.update(params)
-    target = spec.get("params", spec)
+        spec["rate"] = draw(st.floats(0.0, 1.0))
     mutation = draw(st.sampled_from(FAMILY_MUTATIONS))
     if mutation == "no_family":
         del spec["family"]
     elif mutation == "family_type":
         spec["family"] = draw(st.sampled_from([3, None, True, ["one_over_k"], {"a": 1}]))
     elif mutation == "params_type":
-        spec["params"] = draw(st.sampled_from([[1], "n", 3, None]))
+        spec = {"family": spec.pop("family"), "params": spec}
     elif mutation == "unknown_key":
-        target[draw(st.sampled_from(["zzz", "n", "rate"]))] = draw(st.integers(1, 8))
+        spec[draw(st.sampled_from(["zzz", "n", "rate"]))] = draw(st.integers(1, 8))
     elif mutation == "bad_n":
-        target["n"] = draw(st.sampled_from([-1, 0, 2.5, True, False, "3"]))
+        spec["n"] = draw(st.sampled_from([-1, 0, 2.5, True, False, "3"]))
     elif mutation == "bad_rate":
-        target["rate"] = draw(st.sampled_from(["x", float("nan"), 2.0, -0.5, float("inf")]))
-    return spec
+        spec["rate"] = draw(st.sampled_from(["x", float("nan"), 2.0, -0.5, float("inf")]))
+    return spec, mutation
 
 
 FAMILY_MUTATIONS = ["none", "no_family", "family_type", "params_type", "unknown_key",
@@ -1181,9 +1176,11 @@ FAMILY_MUTATIONS = ["none", "no_family", "family_type", "params_type", "unknown_
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(family_files(), st.sampled_from(["blocks", "sum-as-two"]))
-def test_family_commands_on_mutated_files_exits_0_2_or_3(spec, command):
+def test_family_commands_on_mutated_files_exits_0_2_or_3(file, command):
+    spec, mutation = file
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/family.json"
         with open(path, "w") as fh:
             json.dump(spec, fh)
-        _run_cli([command, "--family-file", path, "--horizon", "5"])
+        code = _run_cli([command, "--family-file", path, "--horizon", "5"])
+    assert code == {"none": 0, "params_type": 3}.get(mutation, code)
