@@ -108,12 +108,9 @@ def _one_over_k_block(eye: np.ndarray, k: int) -> SubspaceSystem:
     return SubspaceSystem(n, members)
 
 
-def _halmos_block(rate, k: int) -> SubspaceSystem:
-    """Block k: a pair of lines in C^2 with compression eigenvalue 1 - rate(k)."""
-    r = float(rate(k))
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"halmos_accumulating rate({k}) = {r} is outside [0, 1]")
-    x = 1.0 - r
+def _halmos_block(rate: float, k: int) -> SubspaceSystem:
+    """Block k: a pair of lines in C^2 with compression eigenvalue 1 - rate/k."""
+    x = 1.0 - rate / k
     H1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
     v = np.array([[np.sqrt(x)], [np.sqrt(1.0 - x)]], dtype=complex)
     return SubspaceSystem(2, [H1, from_spanning(v, 2)])
@@ -130,7 +127,8 @@ def _compact_triple_block(k: int) -> SubspaceSystem:
 
 def paper_families(name: str, params: dict | None = None) -> BlockSystem:
     """Built-in block families exhibiting non-closed infinite sums; one_over_k
-    takes the parameter n, halmos_accumulating the parameter rate."""
+    takes the parameter n, halmos_accumulating the number rate c in [0, 1]
+    (block k uses c/k; default 1)."""
     params = dict(params or {})
     if name not in ("one_over_k", "halmos_accumulating", "compact_triple"):
         raise UnknownFamily(name)
@@ -144,12 +142,9 @@ def paper_families(name: str, params: dict | None = None) -> BlockSystem:
         eye = np.eye(n, dtype=complex)  # one per family, so a huge n fails here
         return BlockSystem(lambda k: _one_over_k_block(eye, k), n, "one_over_k", {"n": n})
     if name == "halmos_accumulating":
-        rate = params.get("rate", lambda k: 1.0 / k)
-        if isinstance(rate, (int, float)):
-            c = float(rate)
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"halmos_accumulating rate {rate} is outside [0, 1]")
-            rate = lambda k: c / k
+        rate = params.get("rate", 1.0)
+        if not 0.0 <= rate <= 1.0:  # also refuses NaN
+            raise ValueError(f"halmos_accumulating rate {rate} is outside [0, 1]")
         return BlockSystem(lambda k: _halmos_block(rate, k), 2,
                            "halmos_accumulating", params)
     return BlockSystem(_compact_triple_block, 3, "compact_triple", {})

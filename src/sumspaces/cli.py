@@ -205,6 +205,8 @@ def _family_from_args(args) -> blockmodel.BlockSystem:
     if args.family_file:  # {"family": name, <parameter>: value, ...}
         params = _load_json(args.family_file)
         name = params.pop("family")
+        if not isinstance(name, str):
+            raise MalformedInput(f"family must be a name, got {name!r}")
         return blockmodel.paper_families(name, {
             key: dimension_from_json(value) if key == "n" else real_from_json(value)
             for key, value in params.items()})

@@ -67,7 +67,7 @@ class BudgetExceeded(SumspacesError):
 
 
 class HypothesisViolated(SumspacesError):
-    """A hypothesis of the criterion fails on the sample grid."""
+    """A hypothesis of the criterion fails: F vanishes somewhere on [0, 1)."""
 
 
 class DiagonalNotPositive(SumspacesError):

@@ -123,13 +123,16 @@ def product_bound(F: OperatorFamily, x: np.ndarray) -> float:
     return float(lhs - rhs)
 
 
+PRODUCT_BUDGET = 10 ** 6  # most words of I - T_i that ``p_radius`` enumerates
+
+
 def p_radius(F: OperatorFamily, p: float = 2.0, depth: int = 4,
-             tol: Tolerances = DEFAULT_TOL, budget: int = 10 ** 6):
+             tol: Tolerances = DEFAULT_TOL):
     """Averaged p-radius certificate for sum Im(T_k) = H.
 
-    Enumerates all products of A_i = I - T_i up to the given depth and
-    returns the sequence a_{k,p}^{1/k}; some value below 1 certifies that the
-    images of T_1..T_n sum to the whole space.
+    Enumerates all products of A_i = I - T_i up to the given depth, at most
+    PRODUCT_BUDGET of them, and returns the sequence a_{k,p}^{1/k}; some value
+    below 1 certifies that the images of T_1..T_n sum to the whole space.
     """
     if not p >= 1:  # also rejects NaN
         raise ValueError("p must be >= 1")
@@ -141,9 +144,9 @@ def p_radius(F: OperatorFamily, p: float = 2.0, depth: int = 4,
     total = 0
     for k in range(1, depth + 1):  # stops past the budget, before the count grows huge
         total += n ** k
-        if total > budget:
+        if total > PRODUCT_BUDGET:
             raise BudgetExceeded(f"the words up to depth {k} already exceed "
-                                 f"the budget of {budget} products")
+                                 f"the budget of {PRODUCT_BUDGET} products")
     sequence = []
     current = np.eye(d, dtype=complex)[None]
     for k in range(1, depth + 1):

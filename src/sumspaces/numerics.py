@@ -3,7 +3,7 @@
 This is the only module that calls LAPACK, and the only home of the
 numerical policy wrapped around each decomposition:
 
-- tolerances: strictly positive and finite;
+- tolerances: strictly positive and finite, rank_tol < 1/sqrt(2), eig_tol < 0.1;
 - Hermitian input: one square matrix, asymmetry ||M - M*||_F at most
   eig_tol * max(1, ||M||_F), explicit symmetrization, ascending eigenvalues
   with (``eig_hermitian``) or without (``hermitian_eigenvalues``) vectors;
@@ -50,7 +50,10 @@ class Tolerances:
 
     rank_tol is relative to the largest singular value; eig_tol bounds
     decomposition residuals; margin_tol is the decision threshold that turns
-    a raw margin into a verdict.
+    a raw margin into a verdict.  All three are positive and finite.  rank_tol
+    is below 1/sqrt(2), where an angle's sine and cosine could both be <= rank_tol
+    and put one pair in the meet and in the orthogonal parts at once; eig_tol is
+    below 0.1, where the reduction's gap cap 1 - 10 eig_tol would be <= 0.
     """
 
     rank_tol: float = 1e-10
@@ -58,8 +61,10 @@ class Tolerances:
     margin_tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(0 < t < np.inf for t in (self.rank_tol, self.eig_tol, self.margin_tol)):
-            raise ValueError("tolerances must be strictly positive and finite")
+        for name, top in (("rank_tol", 0.5 ** 0.5), ("eig_tol", 0.1), ("margin_tol", np.inf)):
+            if not 0 < getattr(self, name) < top:  # also refuses NaN
+                raise ValueError(f"{name} must be strictly positive, finite and below "
+                                 f"{top}, got {getattr(self, name)}")
 
 
 DEFAULT_TOL = Tolerances()

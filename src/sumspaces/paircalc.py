@@ -1,6 +1,6 @@
 """Function calculus for two projections.
 
-For continuous f1..f4 on [0,1] the operator
+For polynomials f1..f4 on [0,1] the operator
 
     b = P1 f1(P1P2P1) + P2 f2(P2P1P2) + P1P2 f3(P2P1P2) + P2P1 f4(P1P2P1)
 
@@ -28,35 +28,25 @@ from .reports import MarginReport
 
 @dataclass
 class ScalarFunction:
-    """A continuous complex-valued function on [0, 1], with its polynomial
-    coefficients (ascending) when it has them; only those serialize.
+    """A complex polynomial on [0, 1], by its coefficients (ascending).
 
-    A scalar argument gives a Python complex.  An array gives a complex
-    array of its shape from one evaluator call, which receives the ndarray
-    (one ``polyval`` for a polynomial); a scalar result is broadcast.
+    A scalar argument gives a Python complex, an array a complex array of
+    its shape, from one ``polyval``.
     """
 
-    evaluator: object
-    coefficients: list | None = None
+    coefficients: list
 
     def __call__(self, x):
-        if np.ndim(x) == 0:
-            return complex(self.evaluator(x))
-        return np.broadcast_to(self.evaluator(np.asarray(x)), np.shape(x)).astype(complex)
+        y = np.polynomial.polynomial.polyval(x, self.coefficients)
+        return complex(y) if np.ndim(x) == 0 else y
 
     @classmethod
     def from_poly(cls, coefficients) -> "ScalarFunction":
-        coeffs = [complex(c) for c in coefficients]
-        return cls(lambda x: np.polynomial.polynomial.polyval(x, coeffs), coeffs)
+        return cls([complex(c) for c in coefficients])
 
     @classmethod
     def constant(cls, c) -> "ScalarFunction":
         return cls.from_poly([c])
-
-    @classmethod
-    def from_callable(cls, f) -> "ScalarFunction":
-        """Known by its values only, so the F != 0 check just samples a grid."""
-        return cls(f, None)
 
 
 def _blocks(pair: PairDecomposition, fs):
@@ -125,30 +115,23 @@ def _block_singular_values(block, D):
     return scale * top, scale * np.divide(det, top, out=np.zeros_like(top), where=top > 0)
 
 
-def _check_F(pair: PairDecomposition, fs, tol: Tolerances) -> None:
-    """HypothesisViolated where |F| <= margin_tol on [0, 1).  Exact for polynomials:
-    min |F| on [0, 1) is at 0 or at a root of (|F|^2)', so 0 and the real parts in
-    [0, 1) of those roots are checked, and of F's own (accurate where they are
-    multiple), with F scaled to a largest |coefficient| of 1 so |F|^2 cannot
-    overflow.  Callables are only sampled, on a 1001-point grid plus sigma(a)."""
-    f1, f2, f3, f4 = fs
+def _check_F(fs, tol: Tolerances) -> None:
+    """HypothesisViolated where |F| <= margin_tol on [0, 1), decided exactly: min |F|
+    on [0, 1) is at 0 or at a root of (|F|^2)', so 0 and the real parts in [0, 1) of
+    those roots are checked, and of F's own (accurate where they are multiple), with F
+    scaled to a largest |coefficient| of 1 so |F|^2 cannot overflow."""
+    f1, f2, f3, f4 = (f.coefficients for f in fs)
     P = np.polynomial.polynomial
     with np.errstate(over="ignore", invalid="ignore"):  # refused or harmless
-        if all(f.coefficients is not None for f in fs):
-            c = P.polysub(P.polymul(f1.coefficients, f2.coefficients),
-                          P.polymulx(P.polymul(f3.coefficients, f4.coefficients)))
-            if not np.isfinite(c).all():
-                raise ValueError(f"F = f1 f2 - x f3 f4 is not finite: coefficients {c}")
-            scale = np.abs(c).max() or 1.0  # F = 0 is refused at x = 0 below
-            c = c / scale
-            dG = P.polyder(P.polymul(c, c.conj()).real)  # (|F|^2)' on the real line
-            z = np.concatenate([polynomial_roots(c), polynomial_roots(dG)]).real
-            points = np.concatenate([[0.0], z[(z >= 0.0) & (z < 1.0)]])
-            F = scale * P.polyval(points, c)
-        else:
-            points = np.concatenate([np.linspace(0.0, 1.0, 1001, endpoint=False),
-                                     pair.a_eigenvalues])
-            F = f1(points) * f2(points) - points * f3(points) * f4(points)
+        c = P.polysub(P.polymul(f1, f2), P.polymulx(P.polymul(f3, f4)))
+        if not np.isfinite(c).all():
+            raise ValueError(f"F = f1 f2 - x f3 f4 is not finite: coefficients {c}")
+        scale = np.abs(c).max() or 1.0  # F = 0 is refused at x = 0 below
+        c = c / scale
+        dG = P.polyder(P.polymul(c, c.conj()).real)  # (|F|^2)' on the real line
+        z = np.concatenate([polynomial_roots(c), polynomial_roots(dG)]).real
+        points = np.concatenate([[0.0], z[(z >= 0.0) & (z < 1.0)]])
+        F = scale * P.polyval(points, c)
     vanishing = np.flatnonzero(np.abs(F) <= tol.margin_tol)
     if len(vanishing):
         i = vanishing[0]
@@ -162,7 +145,7 @@ def calculus_report(pair: PairDecomposition, f1, f2, f3, f4,
     and each block's closed-form pair, cut at ``numerical_rank``; the punctured disk's
     descending |spectrum| and b's value on H1&H2 are cut there too, at the scale ||b|| = sv[0]."""
     values, flat, block, D, spectrum = _blocks(pair, (f1, f2, f3, f4))
-    _check_F(pair, (f1, f2, f3, f4), tol)
+    _check_F((f1, f2, f3, f4), tol)
     report = MarginReport()
     modulus = np.sort(np.abs(spectrum))[::-1]
     sv = np.sort(np.concatenate([np.abs(flat), *_block_singular_values(block, D)]))[::-1]

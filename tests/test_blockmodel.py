@@ -62,9 +62,6 @@ def test_halmos_accumulating_pair_vanishes():
 def test_halmos_accumulating_refuses_rate_outside_unit_interval():
     with pytest.raises(ValueError, match="rate 1.5"):
         ss.paper_families("halmos_accumulating", {"rate": 1.5})
-    BS = ss.paper_families("halmos_accumulating", {"rate": lambda k: 1.0 - 2.0 / k})
-    with pytest.raises(ValueError, match=r"rate\(1\) = -1.0"):
-        ss.certify(BS, [1, 2], 5)
 
 
 def test_compact_triple_subset_verdicts():

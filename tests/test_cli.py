@@ -598,7 +598,10 @@ BAD_FAMILIES = {"n_list": {"family": "one_over_k", "n": [3]},
                 "rate_string": {"family": "halmos_accumulating", "rate": "x"},
                 "n_param_string": {"family": "one_over_k", "n": "x"},
                 "rate_infinite": {"family": "halmos_accumulating", "rate": float("inf")},
-                "n_param_fraction": {"family": "one_over_k", "n": 2.5}}
+                "n_param_fraction": {"family": "one_over_k", "n": 2.5},
+                "family_number": {"family": 5},
+                "family_list": {"family": ["one_over_k"]},
+                "family_null": {"family": None}}
 
 
 @pytest.mark.parametrize("command", ["blocks", "sum-as-two"])
@@ -732,7 +735,9 @@ BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},
                                   "rate_two", "rate_negative", "halmos_n",
                                   "compact_triple_n_param", "compact_triple_n",
                                   "zzz_param", "one_over_k_rate", "f_overflow",
-                                  "rank_tol_inf", "eig_tol_inf", "margin_tol_inf"])
+                                  "rank_tol_inf", "rank_tol_three_quarters", "rank_tol_one",
+                                  "eig_tol_inf", "eig_tol_tenth", "eig_tol_fifth",
+                                  "margin_tol_inf"])
 def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     a, b = pair_files
     path = tmp_path / "input.json"
@@ -750,6 +755,13 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     elif case == "rank_tol_inf":  # would report an empty image
         path.write_text(json.dumps(ss.OperatorFamily(2, [np.eye(2)]).to_json()))
         argv = ["images", "--operators", str(path), "--analysis", "sum", "--rank-tol", "inf"]
+    elif case == "rank_tol_three_quarters":  # the 45 degree pair would be meet and orthogonal
+        argv = ["pair", "--a", a, "--b", b, "--rank-tol", "0.75"]
+    elif case == "rank_tol_one":  # every member would decode as the zero subspace
+        argv = ["system", "--members", _members_file(tmp_path, 2), "--rank-tol", "1"]
+    elif case in ("eig_tol_tenth", "eig_tol_fifth"):  # the gap cap 1 - 10 eig_tol <= 0
+        argv = ["reduce", "--members", _members_file(tmp_path, 2),
+                "--eig-tol", "0.1" if case == "eig_tol_tenth" else "0.2"]
     elif case == "eig_tol_inf":  # would report all-zero dimensions
         argv = ["sum-as-two", "--n", "3", "--horizon", "5", "--eig-tol", "inf"]
     elif case == "margin_tol_inf":
@@ -757,10 +769,12 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     else:
         path.write_text(json.dumps(BAD_NUMBER_FAMILIES[case]))
         argv = ["sum-as-two", "--family-file", str(path), "--horizon", "5"]
-    code, report = _run(argv, capsys)
-    assert code == 2
+    code = main(argv)
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 2 and err == ""
     assert report["error"]["type"] == "ValueError"
-    for key in ("rate", "zzz"):  # the offending parameter is named
+    for key in ("rate", "zzz", "rank_tol", "eig_tol"):  # the offending value is named
         if key in case:
             assert key in report["error"]["message"]
 

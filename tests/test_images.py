@@ -122,8 +122,10 @@ def test_p_radius_simplex_and_budget():
     seq, verdict = ss.p_radius(F, depth=4)
     assert verdict == "certified"
     assert len(seq) == 4
-    with pytest.raises(BudgetExceeded):
-        ss.p_radius(F, depth=4, budget=10)
+    # 3 + 9 + ... + 3^13 = 2 391 483 words pass the budget of 10^6
+    assert sum(3 ** k for k in range(1, 14)) == 2391483 > ss.images.PRODUCT_BUDGET
+    with pytest.raises(BudgetExceeded, match="budget of 1000000 products"):
+        ss.p_radius(F, depth=13)
     with pytest.raises(ValueError):
         ss.p_radius(F, p=0.5)
 

@@ -31,6 +31,12 @@ def test_tolerances_must_be_positive():
         for value in (np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 numerics.Tolerances(**{field: value})
+    # from 1/sqrt(2) on, sine and cosine can both be <= rank_tol; from 0.1 on the
+    # reduction's gap cap 1 - 10 eig_tol is <= 0
+    for field, value in (("rank_tol", np.sqrt(0.5)), ("rank_tol", 1.0), ("eig_tol", 0.1)):
+        with pytest.raises(ValueError, match=field):
+            numerics.Tolerances(**{field: value})
+    assert numerics.Tolerances(rank_tol=0.5, eig_tol=0.09).rank_tol == 0.5
     # three settings and no derived cutoff, so ``provenance`` lists three fields
     tol = numerics.Tolerances(eig_tol=3e-9)
     assert vars(tol) == {"rank_tol": 1e-10, "eig_tol": 3e-9, "margin_tol": 1e-8}
