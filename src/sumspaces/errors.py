@@ -38,24 +38,12 @@ class SumNotFull(SumspacesError):
     """The subspace sum does not cover the ambient space."""
 
 
-class IndexOutOfRange(SumspacesError):
-    """A member index is outside 1..n."""
-
-
 class GapTooSmall(SumspacesError):
     """The spectral gap is below the decision tolerance."""
 
 
 class RangeNotIncluded(SumspacesError):
     """Im(A) is not contained in Im(B)."""
-
-
-class RangeConditionViolated(SumspacesError):
-    """Im(A_i) is not contained in H_i."""
-
-
-class NormTooLarge(SumspacesError):
-    """An operator norm exceeds the bound required by the inequality."""
 
 
 class NotInvertible(SumspacesError):

@@ -1,6 +1,6 @@
-"""Operator-range machinery: Douglas factorization, sums of images, product
-bounds, the p-radius certificate, and quadratic projector combinations with
-the beta-matrix criteria."""
+"""Operator-range machinery: Douglas factorization, sums of images, the
+p-radius certificate, and quadratic projector combinations with the
+beta-matrix criteria."""
 
 from __future__ import annotations
 
@@ -9,12 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
-                     MalformedInput, NormTooLarge, NotInvertible,
-                     RangeConditionViolated, RangeNotIncluded)
+                     MalformedInput, NotInvertible, RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
-                       complex_to_json, eig_hermitian, hermitian_eigenvalues,
-                       independence_sigma, numerical_rank, operator_norm, range_residual,
-                       singular_values, spanning_forest, thin_svd)
+                       complex_to_json, eig_hermitian, hermitian_eigenvalues, numerical_rank,
+                       operator_norm, range_residual, singular_values, spanning_forest, thin_svd)
 from .reports import MarginReport
 from .subspaces import Subspace, SubspaceSystem, complement, from_spanning, sum_span
 
@@ -101,26 +99,6 @@ def sum_of_images(F: OperatorFamily, tol: Tolerances = DEFAULT_TOL):
         report.add("nonnegative_sum_gap", gap, tol.margin_tol, vacuous=np.isinf(gap))
         report.extras["sum_image_dim"] = image.dim
     return image, report
-
-
-def product_bound(F: OperatorFamily, x: np.ndarray) -> float:
-    """Slack of the product inequality for nonnegative T_k with ||T_k|| < 2.
-
-    With E = (I - T_n) ... (I - T_1) and omega = max ||T_k||:
-    ((2 + omega^2 n (n-1)) / (2 - omega)) (||x||^2 - ||Ex||^2) >= sum (T_k x, x).
-    """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    n = len(F.members)
-    omega = max((operator_norm(M) for M in F.members), default=0.0)
-    if omega >= 2.0:
-        raise NormTooLarge(f"omega = {omega} >= 2")
-    E = np.eye(F.ambient_dim, dtype=complex)
-    for M in F.members:
-        E = (np.eye(F.ambient_dim) - M) @ E
-    lhs = ((2.0 + omega ** 2 * n * (n - 1)) / (2.0 - omega)) \
-        * (np.linalg.norm(x) ** 2 - np.linalg.norm(E @ x) ** 2)
-    rhs = sum(float(np.real(np.vdot(x, M @ x))) for M in F.members)
-    return float(lhs - rhs)
 
 
 PRODUCT_BUDGET = 10 ** 6  # most words of I - T_i that ``p_radius`` enumerates
@@ -242,22 +220,6 @@ def cycle_alpha(n: int) -> np.ndarray:
     return alpha
 
 
-def xi_graph_alpha(n: int, xi: dict) -> np.ndarray:
-    """Coefficients of the xi-graph family.
-
-    ``xi`` maps ordered pairs (i, j), 1-based, to xi_ij > 0 for edges of an
-    undirected graph (both orientations may be given).  The diagonal is
-    xi_i = (1/2) sum over incident edges of (xi_ij + xi_ji).
-    """
-    alpha = np.zeros((n, n), dtype=complex)
-    for (i, j), val in xi.items():
-        alpha[i - 1, j - 1] = -val
-    for i in range(n):
-        alpha[i, i] = 0.5 * sum(
-            -np.real(alpha[i, j] + alpha[j, i]) for j in range(n) if j != i)
-    return alpha
-
-
 def quadratic_projector_criterion(S: SubspaceSystem, alpha,
                                   tol: Tolerances = DEFAULT_TOL):
     """Criteria for A = sum alpha_ij P_i P_j via the beta matrix.
@@ -293,36 +255,3 @@ def quadratic_projector_criterion(S: SubspaceSystem, alpha,
         report.add("invertibility_margin", s[-1], tol.margin_tol)
     return beta, report
 
-
-def ibap_check(S: SubspaceSystem, F: OperatorFamily,
-               tol: Tolerances = DEFAULT_TOL) -> MarginReport:
-    """Inverse best approximation property margins for operators A_k.
-
-    Requires Im(A_k) inside H_k by ``range_residual``.  The joint constant is
-    the smallest singular value of the stacked map (y_1..y_n) -> sum A_k* y_k on
-    +H_k; it is positive iff each A_k* embeds H_k isomorphically and the ranges
-    A_k*(H_k) form an independent system with closed sum.  The ranges' own
-    constant, ``range_independence_epsilon``, is ``independence_sigma`` of their
-    orthonormal bases side by side, squared.
-    """
-    if len(F.members) != len(S):
-        raise DimensionMismatch("one operator per member required")
-    d = S.ambient_dim
-    blocks, ranges = [], []
-    report = MarginReport()
-    for k, (M, H) in enumerate(zip(F.members, S.members), start=1):
-        resid, inside = range_residual(H.basis, M, tol)
-        if not inside:
-            raise RangeConditionViolated(f"Im(A_{k}) outside H_{k} by {resid:.3e}")
-        block = M.conj().T @ H.basis  # A_k* restricted to H_k
-        blocks.append(block)
-        U, s, _ = thin_svd(block)
-        ranges.append(U[:, :numerical_rank(s, tol)])  # orthonormal basis of A_k*(H_k)
-        report.add(f"embedding_margin_{k}", s[-1] if H.dim else 1.0, tol.margin_tol,
-                   vacuous=H.dim == 0)
-    stacked = np.hstack(blocks) if blocks else np.zeros((d, 0))
-    report.add("joint_epsilon", independence_sigma(stacked), tol.margin_tol,
-               vacuous=stacked.shape[1] == 0)
-    report.add("range_independence_epsilon", independence_sigma(np.hstack(ranges)) ** 2,
-               tol.margin_tol)
-    return report

@@ -14,7 +14,7 @@ numerical policy wrapped around each decomposition:
   sum gap and ``build_beta``'s zero count (none), ``paircalc``'s punctured disk (||b||),
   the modulus descent's simplicity, coupling and curvature tests (largest edge weight);
 - range inclusion: ||X - QQ*X|| <= margin_tol ||X|| (``range_residual``) for ``contains``
-  (so ``equal`` and ``reduce``), ``douglas_factor``, ``ibap_check`` and ``sum_as_two``;
+  (so ``equal`` and ``reduce``), ``douglas_factor`` and ``sum_as_two``;
 - independence: sigma_min of stacked bases, 1 with no columns, 0 when wide;
 - graphs: connectivity and spanning forests from one breadth-first search;
 - orthonormal bases: ``qr`` once both sides exceed 16, else ``thin_svd`` (``from_spanning``);

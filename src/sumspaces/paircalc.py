@@ -157,8 +157,3 @@ def calculus_report(pair: PairDecomposition, f1, f2, f3, f4,
     report.extras["sum_at_one_nonzero"] = bool(numerical_rank(np.abs(values[:1]), tol, sv[0]))
     return spectrum, report
 
-
-def calculus_criteria(pair: PairDecomposition, f1, f2, f3, f4,
-                      tol: Tolerances = DEFAULT_TOL) -> MarginReport:
-    """Closedness/invertibility margins of Im(b), from ``calculus_report``."""
-    return calculus_report(pair, f1, f2, f3, f4, tol)[1]

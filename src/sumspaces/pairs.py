@@ -104,8 +104,14 @@ def _block_sigma_min(s: np.ndarray) -> np.ndarray:
 
 def pair_report(H1: Subspace, H2: Subspace,
                 tol: Tolerances) -> tuple[float, MarginReport, MarginReport]:
-    """The Friedrichs angle, ``pair_criteria`` and ``independent_pair_constants``
-    of (H1, H2), all closed forms of one ``principal_values`` run."""
+    """The Friedrichs angle, ``pair_criteria`` and the independence constants of
+    (H1, H2), all closed forms of one ``principal_values`` run.
+
+    The constants are ||P1 P2|| (the largest cosine), the best eps in
+    ||x + y||^2 >= eps (||x||^2 + ||y||^2) (the 2-block Gram operator's smallest
+    eigenvalue 1 - c = s^2 / (1 + c)) and the best eps in ||(I-P1) y|| >= eps ||y||
+    on H2 (the smallest sine, 1 if none); the pair is independent with closed
+    sum iff ||P1 P2|| < 1."""
     values = principal_values(H1, H2)
     cos, sin = values.cos, values.sin
     meet, _, generic = values.classify(tol)
@@ -167,16 +173,3 @@ def pair_criteria(H1: Subspace, H2: Subspace,
     """
     return pair_report(H1, H2, tol)[1]
 
-
-def independent_pair_constants(H1: Subspace, H2: Subspace,
-                               tol: Tolerances = DEFAULT_TOL) -> MarginReport:
-    """Constants quantifying linear independence of the pair.
-
-    Reports ||P1 P2|| = cos of the smallest principal angle, the best
-    quadratic-form constant in ||x + y||^2 >= eps (||x||^2 + ||y||^2) (the
-    2-block Gram operator's smallest eigenvalue 1 - cos = s^2 / (1 + c)), and
-    the best eps in ||(I-P1) x|| >= eps ||x|| on H2 (the smallest of the
-    sines and of a 1 per dimension of the rest of H2).  The pair is
-    independent with closed sum iff ||P1 P2|| < 1.
-    """
-    return pair_report(H1, H2, tol)[2]

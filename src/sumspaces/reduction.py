@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (EigenvalueOnBoundary, GapTooSmall, IndexOutOfRange,
-                     NotIndependent, SumNotFull)
+from .errors import EigenvalueOnBoundary, GapTooSmall, NotIndependent, SumNotFull
 from .numerics import (DEFAULT_TOL, Tolerances, gram_gap, hermitian_eigenvalues,
                        independence_sigma, numerical_rank, singular_values, svd, thin_svd)
 from .reports import MarginReport
@@ -87,41 +86,6 @@ def oblique_projections(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL):
 def combine_with_spectrum(projections, lambdas) -> np.ndarray:
     """Assemble A = sum lambda_k Q_k; sigma(A) = {lambda_k}."""
     return sum(lam * Q for lam, Q in zip(lambdas, projections))
-
-
-def rps_margin(S: SubspaceSystem, m: int, tol: Tolerances = DEFAULT_TOL) -> MarginReport:
-    """Membership margin for reducibility that touches only H_{m+1}..H_n.
-
-    On the kernel Z of the summation map on +H_j the system must satisfy
-    sum_{j>m} ||y_j||^2 >= eps^2 sum_{j<=m} ||y_j||^2.  With an orthonormal
-    basis of Z split into its head rows (j <= m) and tail rows, the best
-    constant is sigma_min(tail) / sigma_max(head), read from the factors and
-    not from their Gram matrices.  Quadratic forms replace the l1 sums of the
-    norm phrasing; constants agree up to a factor <= n.
-    """
-    n = len(S)
-    if not (1 <= m <= n):
-        raise IndexOutOfRange(f"m={m} outside 1..{n}")
-    report = MarginReport()
-    head_cert = independence_certificate(
-        SubspaceSystem(S.ambient_dim, S.members[:m]), tol)
-    report.extras["head_independent"] = head_cert.independent
-    report.extras["head_epsilon"] = head_cert.epsilon
-
-    _, s, V = svd(np.hstack([member.basis for member in S.members]))
-    Z = V[:, numerical_rank(s, tol):]  # orthonormal basis of the kernel, in block coordinates
-    split = sum(member.dim for member in S.members[:m])
-    head, tail = singular_values(Z[:split]), singular_values(Z[split:])
-    if not numerical_rank(head, tol, scale=1.0):
-        # no kernel, or every kernel vector has zero head part: condition vacuous
-        report.add("rps_epsilon", 1.0, tol.margin_tol, vacuous=True)
-        return report
-    # Z*Z = I is the sum of the Gram matrices of the head and tail rows, so those
-    # share right singular vectors with sigma_head^2 + sigma_tail^2 = 1 on each;
-    # fewer tail rows than kernel columns leave a kernel vector with no tail part
-    tail_min = tail[-1] if len(tail) == Z.shape[1] else 0.0
-    report.add("rps_epsilon", tail_min / head[0], tol.margin_tol)
-    return report
 
 
 def _shrink(H1: Subspace, H2: Subspace, delta: float, tol: Tolerances):

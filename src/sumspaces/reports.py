@@ -65,9 +65,6 @@ class MarginReport:
     def verdict(self, criterion: str) -> str:
         return self.entry(criterion).verdict
 
-    def all_satisfied(self) -> bool:
-        return all(e.verdict == "satisfied" for e in self.entries)
-
     def to_dict(self):
         out = {"entries": [e.to_dict() for e in self.entries]}
         if self.extras:

@@ -134,13 +134,6 @@ def equal(A: Subspace, B: Subspace, tol: Tolerances) -> bool:
     return A.dim == B.dim and contains(A, B, tol)
 
 
-def subtract(A: Subspace, B: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthogonal difference A minus (A intersect B-closure): span of A - B(B*A) = (I - P_B) A."""
-    _check_ambient(A, B)
-    Q = B.basis
-    return from_spanning(A.basis - Q @ (Q.conj().T @ A.basis), A.ambient_dim, tol, scale=1.0)
-
-
 @dataclass
 class PrincipalValues:
     """Principal cosines and sines of (A, B) by ascending angle, k = min(dim A,
@@ -205,12 +198,6 @@ def principal_values(A: Subspace, B: Subspace) -> PrincipalValues:
         sin[:m] = np.clip(singular_values(B.basis - A.basis @ M)[::-1][:m], 0.0, 1.0)
         cos[:m] = np.sqrt(1.0 - sin[:m] * sin[:m])
     return PrincipalValues(cos, sin, B.dim - k)
-
-
-def principal_angles(A: Subspace, B: Subspace) -> np.ndarray:
-    """Ascending principal angles in [0, pi/2]."""
-    values = principal_values(A, B)
-    return np.arctan2(values.sin, values.cos)
 
 
 def subspace_to_json(S: Subspace) -> dict:

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import sumspaces as ss
+from sumspaces.subspaces import principal_values
 
 
 def random_subspace(rng, d, r):
@@ -44,6 +45,18 @@ def random_independent_full_system(rng, d, n):
         members.append(ss.from_spanning(X[:, offset:offset + r]))
         offset += r
     return ss.SubspaceSystem(d, members)
+
+
+def principal_angles(A, B):
+    """Ascending principal angles in [0, pi/2], from ``principal_values``."""
+    values = principal_values(A, B)
+    return np.arctan2(values.sin, values.cos)
+
+
+def subtract(A, B):
+    """Span of (I - P_B) A, at the unit scale of A's basis: A minus B when B lies in A."""
+    Q = B.basis
+    return ss.from_spanning(A.basis - Q @ (Q.conj().T @ A.basis), A.ambient_dim, scale=1.0)
 
 
 def simplex_lines(n):

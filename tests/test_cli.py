@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -473,6 +474,30 @@ def test_no_analysis_layer_imports_another():
                                         else [alias.name for alias in node.names])}
     assert {layer: names & layers for layer, names in imported.items()} == {
         layer: {"pairs"} if layer == "paircalc" else set() for layer in layers}
+
+
+def test_every_public_name_is_reached():
+    """Every public module-level function or class of the package is loaded by
+    name (an ast.Name or ast.Attribute; an import alias does not count) outside
+    its own definition, in a package module, a demo or the acceptance tests: the
+    CLI is the product, so what only its own tests reach is dead weight."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in pathlib.Path(ss.__file__).parent.glob("*.py")
+               if path.name != "__init__.py"]
+    defs = {node.name: node for tree in modules for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+    inside = {name: {id(node) for node in ast.walk(d)} for name, d in defs.items()}
+    readers = modules + [ast.parse(path.read_text(encoding="utf-8")) for path in
+                         [*(root / "demos").glob("*.py"), root / "tests" / "test_acceptance.py"]]
+    reached = {name for tree in readers for node in ast.walk(tree)
+               if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+               for name in [node.id if isinstance(node, ast.Name) else node.attr]
+               if name in defs and id(node) not in inside[name]}
+    assert len(defs) > 50
+    unreached = sorted(defs.keys() - reached)
+    assert not unreached, f"no command, demo or acceptance test reaches {unreached}"
 
 
 def test_blocks_command_family_file(tmp_path, capsys):

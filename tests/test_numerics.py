@@ -163,6 +163,13 @@ def test_independence_sigma_of_no_columns_is_one():
     assert numerics.independence_sigma(np.zeros((3, 0)), np.zeros(0)) == 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_independence_sigma_at_extreme_scales(scale):
+    # sigma_min itself: its square would overflow at 1e170 and underflow at 1e-170
+    assert numerics.independence_sigma(scale * np.eye(2)[:, [0]]) == scale
+
+
 def test_singular_values_refuse_an_overflow():
     # finite entries whose sigma_1 = 3e308 is past the double range give inf, and
     # inf entries give NaN values with no LAPACK error: both are refused

@@ -1,10 +1,11 @@
 """Property tests over hypothesis-drawn inputs (derandomized, fixed budget).
 
-The pair margins of ``pair_criteria`` and ``independent_pair_constants`` are
-compared with their d x d projector formulas, evaluated here with plain
-numpy on pairs with a planted canonical decomposition; on the same pairs the
-values-only kernel ``principal_values`` is compared with ``principal_pairs``,
-and ``halmos_decompose`` must give back P1, P2 and the planted dimensions.
+The pair margins of ``pair_criteria`` and the independence constants of
+``pair_report`` are compared with their d x d projector formulas, evaluated
+here with plain numpy on pairs with a planted canonical decomposition; on the
+same pairs the values-only kernel ``principal_values`` is compared with
+``principal_pairs``, and ``halmos_decompose`` must give back P1, P2 and the
+planted dimensions.
 The modulus-form bracket of ``complement_graph_margin`` is compared with
 oracles built here with plain numpy: complement bases from a full SVD of the
 spanning vectors, the closed-form lower bound, and a sampled search over
@@ -13,7 +14,7 @@ with central differences of lambda_min.  Scaling every operator, spanning
 vector, coefficient, weight and alpha by 2^k must scale each margin of
 ``images``, ``calculus``, ``graph`` and ``system`` by 2^(jk), j its degree,
 and move no dimension, rank, descent eigh count or refusal but the absolute ones.
-The closed-form ``closed_range_margin`` of ``calculus_criteria`` is compared
+The closed-form ``closed_range_margin`` of ``calculus_report`` is compared
 with the SVD of ``build_b`` on the same pairs, and its exact F != 0 check
 must refuse roots planted between the points of the 1001-point grid it
 replaced.
@@ -146,7 +147,7 @@ def test_pair_margins_match_projector_formulas(case):
     B1, B2, X, neither = case
     d = len(B1)
     H1, H2 = ss.Subspace(d, B1), ss.Subspace(d, B2)
-    reports = [ss.pair_criteria(H1, H2), ss.independent_pair_constants(H1, H2)]
+    reports = [ss.pair_criteria(H1, H2), ss.pair_report(H1, H2, ss.DEFAULT_TOL)[2]]
     got = {e.criterion: e.margin for rep in reports for e in rep.entries}
     expected = _projector_margins(B1, B2, X, neither)
     assert got.keys() == expected.keys()
@@ -370,9 +371,9 @@ def test_modulus_descent_on_a_multiple_bottom_eigenvalue(layout):
 
 def _scaled_analyses(seed, c):
     """Every input of the analyses below drawn with ``seed``, then times c: the
-    operators and spanning vectors of ``images`` (douglas, sum, membership,
-    ``ibap_check`` with A_k = B_k X_k), ``calculus``, ``graph --modulus`` and
-    ``system --alpha``, the polynomial coefficients, the edge weights and alpha.
+    operators and spanning vectors of ``images`` (douglas, sum, membership),
+    ``calculus``, ``graph --modulus`` and ``system --alpha``, the polynomial
+    coefficients, the edge weights and alpha.
     Returns the dimensions, ranks, notes and refusals, the margins as
     {name: (value, degree j)}, a margin scaling by c^j, and the descent's eigh
     counts by size."""
@@ -412,7 +413,7 @@ def _scaled_analyses(seed, c):
     fs = [ss.ScalarFunction.from_poly(c * cplx(3)) for _ in range(4)]
     exact["k_dim"] = pair.k_dim
     try:
-        rep = ss.calculus_criteria(pair, *fs)
+        rep = ss.calculus_report(pair, *fs)[1]
         for entry in rep.entries:
             margins[f"calculus_{entry.criterion}"] = (entry.margin, int(entry.note != "vacuous"))
         exact["calculus_sum_at_one_nonzero"] = rep.extras["sum_at_one_nonzero"]
@@ -438,11 +439,6 @@ def _scaled_analyses(seed, c):
     margins["epsilon"] = (rep.extras["epsilon"], 1)
     margins["lambda_max"] = (rep.extras["lambda_max"], 1)
     margins["independence_epsilon"] = (rep.extras["independence_epsilon"], 0)
-    ops = [c * H.basis @ cplx(H.dim, d) for H in S.members]
-    rep = ss.ibap_check(S, ss.OperatorFamily(d, ops))
-    for entry in rep.entries:  # each A_k* B_k scales with c, their independence does not
-        margins[f"ibap_{entry.criterion}"] = (
-            entry.margin, int(entry.criterion != "range_independence_epsilon"))
     return exact, margins, sizes
 
 
@@ -456,9 +452,9 @@ def test_scaling_every_input_by_a_power_of_two_scales_each_margin(k, seed):
     The refusals that may move are absolute on purpose: membership's
     invertibility check refuses exactly when lambda_min(sum a_k^2) is at most
     margin_tol, and the F != 0 hypothesis of ``calculus``, with F of degree 2,
-    may refuse at a smaller scale, never at a larger one.  The range conditions
-    of ``douglas_factor`` and ``ibap_check`` are relative, so neither refuses
-    an included range at any scale."""
+    may refuse at a smaller scale, never at a larger one.  The range condition
+    of ``douglas_factor`` is relative, so it refuses no included range at any
+    scale."""
     exact, margins, sizes = _scaled_analyses(seed, 1.0)
     scaled_exact, scaled_margins, scaled_sizes = _scaled_analyses(seed, 2.0 ** k)
     refused = scaled_exact.pop("membership_refused")
@@ -526,7 +522,7 @@ def test_closed_range_margin_matches_svd_of_b(case, degrees, seed):
     fs = [ss.ScalarFunction.from_poly(rng.normal(size=n) + 1j * rng.normal(size=n))
           for n in degrees]
     try:
-        got = ss.calculus_criteria(dec, *fs).margin("closed_range_margin")
+        got = ss.calculus_report(dec, *fs)[1].margin("closed_range_margin")
     except HypothesisViolated:
         assume(False)
     s = np.linalg.svd(ss.build_b(dec, *fs), compute_uv=False)
@@ -551,7 +547,7 @@ def test_calculus_refuses_roots_between_grid_points(k, offset, multiplicity, sca
     f2 = ss.ScalarFunction.from_poly([1.0, slope])
     zero = ss.ScalarFunction.constant(0.0)
     with pytest.raises(HypothesisViolated, match=r"vanishes on \[0,1\)"):
-        ss.calculus_criteria(planes, f1, f2, zero, zero)
+        ss.calculus_report(planes, f1, f2, zero, zero)
 
 
 @st.composite
