@@ -5,8 +5,8 @@ I/O or parse error (including entries that are not [re, im] pairs of finite
 numbers, a file that is not UTF-8 or nests too deep, and an --out that cannot
 be written); 2 and 3 print {"error": {"type", "message"}}.  Reports are strict
 JSON and deterministic: re-running with the same request and seed reproduces
-every byte.  Only the command's parser is built when argv starts with the
-command; otherwise, and for a usage error, the top-level parser reads argv first.
+every byte.  Only the command's parser is built, and reports usage errors, when
+argv starts with the command; otherwise the top-level parser reads argv first.
 """
 
 from __future__ import annotations
@@ -290,9 +290,10 @@ def _parser(prog: str, flags, formatter, width: int, **kwargs) -> _Parser:
 
 def _parse(argv):
     """Only the command's parser, the common flags and its own, when argv starts
-    with the command and holds no --.  Else, or if that parse fails, the top-level
+    with the command and holds no --; its help and usage errors are the same as
+    those of the two-stage parse, which reads every other argv: the top-level
     parser reads the common flags and the command name, then the command's parser
-    the rest: help and every usage error are this two-stage parse's."""
+    the rest."""
     argv = sys.argv[1:] if argv is None else argv
     width = shutil.get_terminal_size().columns - 2  # argparse's default, read once
 
@@ -301,10 +302,7 @@ def _parse(argv):
                        width, description=COMMANDS[name][0])
 
     if argv and argv[0] in COMMANDS and "--" not in argv:
-        try:
-            return command(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-        except argparse.ArgumentError:
-            pass  # reported by the two-stage parse
+        return command(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     top = _parser("sumspaces", [], argparse.RawDescriptionHelpFormatter, width,
                   description="Closedness certificates for sums of subspaces",
                   epilog="commands:\n" + "\n".join(

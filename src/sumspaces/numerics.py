@@ -27,10 +27,9 @@ numerical policy wrapped around each decomposition:
 Functions of a matrix, inverses, spectral projectors, range bases and smallest
 nonzero singular values are not wrapped here: each caller forms them from its
 own single ``eig_hermitian``, ``thin_svd`` or ``qr`` and the shared ``numerical_rank``
-cutoff, so a matrix is factored once per analysis.  Two are factored twice: the stacked
-bases of ``reduce_system`` (for the sum span, and values only for eps, which must equal
-``sum_gap``'s) and the Q(0) of ``graph --modulus`` (``eigvalsh`` for its epsilon and
-``eigh`` to start the phase descent).
+cutoff, so a matrix is factored once per analysis.  One is factored twice: the stacked
+bases of ``reduce_system``, for the sum span and, values only, for eps, which must equal
+``sum_gap``'s.
 """
 
 from __future__ import annotations

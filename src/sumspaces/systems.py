@@ -148,18 +148,18 @@ def _modulus_lower_bound(Q, offs, G: WeightedGraph, tol: Tolerances) -> float:
     return float(hermitian_eigenvalues(M[np.ix_(live, live)], tol)[0])
 
 
-def _modulus_evaluate(Q, blocks, theta, tol: Tolerances, scale: float):
+def _modulus_evaluate(Q, blocks, theta, tol: Tolerances, scale: float, eig=None):
     """lambda_min of Q(theta), which twists each given block by e^{i theta_e},
-    with its gradient and Hessian in theta, all from one eigendecomposition by
-    perturbation theory.  Eigenvalues that ``numerical_rank`` at ``scale`` cannot
-    tell from lambda_min are partners; the Hessian drops them when their couplings
+    with its gradient and Hessian in theta, all from one eigendecomposition (``eig``
+    when given) by perturbation theory.  Eigenvalues that ``numerical_rank`` at ``scale``
+    cannot tell from lambda_min are partners; the Hessian drops them when their couplings
     u_j* Q_e v vanish at that scale, and is None (a crossing) when they do not."""
     twists = np.exp(1j * theta)
     Qt = Q.copy()
     for (rows, cols), t in zip(blocks, twists):
         Qt[rows, cols] *= t
         Qt[cols, rows] *= t.conjugate()
-    lam, U = eig_hermitian(Qt, tol)
+    lam, U = eig or eig_hermitian(Qt, tol)
     v = U[:, 0]
     # p_e = t_e v_r* C_e v_c: v* Q_e v = -2 Im p_e and v* Q_ee v = -2 Re p_e
     p = np.array([t * (v[rows].conj() @ Q[rows, cols] @ v[cols])
@@ -177,12 +177,12 @@ def _modulus_evaluate(Q, blocks, theta, tol: Tolerances, scale: float):
     return float(lam[0]), -2.0 * p.imag, hess
 
 
-def _modulus_descent(Q, blocks, theta, tol: Tolerances, scale: float) -> float:
-    """Lowest lambda_min(Q(theta)) reached from theta by Newton steps with
-    Armijo backtracking, or by unit downhill steps where there is no Hessian or
-    ``numerical_rank`` at ``scale`` finds it not positive definite; it stops
-    once the Newton decrement or the drop is at most eig_tol * scale."""
-    lam, grad, hess = _modulus_evaluate(Q, blocks, theta, tol, scale)
+def _modulus_descent(Q, blocks, theta, tol: Tolerances, scale: float, eig=None) -> float:
+    """Lowest lambda_min(Q(theta)) reached from theta (``eig``: Q(theta)'s eigenpairs,
+    if known) by Newton steps with Armijo backtracking, or by unit downhill steps where
+    there is no Hessian or ``numerical_rank`` at ``scale`` finds it not positive definite;
+    it stops once the Newton decrement or the drop is at most eig_tol * scale."""
+    lam, grad, hess = _modulus_evaluate(Q, blocks, theta, tol, scale, eig)
     for _ in range(DESCENT_ITERATIONS):
         w, V = (None, None) if hess is None else eig_hermitian(hess, tol)
         if w is not None and numerical_rank(w[::-1], tol, scale) == len(grad):
@@ -226,13 +226,13 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
     x_i -> e^{i phi_i} x_i shifts theta_ij by phi_j - phi_i, so the phases of a
     spanning forest of the other edges can be fixed at 0, leaving one free
     phase per independent cycle; on a tree (every connected graph with n = 2
-    is one) the constant is the difference form exactly.  The bracket: ``modulus_form_lower_bound`` (certified) is
-    lambda_min of the n x n matrix with rho_i on the diagonal and
-    -gamma_ij ||B_i* B_j|| off it;
-    ``modulus_form_epsilon`` (an estimate, never above the difference form)
-    is the lowest value that Newton steps on the exact Hessian of lambda_min
-    over the free phases reach from theta = 0 and from DESCENT_STARTS random
-    phases drawn with ``seed``.  Its zero tests use the largest edge weight as
+    is one) the constant is the difference form exactly.  The bracket:
+    ``modulus_form_lower_bound`` (certified) is lambda_min of the n x n matrix with
+    rho_i on the diagonal and -gamma_ij ||B_i* B_j|| off it; ``modulus_form_epsilon``
+    (an estimate, never above the difference form) is the lowest value that Newton
+    steps on the exact Hessian of lambda_min over the free phases reach from theta = 0,
+    where Q(0) = Q has the one eigendecomposition of both forms, and from DESCENT_STARTS
+    random phases drawn with ``seed``.  Its zero tests use the largest edge weight as
     scale: each entry of Q(theta) is a weight times one of an isometry product.
     """
     if G.n != len(S):
@@ -247,11 +247,11 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
             report.add("modulus_form_epsilon", 1.0, tol.margin_tol, vacuous=True)
             report.add("modulus_form_lower_bound", 1.0, tol.margin_tol, vacuous=True)
         return report
-    exact = float(hermitian_eigenvalues(Q, tol)[0])
-    report.add("difference_form_epsilon", exact, tol.margin_tol)
+    lam, U = eig_hermitian(Q, tol)
+    report.add("difference_form_epsilon", float(lam[0]), tol.margin_tol)
 
     if modulus:
-        upper = exact
+        upper = float(lam[0])
         edge_blocks = _edge_blocks(G, offs)
         free = _free_edges(G, [e for e, block in enumerate(edge_blocks) if Q[block].any()])
         if free:
@@ -259,7 +259,8 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
             scale = max(w for _, _, w in G.edges)
             starts = np.random.default_rng(seed).uniform(
                 0.0, 2 * np.pi, size=(DESCENT_STARTS, len(free)))
-            for theta in [np.zeros(len(free))] + list(starts):
+            upper = _modulus_descent(Q, blocks, np.zeros(len(free)), tol, scale, (lam, U))
+            for theta in starts:
                 upper = min(upper, _modulus_descent(Q, blocks, theta, tol, scale))
         report.add("modulus_form_epsilon", upper, tol.margin_tol, estimate=True)
         report.add("modulus_form_lower_bound",

@@ -206,7 +206,8 @@ def test_command_help_shows_its_options(capsys):
 def test_one_parse_reads_the_terminal_width_once(monkeypatch, capsys):
     calls = []
     size = shutil.get_terminal_size
-    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *a, **kw: calls.append(a) or size(*a, **kw))
     assert main(["pair", "--a", "/nonexistent.json", "--b", "/nonexistent.json"]) == 3
     assert len(calls) == 1
 
@@ -293,14 +294,13 @@ def test_main_builds_only_the_requested_parser(command, monkeypatch, capsys):
     (["--help"], 1, 9), ([], 1, 9), (["frobnicate"], 1, 9),
     (["--", "pair"] + _NO_FILE["pair"], 2, 9 + 7 + 2),
     (["pair", "--"] + _NO_FILE["pair"], 2, 9 + 7 + 2),
-    (["pair", "--a", "/nonexistent.json"], 3, (7 + 2) + 9 + (7 + 2))],
+    (["pair", "--a", "/nonexistent.json"], 1, 7 + 2)],
     ids=["help", "no_command", "unknown_command", "double_dash_first",
          "double_dash_after", "usage_error"])
 def test_the_top_level_parser_is_built_only_without_a_parsed_command(
         argv, parsers, add_argument, monkeypatch, capsys):
     """Help, a missing or unknown command and -- go to the two-stage parse: the
-    top-level parser, then the command's when the top level names one.  A usage
-    error in the command's parse is read again by the two-stage parse."""
+    top-level parser, then the command's when the top level names one."""
     counts = _count_parsers(monkeypatch)
     try:
         assert main(argv) in (2, 3)

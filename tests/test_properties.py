@@ -241,6 +241,8 @@ def test_modulus_bracket(case, seed):
     d = spans[0].shape[0]
     S = ss.SubspaceSystem(d, [ss.from_spanning(X) for X in spans])
     rep = ss.complement_graph_margin(S, G, modulus=True, seed=seed)
+    assert (ss.complement_graph_margin(S, G).margin("difference_form_epsilon")
+            == rep.margin("difference_form_epsilon"))  # bit for bit, with or without modulus
     comps = _complement_bases(spans)
     names = ("modulus_form_lower_bound", "modulus_form_epsilon", "difference_form_epsilon")
     if not any(C.shape[1] for C in comps):
@@ -363,7 +365,7 @@ def test_modulus_descent_on_a_multiple_bottom_eigenvalue(layout):
         "modulus_form_lower_bound", "modulus_form_epsilon", "difference_form_epsilon"))
     assert np.isfinite(upper) and lower <= upper + 1e-12 and upper <= difference
     if layout == "orthogonal":
-        assert upper == difference and not sizes  # no descent runs
+        assert upper == difference and sizes == {len(Q): 1}  # Q(0) only: no descent runs
     else:  # unit steps made 684 eigh of Q(theta) and stopped 1.8e-8 above the bound
         assert sizes[len(Q)] <= 100, sizes
         assert abs(upper - lower) <= 1e-12 * lower
