@@ -47,7 +47,7 @@ def main():
     T = ss.SubspaceSystem(3, [ss.from_spanning(e[:, :2]),
                               ss.from_spanning(np.ones((3, 1)))])
     Q = ss.oblique_projections(T)
-    A = ss.combine_with_spectrum(Q, [2.0, 5.0])
+    A = 2.0 * Q[0] + 5.0 * Q[1]
     print(f"  sigma(2 Q1 + 5 Q2) = "
           f"{np.round(np.sort(np.linalg.eigvals(A).real), 6)}")
 

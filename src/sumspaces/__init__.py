@@ -19,9 +19,8 @@ from .paircalc import ScalarFunction, build_b, calculus_report, spectrum_of_b
 from .systems import (WeightedGraph, complement_graph_margin, dilation,
                       linear_combination_check, sum_gap)
 from .reduction import (IndependenceCertificate, ReductionResult, c_constant,
-                        combine_with_spectrum, independence_certificate,
-                        oblique_projections, reduce_pair, reduce_preserving_sum,
-                        reduce_system)
+                        independence_certificate, oblique_projections, reduce_pair,
+                        reduce_preserving_sum, reduce_system)
 from .images import (BetaMatrix, OperatorFamily, build_beta, cycle_alpha,
                      douglas_factor, m_membership_identity, p_radius,
                      quadratic_projector_criterion, sum_of_images)

@@ -44,7 +44,7 @@ class ClosednessVerdict:
     gaps: list
     trend_slope: float
     trend_residual: float
-    horizon: int
+    subset: list  # the members analysed: ascending, without repeats
 
 
 SLAB = 64  # blocks per stacked SVD in certify; bounds its transient memory
@@ -53,6 +53,7 @@ SLAB = 64  # blocks per stacked SVD in certify; bounds its transient memory
 def certify(BS: BlockSystem, subset, K: int,
             tol: Tolerances = DEFAULT_TOL) -> ClosednessVerdict:
     """Per-block gaps of the subset sum over blocks 1..K, with a trend fit.
+    The subset, member numbers 1..n as ints or their strings, is read as a set.
 
     The trend is a least-squares slope of log gap vs log k over the top half
     of the horizon; "closed_on_horizon" never claims closedness of the true
@@ -94,7 +95,7 @@ def certify(BS: BlockSystem, subset, K: int,
         status = "closed_on_horizon"
     else:
         status = "inconclusive"
-    return ClosednessVerdict(status, inf_gap, gaps, slope, residual, K)
+    return ClosednessVerdict(status, inf_gap, gaps, slope, residual, subset)
 
 
 def _one_over_k_block(eye: np.ndarray, k: int) -> SubspaceSystem:

@@ -6,7 +6,8 @@ numbers, a file that is not UTF-8 or nests too deep, and an --out that cannot
 be written); 2 and 3 print {"error": {"type", "message"}}.  Reports are strict
 JSON and deterministic: re-running with the same request and seed reproduces
 every byte.  Only the command's parser is built, and reports usage errors, when
-argv starts with the command; otherwise the top-level parser reads argv first.
+argv starts with the command and holds no -- or --=value token; otherwise the
+top-level parser reads argv first.
 """
 
 from __future__ import annotations
@@ -186,14 +187,12 @@ def _cmd_images(args, tol):
 
 
 def _cmd_blocks(args, tol):
-    BS = _family_from_args(args)
-    n = BS.n_members
-    subset = list(range(1, n + 1)) if args.subset == "all" \
-        else sorted({int(x) for x in args.subset.split(",")})  # as certify reads it
+    BS = _family(args.family_file)
+    subset = range(1, BS.n_members + 1) if args.subset == "all" else args.subset.split(",")
     verdict = blockmodel.certify(BS, subset, args.horizon, tol)
     return {
         "request": {"command": "blocks", "family": BS.name, "params": BS.params,
-                    "horizon": args.horizon, "subset": subset},
+                    "horizon": args.horizon, "subset": verdict.subset},
         "verdict": {"status": verdict.status, "inf_gap": verdict.inf_gap,
                     "trend_slope": verdict.trend_slope,
                     "trend_residual": verdict.trend_residual,
@@ -201,23 +200,18 @@ def _cmd_blocks(args, tol):
     }
 
 
-def _family_from_args(args) -> blockmodel.BlockSystem:
-    if args.family_file:  # {"family": name, <parameter>: value, ...}
-        params = _load_json(args.family_file)
-        name = params.pop("family")
-        if not isinstance(name, str):
-            raise MalformedInput(f"family must be a name, got {name!r}")
-        return blockmodel.paper_families(name, {
-            key: dimension_from_json(value) if key == "n" else real_from_json(value)
-            for key, value in params.items()})
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    return blockmodel.paper_families(args.family, params)
+def _family(path: str) -> blockmodel.BlockSystem:
+    params = _load_json(path)  # {"family": name, <parameter>: value, ...}
+    name = params.pop("family")
+    if not isinstance(name, str):
+        raise MalformedInput(f"family must be a name, got {name!r}")
+    return blockmodel.paper_families(name, {
+        key: dimension_from_json(value) if key == "n" else real_from_json(value)
+        for key, value in params.items()})
 
 
 def _cmd_sum_as_two(args, tol):
-    BS = _family_from_args(args)
+    BS = _family(args.family_file)
     m1, m2, report = blockmodel.sum_as_two(BS, args.horizon, tol)
     return {
         "request": {"command": "sum-as-two", "family": BS.name,
@@ -231,8 +225,7 @@ def _cmd_sum_as_two(args, tol):
 
 
 _FILE_PAIR = [("--a", {"required": True}), ("--b", {"required": True})]
-_FAMILY = [("--family", {"default": "one_over_k"}), ("--family-file", {}),
-           ("--n", {"type": int})]
+_FAMILY = [("--family-file", {"required": True})]
 COMMON = [("--out", {"help": "write the JSON report here"}),
           ("--seed", {"type": int, "default": 0, "help": "seed for sampled estimators"}),
           ("--verbose", {"action": "store_true"}),
@@ -290,10 +283,11 @@ def _parser(prog: str, flags, formatter, width: int, **kwargs) -> _Parser:
 
 def _parse(argv):
     """Only the command's parser, the common flags and its own, when argv starts
-    with the command and holds no --; its help and usage errors are the same as
-    those of the two-stage parse, which reads every other argv: the top-level
-    parser reads the common flags and the command name, then the command's parser
-    the rest."""
+    with the command and holds no -- and no --=value (which the top-level parser
+    reads as an abbreviation of the common flags alone); its help and usage errors
+    are the same as those of the two-stage parse, which reads every other argv:
+    the top-level parser reads the common flags and the command name, then the
+    command's parser the rest."""
     argv = sys.argv[1:] if argv is None else argv
     width = shutil.get_terminal_size().columns - 2  # argparse's default, read once
 
@@ -301,7 +295,8 @@ def _parse(argv):
         return _parser(f"sumspaces {name}", COMMANDS[name][2], argparse.HelpFormatter,
                        width, description=COMMANDS[name][0])
 
-    if argv and argv[0] in COMMANDS and "--" not in argv:
+    if argv and argv[0] in COMMANDS and not any(
+            token == "--" or token.startswith("--=") for token in argv):
         return command(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     top = _parser("sumspaces", [], argparse.RawDescriptionHelpFormatter, width,
                   description="Closedness certificates for sums of subspaces",

@@ -52,7 +52,7 @@ class OperatorFamily:
         if not (isinstance(kinds, list) and len(kinds) == len(matrices)
                 and all(k in ("nonnegative", "general") for k in kinds)):
             raise MalformedInput('kind must give "nonnegative" or "general" per matrix')
-        members = [complex_from_json(rows, 2) for rows in matrices]
+        members = [complex_from_json(rows) for rows in matrices]
         return cls(ambient_dim_from_json(data), members, kinds)
 
 
@@ -183,13 +183,8 @@ def build_beta(alpha: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> BetaMatrix:
     diag = np.real(np.diag(alpha))
     if np.any(diag <= 0) or np.any(np.abs(np.imag(np.diag(alpha))) > tol.eig_tol):
         raise DiagonalNotPositive("alpha diagonal must be positive real")
-    beta = np.zeros((n, n))
+    beta = -0.5 * np.abs(alpha + alpha.conj().T)  # |a_ij + conj(a_ji)|
     np.fill_diagonal(beta, diag)
-    for i in range(n):
-        for j in range(i + 1, n):
-            re = np.real(alpha[i, j]) + np.real(alpha[j, i])
-            im = np.imag(alpha[i, j]) - np.imag(alpha[j, i])
-            beta[i, j] = beta[j, i] = -0.5 * np.hypot(re, im)
 
     w, v = eig_hermitian(beta, tol)
     zero_count = n - numerical_rank(np.sort(np.abs(w))[::-1], tol)

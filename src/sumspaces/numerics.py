@@ -238,20 +238,20 @@ def complex_to_json(M) -> list:
     return np.stack([M.real, M.imag], axis=-1).astype(float, copy=False).tolist()
 
 
-def complex_from_json(data, ndim: int) -> np.ndarray:
-    """Decode an ndim-deep nesting of [re, im] pairs, each level a list of non-empty
-    lists of one length, into a complex array; MalformedInput unless every
+def complex_from_json(data) -> np.ndarray:
+    """Decode a 2-deep nesting of [re, im] pairs, each level a list of non-empty
+    lists of one length, into a complex matrix; MalformedInput unless every
     leaf is a finite float or int (not a bool)."""
     shape, level = [], [data]
-    for depth in range(ndim + 1):
+    for depth in range(3):
         widths = set(map(len, level)) if set(map(type, level)) == {list} else set()
         if len(widths) != 1:
-            raise MalformedInput(f"expected {ndim}-deep [re, im] pairs: the entries at "
+            raise MalformedInput("expected 2-deep [re, im] pairs: the entries at "
                                  f"depth {depth} are not non-empty lists of one length")
         shape.append(widths.pop())
         level = list(itertools.chain.from_iterable(level))
     if shape[-1] != 2 or not set(map(type, level)) <= {float, int}:
-        raise MalformedInput(f"expected {ndim}-deep [re, im] pairs of real numbers")
+        raise MalformedInput("expected 2-deep [re, im] pairs of real numbers")
     try:
         arr = np.array(level, dtype=float)
     except OverflowError as exc:  # an int past the float range

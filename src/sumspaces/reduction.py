@@ -83,11 +83,6 @@ def oblique_projections(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL):
     return out
 
 
-def combine_with_spectrum(projections, lambdas) -> np.ndarray:
-    """Assemble A = sum lambda_k Q_k; sigma(A) = {lambda_k}."""
-    return sum(lam * Q for lam, Q in zip(lambdas, projections))
-
-
 def _shrink(H1: Subspace, H2: Subspace, delta: float, tol: Tolerances):
     """(M2, delta) of the shrink in ``reduce_pair`` at cutoff delta, without its report.
     M2 is spanned by the principal vectors of H2 against H1 that lie in H1-perp and

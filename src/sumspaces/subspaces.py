@@ -214,7 +214,7 @@ def subspace_from_json(data: dict, tol: Tolerances = DEFAULT_TOL) -> Subspace:
         raise MalformedInput('a subspace needs a "vectors" list of columns')
     if not cols:
         return zero_subspace(d)
-    return from_spanning(complex_from_json(cols, 2).T, d, tol)
+    return from_spanning(complex_from_json(cols).T, d, tol)
 
 
 def system_to_json(S: SubspaceSystem) -> dict:

@@ -47,7 +47,7 @@ def test_one_over_k_gap_decay_rate():
     assert v.status == "gap_vanishing"
     # the block-k full-sum gap decays quadratically
     assert -2.2 <= v.trend_slope <= -1.8
-    assert v.horizon == 100 and len(v.gaps) == 100
+    assert v.subset == [1, 2, 3] and len(v.gaps) == 100
 
 
 def test_halmos_accumulating_pair_vanishes():

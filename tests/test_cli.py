@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sumspaces as ss
 from sumspaces import cli
@@ -37,6 +37,12 @@ def _run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def _family_file(tmp_path, family, **params):
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps({"family": family, **params}))
+    return str(path)
 
 
 def test_pair_command_reports_angle(pair_files, capsys):
@@ -248,7 +254,7 @@ def test_system_file_as_a_subspace_is_input_error(tmp_path, pair_files, capsys):
 
 
 OWN_FLAGS = {"pair": 2, "calculus": 6, "system": 2, "graph": 3, "reduce": 3, "images": 4,
-             "blocks": 5, "sum-as-two": 4}
+             "blocks": 3, "sum-as-two": 2}
 
 
 def _count_parsers(monkeypatch):
@@ -272,7 +278,8 @@ def _count_parsers(monkeypatch):
 _NO_FILE = {"pair": ["--a", "/nonexistent.json", "--b", "/nonexistent.json"],
             "calculus": ["--a", "/nonexistent.json", "--b", "/nonexistent.json"],
             "images": ["--operators", "/nonexistent.json", "--analysis", "sum"],
-            "blocks": ["--horizon", "0"], "sum-as-two": ["--horizon", "0"]}
+            "blocks": ["--family-file", "/nonexistent.json"],
+            "sum-as-two": ["--family-file", "/nonexistent.json"]}
 
 
 @pytest.mark.parametrize("command", list(OWN_FLAGS))
@@ -354,6 +361,8 @@ _TOKENS = st.one_of(
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@example([], ["pair"], ["--=1"])
+@example([], ["blocks"], ["x", "--=x"])
 @given(st.lists(_TOKENS, max_size=3), st.sampled_from([[]] + [[c] for c in COMMANDS]),
        st.lists(_TOKENS, max_size=5))
 def test_parse_matches_the_two_stage_parse(before, command, after):
@@ -445,8 +454,9 @@ def test_malformed_entry_is_input_error(command, entry, pair_files, tmp_path, ca
 @pytest.mark.parametrize("argv", [["blocks", "--horizon", "0"],
                                   ["blocks", "--horizon", "-3"],
                                   ["sum-as-two", "--horizon", "0"]])
-def test_empty_horizon_is_exit_2(argv, capsys):
-    code, report = _run(argv, capsys)
+def test_empty_horizon_is_exit_2(argv, tmp_path, capsys):
+    family = _family_file(tmp_path, "one_over_k", n=3)
+    code, report = _run(argv + ["--family-file", family], capsys)
     assert code == 2
     assert report["error"]["type"] == "ValueError"
 
@@ -510,19 +520,20 @@ def test_blocks_command_family_file(tmp_path, capsys):
     assert len(report["verdict"]["gaps"]) == 30
 
 
-def test_blocks_echoes_the_subset_it_analysed(capsys):
+def test_blocks_echoes_the_subset_it_analysed(tmp_path, capsys):
     """A subset is read as a set: repeats and order do not change the report."""
+    family = _family_file(tmp_path, "compact_triple")
     outs = []
     for subset in ("3,1,1", "1,3"):
-        assert main(["blocks", "--family", "compact_triple", "--horizon", "20",
+        assert main(["blocks", "--family-file", family, "--horizon", "20",
                      "--subset", subset]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["request"]["subset"] == [1, 3]
 
 
-def test_sum_as_two_command(capsys):
-    code, report = _run(["sum-as-two", "--family", "compact_triple",
+def test_sum_as_two_command(tmp_path, capsys):
+    code, report = _run(["sum-as-two", "--family-file", _family_file(tmp_path, "compact_triple"),
                          "--horizon", "10"], capsys)
     assert code == 0
     assert len(report["artifacts"]["m1_dims"]) == 10
@@ -715,10 +726,11 @@ def test_overflowing_p_radius_words_are_named(depth, tmp_path, capsys):
     assert "overflow" in report["error"]["message"]
 
 
-def test_an_allocation_numpy_cannot_make_is_exit_2(capsys):
+def test_an_allocation_numpy_cannot_make_is_exit_2(tmp_path, capsys):
     # the 10^8 x 10^8 complex identity of one block is 142 PiB, past any 64-bit
     # address space, so numpy refuses it at once
-    code, report = _run(["blocks", "--family", "one_over_k", "--n", "100000000",
+    family = _family_file(tmp_path, "one_over_k", n=100000000)
+    code, report = _run(["blocks", "--family-file", family,
                          "--subset", "1", "--horizon", "1"], capsys)
     assert code == 2
     assert "MemoryError" in report["error"]["type"]
@@ -756,7 +768,7 @@ BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},
                        "one_over_k_rate": {"family": "one_over_k", "rate": 0.5}}
 
 
-@pytest.mark.parametrize("case", ["p_nan", "f1_nan", "n_zero", "family_n_zero",
+@pytest.mark.parametrize("case", ["p_nan", "f1_nan", "family_n_zero",
                                   "rate_two", "rate_negative", "halmos_n",
                                   "compact_triple_n_param", "compact_triple_n",
                                   "zzz_param", "one_over_k_rate", "f_overflow",
@@ -773,10 +785,9 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
         argv = ["calculus", "--a", a, "--b", b, "--f1", "nan"]
     elif case == "f_overflow":  # finite coefficients, T(x) and D(x) overflow
         argv = ["calculus", "--a", a, "--b", b, "--f1", "1e300", "--f2", "1e300"]
-    elif case == "n_zero":
-        argv = ["sum-as-two", "--n", "0", "--horizon", "5"]
-    elif case == "compact_triple_n":
-        argv = ["blocks", "--family", "compact_triple", "--n", "7", "--horizon", "5"]
+    elif case == "compact_triple_n":  # blocks reads the family file as sum-as-two does
+        argv = ["blocks", "--family-file", _family_file(tmp_path, "compact_triple", n=7),
+                "--horizon", "5"]
     elif case == "rank_tol_inf":  # would report an empty image
         path.write_text(json.dumps(ss.OperatorFamily(2, [np.eye(2)]).to_json()))
         argv = ["images", "--operators", str(path), "--analysis", "sum", "--rank-tol", "inf"]
@@ -788,7 +799,8 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
         argv = ["reduce", "--members", _members_file(tmp_path, 2),
                 "--eig-tol", "0.1" if case == "eig_tol_tenth" else "0.2"]
     elif case == "eig_tol_inf":  # would report all-zero dimensions
-        argv = ["sum-as-two", "--n", "3", "--horizon", "5", "--eig-tol", "inf"]
+        argv = ["sum-as-two", "--family-file", _family_file(tmp_path, "one_over_k", n=3),
+                "--horizon", "5", "--eig-tol", "inf"]
     elif case == "margin_tol_inf":
         argv = ["pair", "--a", a, "--b", b, "--margin-tol", "inf"]
     else:
@@ -802,6 +814,22 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     for key in ("rate", "zzz", "rank_tol", "eig_tol"):  # the offending value is named
         if key in case:
             assert key in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["blocks", "sum-as-two"])
+def test_the_family_file_is_the_only_family_flag(command, tmp_path, monkeypatch, capsys):
+    """--n is no flag, --family abbreviates --family-file (a path) and the family
+    file is required: each a JSON error, never a report of a default family."""
+    monkeypatch.chdir(tmp_path)
+    family = _family_file(tmp_path, "one_over_k", n=3)
+    for argv, code, error_type, named in [
+            (["--family-file", family, "--n", "3"], 2, "ArgumentError", "--n"),
+            (["--family", "one_over_k"], 3, "FileNotFoundError", "'one_over_k'"),
+            (["--horizon", "5"], 2, "ArgumentError", "--family-file")]:
+        assert main([command] + argv) == code, argv
+        out, err = capsys.readouterr()
+        error = json.loads(out)["error"]
+        assert err == "" and error["type"] == error_type and named in error["message"], argv
 
 
 @pytest.mark.parametrize("command", ["blocks", "sum-as-two"])

@@ -35,14 +35,17 @@ def _strict(name):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A pair of lines in C^2, three coordinate lines of C^3 and two 2 x 2 operators."""
+    """A pair of lines in C^2, three coordinate lines of C^3, two 2 x 2 operators
+    and two block families."""
     work = tmp_path_factory.mktemp("inputs")
     e = np.eye(3)
     files = {"a.json": ss.subspace_to_json(ss.from_spanning(np.array([[1.0], [0.0]]))),
              "b.json": ss.subspace_to_json(ss.from_spanning(np.array([[1.0], [1.0]]))),
              "members.json": ss.system_to_json(ss.SubspaceSystem(
                  3, [ss.from_spanning(e[:, [k]]) for k in range(3)])),
-             "ops.json": ss.OperatorFamily(2, [np.eye(2), np.diag([1.0, 0.0])]).to_json()}
+             "ops.json": ss.OperatorFamily(2, [np.eye(2), np.diag([1.0, 0.0])]).to_json(),
+             "one_over_k.json": {"family": "one_over_k", "n": 3},
+             "compact_triple.json": {"family": "compact_triple"}}
     for name, data in files.items():
         (work / name).write_text(json.dumps(data))
     (work / "deep.json").write_text("[" * 100000 + "]" * 100000)
@@ -56,8 +59,8 @@ SMOKE = [["pair", "--a", "a.json", "--b", "b.json"],
          ["graph", "--members", "members.json", "--modulus", "--seed", "7"],
          ["reduce", "--members", "members.json", "--mode", "preserve-sum"],
          ["images", "--operators", "ops.json", "--analysis", "sum"],
-         ["blocks", "--family", "one_over_k", "--n", "3", "--horizon", "5"],
-         ["sum-as-two", "--family", "compact_triple", "--horizon", "5"]]
+         ["blocks", "--family-file", "one_over_k.json", "--horizon", "5"],
+         ["sum-as-two", "--family-file", "compact_triple.json", "--horizon", "5"]]
 
 BOUNDARY = {"out_in_missing_directory": ["pair", "--a", "a.json", "--b", "b.json",
                                          "--out", "missing/report.json"],
@@ -117,7 +120,8 @@ def test_a_huge_family_fails_before_its_subset_is_listed(tmp_path):
     """one_over_k builds its n x n identity with the family, so n = 10^8 with the
     default --subset all is a MemoryError naming that shape; listing 10^8 subset
     indices first would take about 4 GB."""
-    res = _cli(["blocks", "--family", "one_over_k", "--n", "100000000", "--horizon", "1"],
+    (tmp_path / "family.json").write_text(json.dumps({"family": "one_over_k", "n": 100000000}))
+    res = _cli(["blocks", "--family-file", "family.json", "--horizon", "1"],
                tmp_path, preexec_fn=_two_gib_address_space)
     assert (res.returncode, res.stderr) == (2, "")
     error = json.loads(res.stdout)["error"]

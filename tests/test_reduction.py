@@ -35,7 +35,7 @@ def test_oblique_projections_properties(rng):
     for Qk in Q:
         assert np.linalg.norm(Qk @ Qk - Qk, 2) <= 1e-10
     assert np.linalg.norm(Q[0] @ Q[1], 2) <= 1e-10
-    A = ss.combine_with_spectrum(Q, [2.0, 5.0])
+    A = 2.0 * Q[0] + 5.0 * Q[1]
     w = np.sort(np.linalg.eigvals(A).real)
     assert np.allclose(w, [2.0, 2.0, 5.0], atol=1e-8)
 
