@@ -147,7 +147,7 @@ def paper_families(name: str, params: dict | None = None) -> BlockSystem:
         if not 0.0 <= rate <= 1.0:  # also refuses NaN
             raise ValueError(f"halmos_accumulating rate {rate} is outside [0, 1]")
         return BlockSystem(lambda k: _halmos_block(rate, k), 2,
-                           "halmos_accumulating", params)
+                           "halmos_accumulating", {"rate": rate})
     return BlockSystem(_compact_triple_block, 3, "compact_triple", {})
 
 

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import MalformedInput, SumspacesError
+from .errors import DimensionMismatch, MalformedInput, SumspacesError
 from .numerics import (DEFAULT_TOL, Tolerances, complex_to_json,
                        dimension_from_json, real_from_json, singular_values)
 from .reports import MarginReport
@@ -136,7 +136,7 @@ def _cmd_reduce(args, tol):
     S = subspaces.system_from_json(_load_json(args.members), tol)
     if args.mode == "pair":
         if len(S) != 2:
-            raise SumspacesError("pair mode needs exactly two members")
+            raise DimensionMismatch("pair mode needs exactly two members")
         M2, report = reduction.reduce_pair(S.members[0], S.members[1], args.eps, tol)
         return {
             "request": {"command": "reduce", "mode": "pair",
@@ -169,7 +169,7 @@ def _cmd_images(args, tol):
     req = {"command": "images", "operators": args.operators, "analysis": args.analysis}
     if args.analysis == "douglas":
         if len(F.members) != 2:
-            raise SumspacesError("douglas analysis needs exactly two operators [A, B]")
+            raise DimensionMismatch("douglas analysis needs exactly two operators [A, B]")
         C, lam = images.douglas_factor(F.members[0], F.members[1], tol)
         return {"request": req,
                 "factor": complex_to_json(C),

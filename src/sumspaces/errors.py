@@ -6,7 +6,7 @@ class SumspacesError(Exception):
 
 
 class DimensionMismatch(SumspacesError):
-    """Operands live in different ambient spaces or have incompatible shapes."""
+    """Operands live in different ambient spaces or have incompatible shapes or counts."""
 
 
 class NonSquare(SumspacesError):

@@ -13,7 +13,7 @@ shrink inside the direct-sum dilation so the sum is preserved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,20 +38,20 @@ class IndependenceCertificate:
 class ReductionResult:
     """Shrunk system plus the operator-inequality certificate.
 
-    ``reduced`` lists (H1, M2, ..., Mn); ``weights`` are the certificate
-    coefficients aligned with the members; the inequality right-hand side is
-    ``rhs`` = c_n * eps^(n-1).
+    ``reduced`` lists (H1, M2, ..., Mn); ``certificate_slack`` is lambda_min(sum w_k P_k)
+    - rhs on the sum for ``weights`` and ``rhs`` = c_n * eps^(n-1); in preserve-sum
+    mode, on the coordinate system (G1, E_2, ..., E_n) of ``reduce_preserving_sum``.
     """
 
     reduced: SubspaceSystem
-    weights: list = field(default_factory=list)
-    c_n: Fraction = Fraction(1)
-    epsilon: float = 0.0
-    rhs: float = 0.0
-    certificate_slack: float = 0.0
-    sum_preserved: bool = False
-    numerically_vacuous: bool = False
-    report: MarginReport = field(default_factory=MarginReport)
+    weights: list
+    c_n: Fraction
+    epsilon: float
+    rhs: float
+    certificate_slack: float
+    sum_preserved: bool
+    numerically_vacuous: bool
+    report: MarginReport
 
 
 def independence_certificate(S: SubspaceSystem,
@@ -163,36 +163,34 @@ def c_constant(n: int) -> Fraction:
     return c
 
 
-def _certified_core(S: SubspaceSystem, span: Subspace, tol: Tolerances):
-    """The reduction theorem on S: the gap eps of sum P_k (``gram_gap``), the
-    recursion and the certificate slack on ``span``, the sum of S.
+def _certified_core(S: SubspaceSystem, span: Subspace, eps: float, tol: Tolerances):
+    """The reduction theorem on S at the gap eps of sum P_k, capped to 1 - 10 eig_tol:
+    the recursion and the certificate slack on ``span``, the sum of S, not {0}.
 
     The slack is lambda_min(B*(sum w_k P_k)B) - rhs for B = span.basis, k columns;
     B*(sum w_k P_k)B = (B*C_w)(B*C_w)* for C_w = [sqrt(w_k) M_k], so it is
     sigma_k(B*C_w)^2 - rhs, and -rhs when B*C_w has fewer than k values.
-
     Returns (reduced members, weights, eps, rhs, slack).
     """
-    eps, _ = gram_gap(np.hstack([m.basis for m in S.members]), tol)
-    if not tol.margin_tol < eps < np.inf:
-        raise GapTooSmall(f"gap {eps if eps < np.inf else 0.0} below margin_tol")
     eps = min(eps, 1.0 - 10 * tol.eig_tol)
     reduced, weights, rhs = _reduce_recursive(list(S.members), eps, tol)
     B, C_w = span.basis, np.hstack([np.sqrt(w) * m.basis for w, m in zip(weights, reduced)])
     s, k = singular_values(B.conj().T @ C_w), B.shape[1]
-    slack = float((s[k - 1] ** 2 if len(s) == k else 0.0) - rhs) if k else 0.0
+    slack = float((s[k - 1] ** 2 if len(s) == k else 0.0) - rhs)
     return reduced, weights, eps, rhs, slack
 
 
 def _assemble(reduced, weights, eps, rhs, slack, original_sum: Subspace,
-              report: MarginReport, tol: Tolerances) -> ReductionResult:
-    """ReductionResult of the reduced members, with the independence epsilon
-    and the sum preservation against ``original_sum`` added to ``report``, both
-    from one thin SVD of the stacked reduced bases."""
+              tol: Tolerances) -> ReductionResult:
+    """ReductionResult of ``_certified_core``'s output and the one report of both
+    modes: ``certificate_slack``, and ``independence_epsilon`` and ``sum_preserved``
+    against ``original_sum``, both from one thin SVD of the stacked reduced bases."""
     d = original_sum.ambient_dim
     stacked = np.hstack([m.basis for m in reduced])
     U, s, _ = thin_svd(stacked)
     sum_preserved = equal(Subspace(d, U[:, :numerical_rank(s, tol)]), original_sum, tol)
+    report = MarginReport()
+    report.add("certificate_slack", slack, tol.margin_tol)
     report.add("independence_epsilon", independence_sigma(stacked, s) ** 2, tol.margin_tol)
     report.extras["sum_preserved"] = sum_preserved
     return ReductionResult(
@@ -204,15 +202,16 @@ def _assemble(reduced, weights, eps, rhs, slack, original_sum: Subspace,
 def reduce_system(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionResult:
     """Shrink H2..Hn to an independent system with a certificate.
 
-    Requires the spectral gap eps of sum P_k to exceed margin_tol; the
+    eps is ``sum_gap``'s gap of sum P_k, which must exceed margin_tol; the
     certificate inequality is evaluated on the sum span when the sum is not
     the whole space.
     """
     span = sum_span(S.members, tol)
-    reduced, weights, eps, rhs, slack = _certified_core(S, span, tol)
-    report = MarginReport()
-    report.add("certificate_slack", slack, tol.margin_tol)
-    return _assemble(reduced, weights, eps, rhs, slack, span, report, tol)
+    eps, _ = gram_gap(np.hstack([m.basis for m in S.members]), tol)
+    if not tol.margin_tol < eps < np.inf:
+        raise GapTooSmall(f"gap {eps} below margin_tol" if eps < np.inf
+                          else "the members span {0}")
+    return _assemble(*_certified_core(S, span, eps, tol), span, tol)
 
 
 def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionResult:
@@ -223,27 +222,27 @@ def reduce_preserving_sum(S: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> R
     block of C^{nd} and Delta0 the kernel of the summation map.  All of these
     lie in the range of the isometry diag(B_1, ..., B_n) from C^{r_1 + ... + r_n},
     so the reduction runs in those coordinates c = (c_1, ..., c_n): Htilde_k is
-    the k-th block of coordinate columns, and with C = [B_1 ... B_n],
-    Delta0 + Htilde_1 = {c : sum B_k c_k in H_1} = ker((I - P_1) C).  That
-    kernel holds the first block, so the system sums to all of C^{r_1 + ... + r_n}.
+    the k-th block E_k of coordinate columns, and with C = [B_1 ... B_n],
+    Delta0 + Htilde_1 = {c : sum B_k c_k in H_1} = G1 = ker((I - P_1) C).  G1
+    holds E_1, so the system sums to all of C^{r_1 + ... + r_n} with gap 1.
     Block k of a reduced member pulls back to H_k as B_k times its k-th rows.
+    The weights, rhs and slack certify (G1, E_2, ..., E_n) there; in C^d only
+    ``sum_preserved`` and ``independence_epsilon`` are certified.
     """
     summap = np.hstack([m.basis for m in S.members])
     total = summap.shape[1]
     if total == 0:
-        result = ReductionResult(reduced=S, sum_preserved=True)
-        result.report.extras["sum_preserved"] = True
-        return result
+        raise GapTooSmall("the members span {0}")
     offs = np.cumsum([0] + [m.dim for m in S.members])
     B1 = S.members[0].basis
     _, s, V = svd(summap - B1 @ (B1.conj().T @ summap))  # (I - P_1) C
     # columns are projections of unit vectors: rank cutoff on absolute scale
     G1 = Subspace(total, V[:, numerical_rank(s, tol, scale=1.0):])
     whole = full_space(total)
-    blocks = [Subspace(total, whole.basis[:, offs[k]:offs[k + 1]]) for k in range(1, len(S))]
-    inner, _, eps, rhs, slack = _certified_core(SubspaceSystem(total, [G1] + blocks), whole, tol)
+    E = [G1] + [Subspace(total, whole.basis[:, offs[k]:offs[k + 1]]) for k in range(1, len(S))]
+    # E_1 lies in G1, so P_G1 + sum_{k >= 2} P_{E_k} = P_G1 + I - P_{E_1} >= I: the gap is 1
+    inner, weights, eps, rhs, slack = _certified_core(SubspaceSystem(total, E), whole, 1.0, tol)
     reduced = [S.members[0]] + [
         from_spanning(S.members[k].basis @ M.basis[offs[k]:offs[k + 1]], tol=tol, scale=1.0)
         for k, M in enumerate(inner[1:], start=1)]
-    return _assemble(reduced, [1.0] * len(S), eps, rhs, slack, sum_span(S.members, tol),
-                     MarginReport(), tol)
+    return _assemble(reduced, weights, eps, rhs, slack, sum_span(S.members, tol), tol)

@@ -853,6 +853,20 @@ def test_family_file_rate_is_a_parameter(command, tmp_path, capsys):
         assert report["margins"]["sum_as_two"] == json.loads(json.dumps(margins.to_dict()))
 
 
+@pytest.mark.parametrize("command", ["blocks", "sum-as-two"])
+def test_family_file_echoes_the_default_rate(command, tmp_path, capsys):
+    """A halmos_accumulating file with no rate reports, byte for byte, as one
+    with the default "rate": 1.0: the echoed params are the rate used."""
+    path = tmp_path / "family.json"
+    outs = []
+    for params in ({}, {"rate": 1.0}):
+        path.write_text(json.dumps({"family": "halmos_accumulating", **params}))
+        assert main([command, "--family-file", str(path), "--horizon", "5"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["request"]["params"] == {"rate": 1.0}
+
+
 @pytest.mark.parametrize("argv_alpha", [["--alpha", ""], ["--alpha="], ["--alpha", "1,,2"]],
                          ids=["empty", "empty_equals", "empty_entry"])
 def test_malformed_alpha_is_exit_2(argv_alpha, tmp_path, capsys):
@@ -870,6 +884,42 @@ def test_non_finite_alpha_is_exit_2(alpha, tmp_path, capsys):
     assert code == 2 and captured.err == ""
     error = json.loads(captured.out)["error"]
     assert error["type"] == "DimensionMismatch" and "alpha" in error["message"]
+
+
+@pytest.mark.parametrize("case", ["reduce_pair_three_members", "douglas_one_operator"])
+def test_member_count_refusals_are_dimension_mismatch(case, tmp_path, capsys):
+    """A member count the analysis cannot take is a DimensionMismatch, as the
+    --alpha length and the graph order are."""
+    if case == "reduce_pair_three_members":
+        argv = ["reduce", "--members", _members_file(tmp_path, 3), "--mode", "pair"]
+        named = "pair mode needs exactly two members"
+    else:
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps(ss.OperatorFamily(2, [np.eye(2)]).to_json()))
+        argv = ["images", "--operators", str(path), "--analysis", "douglas"]
+        named = "douglas analysis needs exactly two operators"
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "DimensionMismatch" and named in error["message"]
+
+
+def test_reduce_of_an_empty_sum_is_one_refusal(tmp_path, capsys):
+    """Members that all span {0} have no gap and no certificate: both reduction
+    modes exit 2 with the same GapTooSmall error, and neither reports a result."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ambient_dim": 3, "members": [
+        {"ambient_dim": 3, "vectors": []}, {"ambient_dim": 3, "vectors": []}]}))
+    outs = []
+    for mode in ("system", "preserve-sum"):
+        code = main(["reduce", "--members", str(path), "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "", mode
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == {"error": {"type": "GapTooSmall",
+                                             "message": "the members span {0}"}}
 
 
 def test_graph_file_is_read(tmp_path, capsys):

@@ -750,7 +750,9 @@ def test_system_dilation_spectrum_matches_the_dense_dilation(d, n, seed):
 def _dilated_reduce_preserving_sum(S, tol=ss.DEFAULT_TOL):
     """``reduce_preserving_sum`` built in C^{nd}: the block copies Htilde_k,
     Delta0 + Htilde_1 re-orthonormalized from diag(B_k) times the kernel of
-    (I - P_1)[B_1 ... B_n], and each reduced block pulled back by its rows."""
+    (I - P_1)[B_1 ... B_n], its own gap of the embedded system and its own
+    weights, and each reduced block pulled back by its rows.  Returns the
+    result and that gap."""
     n, d = len(S), S.ambient_dim
     tilde = []
     for k, m in enumerate(S.members):
@@ -762,34 +764,35 @@ def _dilated_reduce_preserving_sum(S, tol=ss.DEFAULT_TOL):
     N = Vh.conj().T[:, numerics.numerical_rank(s, tol, scale=1.0):]
     G1 = ss.from_spanning(np.hstack([t.basis for t in tilde]) @ N, n * d, tol)
     embedded = ss.SubspaceSystem(n * d, [G1] + tilde[1:])
-    inner, _, eps, rhs, slack = reduction._certified_core(
-        embedded, ss.sum_span(embedded.members, tol), tol)
+    gap, _ = numerics.gram_gap(np.hstack([m.basis for m in embedded.members]), tol)
+    inner, weights, eps, rhs, slack = reduction._certified_core(
+        embedded, ss.sum_span(embedded.members, tol), gap, tol)
     reduced = [S.members[0]] + [ss.from_spanning(M.basis[k * d:(k + 1) * d], d, tol, scale=1.0)
                                 for k, M in enumerate(inner[1:], start=1)]
-    return reduction._assemble(reduced, [1.0] * n, eps, rhs, slack,
-                               ss.sum_span(S.members, tol), ss.MarginReport(), tol)
+    return reduction._assemble(reduced, weights, eps, rhs, slack,
+                               ss.sum_span(S.members, tol), tol), gap
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.integers(3, 8), st.integers(2, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_reduce_preserving_sum_matches_the_dilated_construction(d, n, overlapping, seed):
     """On random systems and on overlapping ones, the reduction in the
-    coordinates of diag(B_k) gives what the C^{nd} construction gave."""
+    coordinates of diag(B_k) gives what the C^{nd} construction gave, with the
+    same weights; the construction's own gap is 1 (E_1 lies in Delta0 +
+    Htilde_1), so eps is the cap 1 - 10 eig_tol."""
     rng = np.random.default_rng(seed)
     S = _overlapping_system(rng, d, n) if overlapping else ss.SubspaceSystem(
         d, [ss.from_spanning(_orthonormal(rng, d, int(rng.integers(1, d)))) for _ in range(n)])
-    try:
-        old = _dilated_reduce_preserving_sum(S)
-    except GapTooSmall:
-        with pytest.raises(GapTooSmall):
-            ss.reduce_preserving_sum(S)
-        return
+    old, gap = _dilated_reduce_preserving_sum(S)
+    assert 1.0 - 1e-12 <= gap < np.inf
     new = ss.reduce_preserving_sum(S)
+    assert new.epsilon == old.epsilon == 1.0 - 10 * ss.DEFAULT_TOL.eig_tol
     assert [m.dim for m in new.reduced.members] == [m.dim for m in old.reduced.members]
     for a, b in zip(new.reduced.members, old.reduced.members):
         assert np.linalg.norm(a.projector() - b.projector(), 2) <= 1e-10
-    for name in ("epsilon", "rhs", "certificate_slack"):
+    for name in ("rhs", "certificate_slack"):
         assert abs(getattr(new, name) - getattr(old, name)) <= 1e-10, name
+    assert new.weights == old.weights
     assert new.sum_preserved == old.sum_preserved
     assert [(e.criterion, e.verdict) for e in new.report.entries] == \
         [(e.criterion, e.verdict) for e in old.report.entries]

@@ -73,11 +73,23 @@ def test_c_constant_chain():
     assert ss.c_constant(4) == Fraction(1, 768) / (16 * 24 ** 2)
 
 
-def test_reduce_system_requires_gap():
-    # all-zero system: the sum has no spectrum above the cutoff
-    S = ss.SubspaceSystem(2, [ss.zero_subspace(2), ss.zero_subspace(2)])
-    with pytest.raises(GapTooSmall):
-        ss.reduce_system(S)
+@pytest.mark.parametrize("reduce", [ss.reduce_system, ss.reduce_preserving_sum],
+                         ids=["system", "preserve_sum"])
+def test_reduce_system_requires_gap(reduce):
+    # all-zero system: members that span {0} have no gap and no certificate, in
+    # either mode, and nothing comes back
+    S = ss.SubspaceSystem(3, [ss.zero_subspace(3), ss.zero_subspace(3)])
+    with pytest.raises(GapTooSmall, match=r"^the members span \{0\}$"):
+        reduce(S)
+    # two lines at angle 1e-5: the gap 1 - cos is below margin_tol in C^2, while
+    # the dilated system of preserve-sum mode has the gap 1 by construction
+    t = 1e-5
+    S = _lines([1, 0], [np.cos(t), np.sin(t)])
+    if reduce is ss.reduce_system:
+        with pytest.raises(GapTooSmall, match="below margin_tol"):
+            reduce(S)
+    else:
+        assert reduce(S).epsilon == 1.0 - 10 * ss.DEFAULT_TOL.eig_tol
 
 
 def _planted_meet(rng, d, n):
@@ -121,11 +133,12 @@ def _small_mix_shapes():
                          [(ss.reduce_system,
                            {"svd": 2, "svd_thin": 5, "svdvals": 2, "norm": 2}),
                           (ss.reduce_preserving_sum,
-                           {"svd": 3, "svd_thin": 7, "svdvals": 2, "norm": 2})],
+                           {"svd": 3, "svd_thin": 7, "svdvals": 1, "norm": 2})],
                          ids=["system", "preserve_sum"])
 def test_reduction_factorization_counts(reduce, expected, monkeypatch):
-    # each decomposition once: one values-only SVD each for the gap and the
-    # certificate slack, one thin SVD of the reduced stack for the sum and the
+    # each decomposition once: one values-only SVD each for the gap (system mode
+    # only: preserve-sum's gap is 1 by construction) and the certificate slack,
+    # one thin SVD of the reduced stack for the sum and the
     # independence epsilon (its two norms are the sum's range residual), no
     # Hermitian eigensolve, no discarded pair report, and no meet or second
     # rank cutoff at the last pair, which shrinks through the same principal
@@ -197,7 +210,10 @@ def test_certificate_slack_matches_the_projector_sum(rng):
         assert res.certificate_slack == pytest.approx(dense, abs=1e-13)
     # on a span larger than the sum, B* C_w has fewer than k values: sigma_k is 0
     S = ss.SubspaceSystem(5, [random_subspace(rng, 5, 1), random_subspace(rng, 5, 2)])
-    _, _, _, rhs, slack = ss.reduction._certified_core(S, ss.full_space(5), ss.DEFAULT_TOL)
+    gap, _ = ss.numerics.gram_gap(np.hstack([m.basis for m in S.members]), ss.DEFAULT_TOL)
+    _, _, eps, rhs, slack = ss.reduction._certified_core(S, ss.full_space(5), gap,
+                                                          ss.DEFAULT_TOL)
+    assert eps == min(gap, 1.0 - 10 * ss.DEFAULT_TOL.eig_tol)
     assert slack == -rhs < 0
 
 
@@ -218,14 +234,6 @@ def test_shrink_moves_delta_off_a_compression_eigenvalue():
                                            np.cos(b) * e[:, 2] + np.sin(b) * e[:, 3]]))
     with pytest.raises(EigenvalueOnBoundary):
         ss.reduce_pair(H1, H2, 0.5)
-
-
-def test_reduce_preserving_sum_of_members_with_no_columns():
-    # nothing to shrink: the system comes back as it is, with its sum
-    S = ss.SubspaceSystem(3, [ss.zero_subspace(3), ss.zero_subspace(3)])
-    res = ss.reduce_preserving_sum(S)
-    assert res.reduced is S and res.sum_preserved
-    assert res.report.extras["sum_preserved"] is True
 
 
 def test_reduce_preserving_sum_pair_case(rng):
