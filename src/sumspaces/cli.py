@@ -5,9 +5,11 @@ I/O or parse error (including entries that are not [re, im] pairs of finite
 numbers, a file that is not UTF-8 or nests too deep, and an --out that cannot
 be written); 2 and 3 print {"error": {"type", "message"}}.  Reports are strict
 JSON and deterministic: re-running with the same request and seed reproduces
-every byte.  Only the command's parser is built, and reports usage errors, when
-argv starts with the command and holds no -- or --=value token; otherwise the
-top-level parser reads argv first.
+every byte.  stderr stays empty unless --verbose: the command and its emit run
+under one np.errstate(all="ignore"), and the explicit checks and the strict emit
+refuse every non-finite value.  Only the command's parser is built, and reports
+usage errors, when argv starts with the command and holds no -- or --=value
+token; otherwise the top-level parser reads argv first.
 """
 
 from __future__ import annotations
@@ -321,9 +323,11 @@ def main(argv=None) -> int:
         args = _parse(argv)
         tol = Tolerances(args.rank_tol, args.eig_tol, args.margin_tol)
         gc.disable()  # decoded JSON and the arrays made from it hold no cycles to collect
-        report = COMMANDS[args.command][1](args, tol)
-        report["provenance"] = {"version": __version__, "tolerances": vars(tol), "seed": args.seed}
-        _emit(report, args)
+        with np.errstate(all="ignore"):  # a non-finite value is refused, never printed
+            report = COMMANDS[args.command][1](args, tol)
+            report["provenance"] = {"version": __version__, "tolerances": vars(tol),
+                                    "seed": args.seed}
+            _emit(report, args)
     except (OSError, json.JSONDecodeError, KeyError, MalformedInput) as exc:
         _emit_error(exc)
         return 3

@@ -21,6 +21,8 @@ numerical policy wrapped around each decomposition:
 - errors: a LAPACK failure surfaces as ComputationFailed, an inf as an overflow, and so
   do a non-finite QR factor R, singular value (never read as rank 0) or spectral norm,
   and a non-finite input to ``svd``, ``thin_svd`` or ``operator_norm`` (before LAPACK);
+- floating-point warnings: handled by one np.errstate(all="ignore") at the CLI boundary
+  (``cli.main``); these checks and the strict JSON emit refuse every non-finite value;
 - the JSON forms: [re, im] pairs and reals, all finite, no booleans; non-negative
   dimensions, positive ambient dimensions.
 
@@ -107,11 +109,12 @@ def _hermitian(M: np.ndarray, tol: Tolerances) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonSquare(f"expected square matrix, got shape {M.shape}")
-    asym = np.linalg.norm(M - M.conj().T)
+    adjoint = M.conj().T
+    asym = np.linalg.norm(M - adjoint)
     if not asym <= tol.eig_tol * max(1.0, np.linalg.norm(M)):  # NaN fails
         _refuse_overflow(M, "Hermitian eigensolver input")
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
-    return (M + M.conj().T) / 2.0
+    return (M + adjoint) / 2.0
 
 
 def eig_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL):

@@ -106,28 +106,23 @@ def dilation(S: SubspaceSystem):
 
 
 def _complement_quadratic(S: SubspaceSystem, G: WeightedGraph):
-    """Difference-form operator on +Hk-perp (None if 0) and the offsets of
-    its member blocks; the block of edge (a, b) is -gamma_ab B_a* B_b."""
+    """Difference-form operator on +Hk-perp (None if 0), the offsets of its member
+    blocks and the (rows, cols) slices of each edge's block, -gamma_ab B_a* B_b."""
     comps = [complement(m) for m in S.members]
     dims = [c.dim for c in comps]
     total = sum(dims)
     if total == 0:
-        return None, None
+        return None, None, None
     offs = np.cumsum([0] + dims)
+    blocks = [(slice(offs[i - 1], offs[i]), slice(offs[j - 1], offs[j])) for i, j, _ in G.edges]
     Q = np.zeros((total, total), dtype=complex)
     for i, rho in enumerate(G.rho()):
         Q[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = rho * np.eye(dims[i])
-    for (i, j, w), (rows, cols) in zip(G.edges, _edge_blocks(G, offs)):
+    for (i, j, w), (rows, cols) in zip(G.edges, blocks):
         block = -w * (comps[i - 1].basis.conj().T @ comps[j - 1].basis)
         Q[rows, cols] = block
         Q[cols, rows] = block.conj().T
-    return Q, offs
-
-
-def _edge_blocks(G: WeightedGraph, offs) -> list:
-    """(rows, cols) slices of each edge's block in the operator."""
-    return [(slice(offs[i - 1], offs[i]), slice(offs[j - 1], offs[j]))
-            for i, j, _ in G.edges]
+    return Q, offs, blocks
 
 
 def _free_edges(G: WeightedGraph, support) -> list:
@@ -137,35 +132,44 @@ def _free_edges(G: WeightedGraph, support) -> list:
     return [e for k, e in enumerate(support) if k not in tree]
 
 
-def _modulus_lower_bound(Q, offs, G: WeightedGraph, tol: Tolerances) -> float:
+def _modulus_lower_bound(Q, offs, blocks, G: WeightedGraph, tol: Tolerances) -> float:
     """lambda_min of the matrix with rho_i on the diagonal and
     -gamma_ij ||B_i* B_j|| off it, over the members with a nonzero complement:
     |(x_i, x_j)| <= ||B_i* B_j|| ||x_i|| ||x_j|| makes it a lower bound."""
     M = np.diag(G.rho())
-    for (i, j, _), (rows, cols) in zip(G.edges, _edge_blocks(G, offs)):
-        M[i - 1, j - 1] = M[j - 1, i - 1] = -operator_norm(Q[rows, cols])
+    for (i, j, _), block in zip(G.edges, blocks):
+        M[i - 1, j - 1] = M[j - 1, i - 1] = -operator_norm(Q[block])
     live = np.flatnonzero(np.diff(offs))
     return float(hermitian_eigenvalues(M[np.ix_(live, live)], tol)[0])
 
 
-def _modulus_evaluate(Q, blocks, theta, tol: Tolerances, scale: float, eig=None):
-    """lambda_min of Q(theta), which twists each given block by e^{i theta_e},
-    with its gradient and Hessian in theta, all from one eigendecomposition (``eig``
-    when given) by perturbation theory.  Eigenvalues that ``numerical_rank`` at ``scale``
-    cannot tell from lambda_min are partners; the Hessian drops them when their couplings
+def _phase_index(n: int, blocks) -> np.ndarray:
+    """Where each entry of an n x n Q(theta) takes its phase from, in
+    [e^{i theta}, e^{-i theta}, 1]: e on the block (rows, cols) of free edge e,
+    m + e on its mirror (cols, rows), 2m elsewhere, for m free edges."""
+    m = len(blocks)
+    index = np.full((n, n), 2 * m)
+    for e, (rows, cols) in enumerate(blocks):
+        index[rows, cols], index[cols, rows] = e, m + e
+    return index
+
+
+def _modulus_evaluate(Q, blocks, index, theta, tol: Tolerances, scale: float, eig=None):
+    """lambda_min of Q(theta), which twists each given block by e^{i theta_e} (its
+    mirror by e^{-i theta_e}, entry by entry through ``_phase_index``), with its gradient
+    and Hessian in theta, all from one eigendecomposition (``eig`` when given) by
+    perturbation theory.  Eigenvalues that ``numerical_rank`` at ``scale`` cannot tell
+    from lambda_min are partners; the Hessian drops them when their couplings
     u_j* Q_e v vanish at that scale, and is None (a crossing) when they do not."""
     twists = np.exp(1j * theta)
-    Qt = Q.copy()
-    for (rows, cols), t in zip(blocks, twists):
-        Qt[rows, cols] *= t
-        Qt[cols, rows] *= t.conjugate()
+    Qt = Q * np.concatenate([twists, twists.conj(), [1.0]])[index]
     lam, U = eig or eig_hermitian(Qt, tol)
     v = U[:, 0]
-    # p_e = t_e v_r* C_e v_c: v* Q_e v = -2 Im p_e and v* Q_ee v = -2 Re p_e
-    p = np.array([t * (v[rows].conj() @ Q[rows, cols] @ v[cols])
-                  for (rows, cols), t in zip(blocks, twists)])
-    W = np.zeros((len(v), len(blocks)), dtype=complex)  # columns w_e = Q_e v
-    for e, (rows, cols) in enumerate(blocks):
+    # p_e = t_e v_r* C_e v_c: v* Q_e v = -2 Im p_e and v* Q_ee v = -2 Re p_e;
+    # the columns of W are w_e = Q_e v
+    p, W = np.empty(len(blocks), dtype=complex), np.zeros((len(v), len(blocks)), dtype=complex)
+    for e, ((rows, cols), t) in enumerate(zip(blocks, twists)):
+        p[e] = t * (v[rows].conj() @ Q[rows, cols] @ v[cols])
         W[rows, e], W[cols, e] = 1j * Qt[rows, cols] @ v[cols], -1j * Qt[cols, rows] @ v[rows]
     A = U[:, 1:].conj().T @ W
     k = len(lam) - 1 - numerical_rank((lam[1:] - lam[0])[::-1], tol, scale)  # partners
@@ -177,12 +181,12 @@ def _modulus_evaluate(Q, blocks, theta, tol: Tolerances, scale: float, eig=None)
     return float(lam[0]), -2.0 * p.imag, hess
 
 
-def _modulus_descent(Q, blocks, theta, tol: Tolerances, scale: float, eig=None) -> float:
+def _modulus_descent(Q, blocks, index, theta, tol: Tolerances, scale: float, eig=None) -> float:
     """Lowest lambda_min(Q(theta)) reached from theta (``eig``: Q(theta)'s eigenpairs,
     if known) by Newton steps with Armijo backtracking, or by unit downhill steps where
     there is no Hessian or ``numerical_rank`` at ``scale`` finds it not positive definite;
     it stops once the Newton decrement or the drop is at most eig_tol * scale."""
-    lam, grad, hess = _modulus_evaluate(Q, blocks, theta, tol, scale, eig)
+    lam, grad, hess = _modulus_evaluate(Q, blocks, index, theta, tol, scale, eig)
     for _ in range(DESCENT_ITERATIONS):
         w, V = (None, None) if hess is None else eig_hermitian(hess, tol)
         if w is not None and numerical_rank(w[::-1], tol, scale) == len(grad):
@@ -196,7 +200,8 @@ def _modulus_descent(Q, blocks, theta, tol: Tolerances, scale: float, eig=None) 
             step = -grad / size
         slope = grad @ step
         for _ in range(DESCENT_HALVINGS + 1):
-            lam_new, grad_new, hess_new = _modulus_evaluate(Q, blocks, theta + step, tol, scale)
+            lam_new, grad_new, hess_new = _modulus_evaluate(Q, blocks, index, theta + step,
+                                                            tol, scale)
             if lam_new <= lam + 1e-4 * slope:
                 break
             step, slope = step / 2, slope / 2
@@ -240,7 +245,7 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
     if not G.is_connected():
         raise GraphDisconnected("criterion requires a connected graph")
     report = MarginReport()
-    Q, offs = _complement_quadratic(S, G)
+    Q, offs, edge_blocks = _complement_quadratic(S, G)
     if Q is None:
         report.add("difference_form_epsilon", 1.0, tol.margin_tol, vacuous=True)
         if modulus:
@@ -252,19 +257,19 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
 
     if modulus:
         upper = float(lam[0])
-        edge_blocks = _edge_blocks(G, offs)
         free = _free_edges(G, [e for e, block in enumerate(edge_blocks) if Q[block].any()])
         if free:
             blocks = [edge_blocks[e] for e in free]
+            index = _phase_index(len(Q), blocks)
             scale = max(w for _, _, w in G.edges)
             starts = np.random.default_rng(seed).uniform(
                 0.0, 2 * np.pi, size=(DESCENT_STARTS, len(free)))
-            upper = _modulus_descent(Q, blocks, np.zeros(len(free)), tol, scale, (lam, U))
+            upper = _modulus_descent(Q, blocks, index, np.zeros(len(free)), tol, scale, (lam, U))
             for theta in starts:
-                upper = min(upper, _modulus_descent(Q, blocks, theta, tol, scale))
+                upper = min(upper, _modulus_descent(Q, blocks, index, theta, tol, scale))
         report.add("modulus_form_epsilon", upper, tol.margin_tol, estimate=True)
         report.add("modulus_form_lower_bound",
-                   _modulus_lower_bound(Q, offs, G, tol), tol.margin_tol)
+                   _modulus_lower_bound(Q, offs, edge_blocks, G, tol), tol.margin_tol)
     return report
 
 

@@ -1,8 +1,11 @@
 """Shared generators and oracles for the test suite."""
 
 import collections
+import contextlib
 import importlib
+import io
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +138,21 @@ def _count_lapack(monkeypatch, fn, *args):
             patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         fn(*args)
     return calls
+
+
+@contextlib.contextmanager
+def captured_stderr(text: list):
+    """Append to ``text`` what the block writes to stderr, with each warning it
+    raises as the lines it would print there (pytest records warnings instead)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            text.append(err.getvalue() + "".join(
+                warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                for w in caught))
 
 
 @pytest.fixture

@@ -160,7 +160,7 @@ def test_09_complete_graph_margin_iff_full_sum_and_random_oracle():
         assert (eps > 1e-8) == full, f"eps={eps}, full_sum={full}"
         # random-minimization oracle on a few full-sum instances
         if full and np.isfinite(eps) and eps > 1e-3 and checked < 3:
-            Q, comps = ss.systems._complement_quadratic(S, G)
+            Q = ss.systems._complement_quadratic(S, G)[0]
             oracle = random_search_min(
                 lambda x: float(np.real(np.vdot(x, Q @ x))), Q.shape[0],
                 np.random.default_rng(SEED + 90 + checked), samples=10 ** 5)

@@ -19,7 +19,7 @@ import sumspaces as ss
 from sumspaces import cli
 from sumspaces.cli import COMMANDS, main
 
-from conftest import _count_lapack, random_subspace
+from conftest import _count_lapack, captured_stderr, random_subspace
 
 
 @pytest.fixture
@@ -37,6 +37,15 @@ def _run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def _run_quietly(args, capsys):
+    """(exit code, report, stderr) of main(args), a warning counting as its stderr lines."""
+    err = []
+    with captured_stderr(err):
+        code = main(args)
+    out = capsys.readouterr().out
+    return code, json.loads(out, parse_constant=_refuse_constant) if out.strip() else None, err[0]
 
 
 def _family_file(tmp_path, family, **params):
@@ -698,10 +707,9 @@ def test_overflowing_operator_entry_is_named(analysis, error, tmp_path, capsys):
     path = tmp_path / "ops.json"
     path.write_text(json.dumps(ss.OperatorFamily(
         2, [A, np.diag([2.0, 1.0])], ["nonnegative"] * 2).to_json()))
-    with np.errstate(all="ignore"):
-        code, report = _run(["images", "--operators", str(path), "--analysis", analysis],
-                            capsys)
-    assert code == 2
+    code, report, err = _run_quietly(["images", "--operators", str(path), "--analysis",
+                                      analysis], capsys)
+    assert code == 2 and err == ""
     assert report["error"]["type"] == error
     assert "overflow" in f"{error} {report['error']['message']}".lower()
 
@@ -717,11 +725,9 @@ def test_overflowing_p_radius_words_are_named(depth, tmp_path, capsys):
     unconverged SVD."""
     path = tmp_path / "ops.json"
     path.write_text(json.dumps(ss.OperatorFamily(2, [np.full((2, 2), 1e300)] * 2).to_json()))
-    with np.errstate(all="ignore"):
-        code = main(["images", "--operators", str(path), "--analysis", "pradius",
-                     "--depth", depth])
-    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
-    assert code == 2
+    code, report, err = _run_quietly(["images", "--operators", str(path), "--analysis",
+                                      "pradius", "--depth", depth], capsys)
+    assert code == 2 and err == ""
     assert report["error"]["type"] == "ComputationFailed"
     assert "overflow" in report["error"]["message"]
 
@@ -752,11 +758,27 @@ def test_overflowing_subspace_is_refused_not_read_as_zero(d, r, tmp_path, capsys
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"ambient_dim": d, "vectors": [[[z.real, z.imag] for z in col]
                                                              for col in V.T]}))
-    with np.errstate(all="ignore"):
-        code, report = _run(["pair", "--a", str(path), "--b", str(path)], capsys)
-    assert code == 2
+    code, report, err = _run_quietly(["pair", "--a", str(path), "--b", str(path)], capsys)
+    assert code == 2 and err == ""
     assert report["error"]["type"] == "ComputationFailed"
     assert "overflow" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("case, error", [("f_overflow", "ComputationFailed"),
+                                         ("f_subnormal", "HypothesisViolated"),
+                                         ("alpha_overflow", "ComputationFailed")])
+def test_overflow_in_an_analysis_leaves_stderr_empty(case, error, pair_files, tmp_path,
+                                                     capsys):
+    """Inputs whose arithmetic overflows or divides by a subnormal inside the
+    analysis: exit 2 with the JSON error and no floating-point warning on stderr."""
+    a, b = pair_files
+    argv = {"f_overflow": ["calculus", "--a", a, "--b", b, "--f1", "1e308,1e308", "--f2", "1"],
+            "f_subnormal": ["calculus", "--a", a, "--b", b, "--f1", "1e-320", "--f2", "1e-320"],
+            "alpha_overflow": ["system", "--members", _members_file(tmp_path, 3),
+                               "--alpha", "1e308,1e308,1e308"]}[case]
+    code, report, err = _run_quietly(argv, capsys)
+    assert code == 2 and err == ""
+    assert report["error"]["type"] == error
 
 
 BAD_NUMBER_FAMILIES = {"family_n_zero": {"family": "one_over_k", "n": 0},

@@ -259,13 +259,14 @@ def test_modulus_bracket(case, seed):
 
 
 def _modulus_problem(S, G):
-    """Q (None if every complement is 0) and the blocks of the free edges."""
-    Q, offs = systems._complement_quadratic(S, G)
+    """Q (None if every complement is 0), the blocks of the free edges and their
+    phase index."""
+    Q, _, edge_blocks = systems._complement_quadratic(S, G)
     if Q is None:
-        return None, []
-    edge_blocks = systems._edge_blocks(G, offs)
+        return None, [], None
     support = [e for e, block in enumerate(edge_blocks) if Q[block].any()]
-    return Q, [edge_blocks[e] for e in systems._free_edges(G, support)]
+    blocks = [edge_blocks[e] for e in systems._free_edges(G, support)]
+    return Q, blocks, systems._phase_index(len(Q), blocks)
 
 
 def _twisted(Q, blocks, theta):
@@ -317,18 +318,83 @@ def _central_differences(Q, blocks, theta, h=1e-4):
 def test_modulus_gradient_and_hessian_match_central_differences(case, seed):
     spans, G, _ = case
     S = ss.SubspaceSystem(spans[0].shape[0], [ss.from_spanning(X) for X in spans])
-    Q, blocks = _modulus_problem(S, G)
+    Q, blocks, index = _modulus_problem(S, G)
     assume(Q is not None and len(Q) > 1 and blocks)
     theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=len(blocks))
     spectrum = np.linalg.eigvalsh(_twisted(Q, blocks, theta))
     assume(spectrum[1] - spectrum[0] > 1e-3)
     scale = max(w for _, _, w in G.edges)
-    lam, grad, hess = systems._modulus_evaluate(Q, blocks, theta, ss.DEFAULT_TOL, scale)
+    lam, grad, hess = systems._modulus_evaluate(Q, blocks, index, theta, ss.DEFAULT_TOL, scale)
     assert abs(lam - spectrum[0]) <= 1e-12 * max(1.0, np.abs(spectrum).max())
     fd_grad, fd_hess = _central_differences(Q, blocks, theta)
     scale = max(1.0, np.abs(hess).max())
     assert np.abs(grad - fd_grad).max() <= 1e-5 * scale
     assert np.abs(hess - fd_hess).max() <= 1e-5 * scale
+
+
+def _blockwise_evaluate(Q, blocks, theta, tol, scale):
+    """``systems._modulus_evaluate`` as it was before the phase index, kept as a
+    reference: Q(theta) twisted block by block on a copy of Q, then p and W filled
+    in separate loops; the rest is the same perturbation theory."""
+    twists = np.exp(1j * theta)
+    Qt = Q.copy()
+    for (rows, cols), t in zip(blocks, twists):
+        Qt[rows, cols] *= t
+        Qt[cols, rows] *= t.conjugate()
+    lam, U = ss.eig_hermitian(Qt, tol)
+    v = U[:, 0]
+    p = np.array([t * (v[rows].conj() @ Q[rows, cols] @ v[cols])
+                  for (rows, cols), t in zip(blocks, twists)])
+    W = np.zeros((len(v), len(blocks)), dtype=complex)
+    for e, (rows, cols) in enumerate(blocks):
+        W[rows, e], W[cols, e] = 1j * Qt[rows, cols] @ v[cols], -1j * Qt[cols, rows] @ v[rows]
+    A = U[:, 1:].conj().T @ W
+    k = len(lam) - 1 - numerics.numerical_rank((lam[1:] - lam[0])[::-1], tol, scale)
+    if k and numerics.numerical_rank([np.abs(A[:k]).max(initial=0.0)], tol, scale):
+        return float(lam[0]), -2.0 * p.imag, None
+    A, gaps = A[k:], lam[0] - lam[k + 1:]
+    hess = np.diag(-2.0 * p.real) + 2.0 * (A.conj().T @ (A / gaps[:, None])).real
+    return float(lam[0]), -2.0 * p.imag, hess
+
+
+def _assert_same_evaluation(Q, blocks, index, theta, scale):
+    """The phase-index evaluation equals the block-by-block one bit for bit, unless
+    a free block is 1 x 1: numpy multiplies a one-element block in place by its scalar
+    path, which rounds a complex product otherwise than the array loop that every
+    larger block and the one product Q * phases[index] take, so an entry of Q(theta)
+    and what follows from it may differ in the last bits."""
+    lam, grad, hess = systems._modulus_evaluate(Q, blocks, index, theta, ss.DEFAULT_TOL, scale)
+    ref_lam, ref_grad, ref_hess = _blockwise_evaluate(Q, blocks, theta, ss.DEFAULT_TOL, scale)
+    assert (hess is None) == (ref_hess is None)
+    if not any(rows.stop - rows.start == cols.stop - cols.start == 1 for rows, cols in blocks):
+        assert lam == ref_lam and grad.tobytes() == ref_grad.tobytes()
+        assert hess is None or hess.tobytes() == ref_hess.tobytes()
+        return hess
+    size = max(1.0, np.abs(Q).max())
+    assert abs(lam - ref_lam) <= 1e-12 * size and np.abs(grad - ref_grad).max() <= 1e-12 * size
+    assert hess is None or np.abs(hess - ref_hess).max() <= 1e-9 * max(1.0, np.abs(hess).max())
+    return hess
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(graph_systems().filter(lambda case: case[2] != "tree" and case[1].n > 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_modulus_evaluate_matches_the_blockwise_twist_bit_for_bit(case, seed):
+    spans, G, _ = case
+    S = ss.SubspaceSystem(spans[0].shape[0], [ss.from_spanning(X) for X in spans])
+    Q, blocks, index = _modulus_problem(S, G)
+    assume(Q is not None and blocks)
+    theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=len(blocks))
+    _assert_same_evaluation(Q, blocks, index, theta, max(w for _, _, w in G.edges))
+
+
+def test_modulus_evaluate_matches_the_blockwise_twist_at_a_crossing():
+    # the triangle of test_systems.py: two branches of lambda_min cross at theta = pi
+    Q = 2 * np.eye(3, dtype=complex) - (np.ones((3, 3)) - np.eye(3))
+    blocks = [(slice(0, 1), slice(2, 3))]
+    index = systems._phase_index(3, blocks)
+    assert _assert_same_evaluation(Q, blocks, index, np.array([np.pi]), 1.0) is None
+    assert _assert_same_evaluation(Q, blocks, index, np.array([np.pi - 1e-3]), 1.0) is not None
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -349,9 +415,9 @@ def test_modulus_descent_on_a_multiple_bottom_eigenvalue(layout):
     d = len(comps[0])
     S = ss.SubspaceSystem(d, [ss.complement(ss.from_spanning(C)) for C in comps])
     G = ss.WeightedGraph.complete(4)
-    Q, blocks = _modulus_problem(S, G)
+    Q, blocks, index = _modulus_problem(S, G)
     theta = rng.uniform(0.0, 2 * np.pi, size=len(blocks))
-    lam, grad, hess = systems._modulus_evaluate(Q, blocks, theta, ss.DEFAULT_TOL, 1.0)
+    lam, grad, hess = systems._modulus_evaluate(Q, blocks, index, theta, ss.DEFAULT_TOL, 1.0)
     spectrum = np.linalg.eigvalsh(_twisted(Q, blocks, theta))
     assert spectrum[1] - spectrum[0] <= 1e-12  # lambda_min is multiple
     if layout == "orthogonal":

@@ -167,10 +167,12 @@ def test_modulus_evaluate_has_no_hessian_at_a_crossing():
     # with slopes -+1/sqrt(3) at theta = pi, so the partner's coupling does not vanish
     Q = 2 * np.eye(3, dtype=complex) - (np.ones((3, 3)) - np.eye(3))
     blocks = [(slice(0, 1), slice(2, 3))]
-    lam, _, hess = systems._modulus_evaluate(Q, blocks, np.array([np.pi]), ss.DEFAULT_TOL, 1.0)
+    index = systems._phase_index(3, blocks)
+    lam, _, hess = systems._modulus_evaluate(Q, blocks, index, np.array([np.pi]),
+                                             ss.DEFAULT_TOL, 1.0)
     assert lam == pytest.approx(1.0, abs=1e-14) and hess is None
     for theta in (np.pi - 1e-3, np.pi + 1e-3):
-        lam, _, hess = systems._modulus_evaluate(Q, blocks, np.array([theta]),
+        lam, _, hess = systems._modulus_evaluate(Q, blocks, index, np.array([theta]),
                                                  ss.DEFAULT_TOL, 1.0)
         angle = (theta - 2 * np.pi * (theta > np.pi)) / 3  # the lower branch
         assert lam == pytest.approx(2 - 2 * np.cos(angle), abs=1e-14)
@@ -184,14 +186,15 @@ def test_modulus_descent_stops_on_a_zero_gradient(monkeypatch):
     # once with lambda_min(Q), above the value at theta = pi
     Q = np.array([[2, -1, 0.5], [-1, 2, -1], [0.5, -1, 2]], dtype=complex)
     blocks = [(slice(0, 1), slice(2, 3))]
+    index = systems._phase_index(3, blocks)
     tol, evaluate = ss.DEFAULT_TOL, systems._modulus_evaluate
-    lam0, grad, hess = evaluate(Q, blocks, np.zeros(1), tol, 1.0)
+    lam0, grad, hess = evaluate(Q, blocks, index, np.zeros(1), tol, 1.0)
     assert grad.tolist() == [0.0] and hess[0, 0] < 0
-    assert evaluate(Q, blocks, np.array([np.pi]), tol, 1.0)[0] < lam0 - 0.1
+    assert evaluate(Q, blocks, index, np.array([np.pi]), tol, 1.0)[0] < lam0 - 0.1
     calls = []
     monkeypatch.setattr(systems, "_modulus_evaluate",
-                        lambda *args: calls.append(args[2]) or evaluate(*args))
-    assert systems._modulus_descent(Q, blocks, np.zeros(1), tol, 1.0) == lam0
+                        lambda *args: calls.append(args[3]) or evaluate(*args))
+    assert systems._modulus_descent(Q, blocks, index, np.zeros(1), tol, 1.0) == lam0
     assert len(calls) == 1
 
 
@@ -201,7 +204,7 @@ def _planted_lambda(monkeypatch, values, elsewhere):
     is no Hessian, so each step is a unit downhill step.  Returns the thetas asked."""
     calls = []
 
-    def evaluate(Q, blocks, theta, tol, scale, eig=None):
+    def evaluate(Q, blocks, index, theta, tol, scale, eig=None):
         calls.append(float(theta[0]))
         lam, grad = values.get(float(theta[0]), elsewhere)
         return lam, np.array([grad]), None
@@ -214,7 +217,7 @@ def test_modulus_descent_stops_when_the_line_search_is_exhausted(monkeypatch):
     # theta = -1 is accepted; every step from there raises lambda, through all
     # the halvings, so the descent ends at the last accepted lambda
     calls = _planted_lambda(monkeypatch, {0.0: (1.0, 1.0), -1.0: (0.5, 1.0)}, (5.0, 1.0))
-    assert systems._modulus_descent(None, [], np.zeros(1), ss.DEFAULT_TOL, 1.0) == 0.5
+    assert systems._modulus_descent(None, [], None, np.zeros(1), ss.DEFAULT_TOL, 1.0) == 0.5
     assert calls == [0.0, -1.0] + [-1.0 - 2.0 ** -i for i in
                                    range(systems.DESCENT_HALVINGS + 1)]
 
@@ -224,7 +227,7 @@ def test_modulus_descent_stops_on_a_small_drop(monkeypatch):
     # eig_tol * scale = 1e-10: the descent stops there, though lambda 0 lies further on
     lam1 = 1.0 - 5e-11
     calls = _planted_lambda(monkeypatch, {0.0: (1.0, 1e-8), -1.0: (lam1, 1e-8)}, (0.0, 1.0))
-    assert systems._modulus_descent(None, [], np.zeros(1), ss.DEFAULT_TOL, 1.0) == lam1
+    assert systems._modulus_descent(None, [], None, np.zeros(1), ss.DEFAULT_TOL, 1.0) == lam1
     assert calls == [0.0, -1.0]
 
 
