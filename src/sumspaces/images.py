@@ -11,8 +11,8 @@ import numpy as np
 from .errors import (BudgetExceeded, DiagonalNotPositive, DimensionMismatch,
                      MalformedInput, NotInvertible, RangeNotIncluded)
 from .numerics import (DEFAULT_TOL, Tolerances, ambient_dim_from_json, complex_from_json,
-                       complex_to_json, eig_hermitian, hermitian_eigenvalues, numerical_rank,
-                       operator_norm, range_residual, singular_values, spanning_forest, thin_svd)
+                       eig_hermitian, hermitian_eigenvalues, numerical_rank, operator_norm,
+                       range_residual, singular_values, spanning_forest, thin_svd)
 from .reports import MarginReport
 from .subspaces import Subspace, SubspaceSystem, complement, from_spanning, sum_span
 
@@ -35,11 +35,6 @@ class OperatorFamily:
 
     def all_nonnegative(self) -> bool:
         return all(k == "nonnegative" for k in self.kinds)
-
-    def to_json(self) -> dict:
-        return {"ambient_dim": self.ambient_dim,
-                "matrices": [complex_to_json(M) for M in self.members],
-                "kind": list(self.kinds)}
 
     @classmethod
     def from_json(cls, data: dict) -> "OperatorFamily":

@@ -12,7 +12,8 @@ numerical policy wrapped around each decomposition:
   r = numerical_rank(sigma, scale=1.0) (``gram_gap``): a cutoff at rank_tol, not its root;
 - zero: the rank rule on one operator's descending values, at its own scale: ``images``'
   sum gap and ``build_beta``'s zero count (none), ``paircalc``'s punctured disk (||b||),
-  the modulus descent's simplicity, coupling and curvature tests (largest edge weight);
+  the modulus descent's simplicity, coupling and curvature tests and its starts' positive
+  lower bound (largest edge weight);
 - range inclusion: ||X - QQ*X|| <= margin_tol ||X|| (``range_residual``) for ``contains``
   (so ``equal`` and ``reduce``), ``douglas_factor`` and ``sum_as_two``;
 - independence: sigma_min of stacked bases, 1 with no columns, 0 when wide;

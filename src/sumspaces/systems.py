@@ -19,8 +19,8 @@ from .numerics import (DEFAULT_TOL, Tolerances, dimension_from_json,
 from .reports import MarginReport
 from .subspaces import SubspaceSystem, complement
 
-# modulus-form descent: random starts besides theta = 0, Newton iterations
-# per start, step halvings per line search
+# modulus-form descent: random starts besides theta = 0, at most (complement_graph_margin
+# may stop sooner), Newton iterations per start, step halvings per line search
 DESCENT_STARTS, DESCENT_ITERATIONS, DESCENT_HALVINGS = 3, 40, 10
 
 
@@ -63,9 +63,6 @@ class WeightedGraph:
     def complete(cls, n: int) -> "WeightedGraph":
         edges = [(i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         return cls(n, edges)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [[i, j, w] for i, j, w in self.edges]}
 
     @classmethod
     def from_json(cls, data: dict) -> "WeightedGraph":
@@ -237,8 +234,12 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
     (an estimate, never above the difference form) is the lowest value that Newton
     steps on the exact Hessian of lambda_min over the free phases reach from theta = 0,
     where Q(0) = Q has the one eigendecomposition of both forms, and from DESCENT_STARTS
-    random phases drawn with ``seed``.  Its zero tests use the largest edge weight as
-    scale: each entry of Q(theta) is a weight times one of an isometry product.
+    random phases drawn with ``seed``.  Once the lower bound is positive (so is the
+    constant), the starts stop at the first that ends at most s = eig_tol * scale below
+    the lowest value so far, if that value is more than s below the difference form (not
+    theta = 0 held by symmetry: on a real Q its gradient vanishes).  Its zero tests use
+    the largest edge weight as scale: each entry of Q(theta) is a weight times one of an
+    isometry product.
     """
     if G.n != len(S):
         raise DimensionMismatch("graph order must match member count")
@@ -256,7 +257,7 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
     report.add("difference_form_epsilon", float(lam[0]), tol.margin_tol)
 
     if modulus:
-        upper = float(lam[0])
+        upper, lower = float(lam[0]), _modulus_lower_bound(Q, offs, edge_blocks, G, tol)
         free = _free_edges(G, [e for e, block in enumerate(edge_blocks) if Q[block].any()])
         if free:
             blocks = [edge_blocks[e] for e in free]
@@ -265,11 +266,14 @@ def complement_graph_margin(S: SubspaceSystem, G: WeightedGraph,
             starts = np.random.default_rng(seed).uniform(
                 0.0, 2 * np.pi, size=(DESCENT_STARTS, len(free)))
             upper = _modulus_descent(Q, blocks, index, np.zeros(len(free)), tol, scale, (lam, U))
+            slack, positive = tol.eig_tol * scale, numerical_rank([lower], tol, scale)
             for theta in starts:
-                upper = min(upper, _modulus_descent(Q, blocks, index, theta, tol, scale))
+                value, previous = _modulus_descent(Q, blocks, index, theta, tol, scale), upper
+                upper = min(upper, value)
+                if positive and value >= previous - slack and previous < lam[0] - slack:
+                    break
         report.add("modulus_form_epsilon", upper, tol.margin_tol, estimate=True)
-        report.add("modulus_form_lower_bound",
-                   _modulus_lower_bound(Q, offs, edge_blocks, G, tol), tol.margin_tol)
+        report.add("modulus_form_lower_bound", lower, tol.margin_tol)
     return report
 
 

@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import sumspaces as ss
+from sumspaces.numerics import complex_to_json
 from sumspaces.subspaces import principal_values
 
 
@@ -60,6 +61,18 @@ def subtract(A, B):
     """Span of (I - P_B) A, at the unit scale of A's basis: A minus B when B lies in A."""
     Q = B.basis
     return ss.from_spanning(A.basis - Q @ (Q.conj().T @ A.basis), A.ambient_dim, scale=1.0)
+
+
+def family_to_json(F):
+    """The operator file of an OperatorFamily, as ``OperatorFamily.from_json`` reads it."""
+    return {"ambient_dim": F.ambient_dim,
+            "matrices": [complex_to_json(M) for M in F.members],
+            "kind": list(F.kinds)}
+
+
+def graph_to_json(G):
+    """The graph file of a WeightedGraph, as ``WeightedGraph.from_json`` reads it."""
+    return {"n": G.n, "edges": [[i, j, w] for i, j, w in G.edges]}
 
 
 def simplex_lines(n):

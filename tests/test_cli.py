@@ -1,11 +1,13 @@
 import argparse
 import ast
+import collections
 import contextlib
 import gc
 import io
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +21,7 @@ import sumspaces as ss
 from sumspaces import cli
 from sumspaces.cli import COMMANDS, main
 
-from conftest import _count_lapack, captured_stderr, random_subspace
+from conftest import _count_lapack, captured_stderr, family_to_json, random_subspace
 
 
 @pytest.fixture
@@ -446,7 +448,7 @@ def test_malformed_entry_is_input_error(command, entry, pair_files, tmp_path, ca
         entries = data["vectors"][0]
         argv = ["pair", "--a", pair_files[0], "--b", str(tmp_path / "bad.json")]
     else:
-        data = ss.OperatorFamily(2, [np.eye(2)], ["nonnegative"]).to_json()
+        data = family_to_json(ss.OperatorFamily(2, [np.eye(2)], ["nonnegative"]))
         entries = data["matrices"][0][1]
         argv = ["images", "--operators", str(tmp_path / "bad.json"),
                 "--analysis", "pradius"]
@@ -495,11 +497,31 @@ def test_no_analysis_layer_imports_another():
         layer: {"pairs"} if layer == "paircalc" else set() for layer in layers}
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    """Every import in the package, at any depth, is of the standard library,
+    numpy or the package itself, and numpy is the one runtime dependency that
+    pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    package = pathlib.Path(ss.__file__).parent
+    allowed = sys.stdlib_module_names | {"numpy", "sumspaces"}
+    outside = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                            else [node.module] if isinstance(node, ast.ImportFrom)
+                            and not node.level else [])
+               if name.split(".")[0] not in allowed]
+    assert not outside, outside
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+
+
 def test_every_public_name_is_reached():
-    """Every public module-level function or class of the package is loaded by
-    name (an ast.Name or ast.Attribute; an import alias does not count) outside
-    its own definition, in a package module, a demo or the acceptance tests: the
-    CLI is the product, so what only its own tests reach is dead weight."""
+    """Every public module-level function or class of the package, and every
+    public method of such a class, is loaded by name (an ast.Name or
+    ast.Attribute; an import alias does not count) outside its own definition,
+    in a package module, a demo or the acceptance tests: the CLI is the product,
+    so what only its own tests reach is dead weight.  A method is reached by any
+    attribute of its name, whatever the object."""
     root = pathlib.Path(__file__).resolve().parents[1]
     modules = [ast.parse(path.read_text(encoding="utf-8"))
                for path in pathlib.Path(ss.__file__).parent.glob("*.py")
@@ -507,14 +529,19 @@ def test_every_public_name_is_reached():
     defs = {node.name: node for tree in modules for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")}
+    defs.update({f"{cls.name}.{node.name}": node for cls in list(defs.values())
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")})
     inside = {name: {id(node) for node in ast.walk(d)} for name, d in defs.items()}
     readers = modules + [ast.parse(path.read_text(encoding="utf-8")) for path in
                          [*(root / "demos").glob("*.py"), root / "tests" / "test_acceptance.py"]]
-    reached = {name for tree in readers for node in ast.walk(tree)
-               if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-               for name in [node.id if isinstance(node, ast.Name) else node.attr]
-               if name in defs and id(node) not in inside[name]}
-    assert len(defs) > 50
+    loads = collections.defaultdict(set)
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loads[node.id if isinstance(node, ast.Name) else node.attr].add(id(node))
+    reached = {name for name in defs if loads[name.rpartition(".")[2]] - inside[name]}
+    assert len(defs) > 70
     unreached = sorted(defs.keys() - reached)
     assert not unreached, f"no command, demo or acceptance test reaches {unreached}"
 
@@ -551,7 +578,7 @@ def test_sum_as_two_command(tmp_path, capsys):
 def test_images_pradius_command(tmp_path, capsys):
     opfile = tmp_path / "ops.json"
     F = ss.OperatorFamily(2, [np.diag([1.0, 0.0])], ["nonnegative"])
-    opfile.write_text(json.dumps(F.to_json()))
+    opfile.write_text(json.dumps(family_to_json(F)))
     code, report = _run(["images", "--operators", str(opfile),
                          "--analysis", "pradius"], capsys)
     assert code == 0
@@ -562,7 +589,7 @@ def test_images_pradius_command(tmp_path, capsys):
 def test_images_pradius_depth_below_one_is_exit_2(depth, tmp_path, capsys):
     opfile = tmp_path / "ops.json"
     F = ss.OperatorFamily(2, [np.diag([1.0, 0.0])], ["nonnegative"])
-    opfile.write_text(json.dumps(F.to_json()))
+    opfile.write_text(json.dumps(family_to_json(F)))
     code, report = _run(["images", "--operators", str(opfile), "--analysis",
                          "pradius", "--depth", depth], capsys)
     assert code == 2
@@ -659,7 +686,7 @@ def test_malformed_family_file_is_input_error(family, command, tmp_path, capsys)
     assert report["error"]["type"] == "MalformedInput"
 
 
-_EYE2 = ss.OperatorFamily(2, [np.eye(2)]).to_json()["matrices"][0]
+_EYE2 = family_to_json(ss.OperatorFamily(2, [np.eye(2)]))["matrices"][0]
 BAD_SYSTEMS = {"members_number": {"ambient_dim": 2, "members": 5},
                "members_string": {"ambient_dim": 2, "members": ["x"]}}
 BAD_OPERATORS = {"matrices_number": {"ambient_dim": 2, "matrices": 5},
@@ -705,8 +732,8 @@ def test_overflowing_operator_entry_is_named(analysis, error, tmp_path, capsys):
     A = np.eye(2, dtype=complex)
     A[0, 0] = 1e300
     path = tmp_path / "ops.json"
-    path.write_text(json.dumps(ss.OperatorFamily(
-        2, [A, np.diag([2.0, 1.0])], ["nonnegative"] * 2).to_json()))
+    path.write_text(json.dumps(family_to_json(ss.OperatorFamily(
+        2, [A, np.diag([2.0, 1.0])], ["nonnegative"] * 2))))
     code, report, err = _run_quietly(["images", "--operators", str(path), "--analysis",
                                       analysis], capsys)
     assert code == 2 and err == ""
@@ -724,7 +751,7 @@ def test_overflowing_p_radius_words_are_named(depth, tmp_path, capsys):
     overflow at every depth, not a NaN in the sequence (which is not JSON) or an
     unconverged SVD."""
     path = tmp_path / "ops.json"
-    path.write_text(json.dumps(ss.OperatorFamily(2, [np.full((2, 2), 1e300)] * 2).to_json()))
+    path.write_text(json.dumps(family_to_json(ss.OperatorFamily(2, [np.full((2, 2), 1e300)] * 2))))
     code, report, err = _run_quietly(["images", "--operators", str(path), "--analysis",
                                       "pradius", "--depth", depth], capsys)
     assert code == 2 and err == ""
@@ -801,7 +828,7 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
     a, b = pair_files
     path = tmp_path / "input.json"
     if case == "p_nan":
-        path.write_text(json.dumps(ss.OperatorFamily(2, [np.eye(2)]).to_json()))
+        path.write_text(json.dumps(family_to_json(ss.OperatorFamily(2, [np.eye(2)]))))
         argv = ["images", "--operators", str(path), "--analysis", "pradius", "--p", "nan"]
     elif case == "f1_nan":
         argv = ["calculus", "--a", a, "--b", b, "--f1", "nan"]
@@ -811,7 +838,7 @@ def test_bad_number_is_exit_2(case, pair_files, tmp_path, capsys):
         argv = ["blocks", "--family-file", _family_file(tmp_path, "compact_triple", n=7),
                 "--horizon", "5"]
     elif case == "rank_tol_inf":  # would report an empty image
-        path.write_text(json.dumps(ss.OperatorFamily(2, [np.eye(2)]).to_json()))
+        path.write_text(json.dumps(family_to_json(ss.OperatorFamily(2, [np.eye(2)]))))
         argv = ["images", "--operators", str(path), "--analysis", "sum", "--rank-tol", "inf"]
     elif case == "rank_tol_three_quarters":  # the 45 degree pair would be meet and orthogonal
         argv = ["pair", "--a", a, "--b", b, "--rank-tol", "0.75"]
@@ -917,7 +944,7 @@ def test_member_count_refusals_are_dimension_mismatch(case, tmp_path, capsys):
         named = "pair mode needs exactly two members"
     else:
         path = tmp_path / "ops.json"
-        path.write_text(json.dumps(ss.OperatorFamily(2, [np.eye(2)]).to_json()))
+        path.write_text(json.dumps(family_to_json(ss.OperatorFamily(2, [np.eye(2)]))))
         argv = ["images", "--operators", str(path), "--analysis", "douglas"]
         named = "douglas analysis needs exactly two operators"
     code = main(argv)

@@ -14,6 +14,8 @@ import pytest
 import sumspaces as ss
 from sumspaces.cli import COMMANDS
 
+from conftest import family_to_json
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ss.__file__)))
 
 
@@ -43,7 +45,7 @@ def inputs(tmp_path_factory):
              "b.json": ss.subspace_to_json(ss.from_spanning(np.array([[1.0], [1.0]]))),
              "members.json": ss.system_to_json(ss.SubspaceSystem(
                  3, [ss.from_spanning(e[:, [k]]) for k in range(3)])),
-             "ops.json": ss.OperatorFamily(2, [np.eye(2), np.diag([1.0, 0.0])]).to_json(),
+             "ops.json": family_to_json(ss.OperatorFamily(2, [np.eye(2), np.diag([1.0, 0.0])])),
              "one_over_k.json": {"family": "one_over_k", "n": 3},
              "compact_triple.json": {"family": "compact_triple"}}
     for name, data in files.items():

@@ -8,14 +8,14 @@ from sumspaces.errors import (BudgetExceeded, DiagonalNotPositive, DimensionMism
                               NotInvertible, RangeNotIncluded)
 from sumspaces.subspaces import equal
 
-from conftest import (_count_lapack, random_independent_full_system, random_subspace,
-                      random_system, simplex_lines)
+from conftest import (_count_lapack, family_to_json, random_independent_full_system,
+                      random_subspace, random_system, simplex_lines)
 
 
 def test_operator_family_round_trip(rng):
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     F = ss.OperatorFamily(3, [M], ["general"])
-    back = ss.OperatorFamily.from_json(F.to_json())
+    back = ss.OperatorFamily.from_json(family_to_json(F))
     assert np.allclose(back.members[0], M)
     with pytest.raises(DimensionMismatch):
         ss.OperatorFamily(2, [np.eye(3)])

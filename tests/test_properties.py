@@ -10,7 +10,9 @@ The modulus-form bracket of ``complement_graph_margin`` is compared with
 oracles built here with plain numpy: complement bases from a full SVD of the
 spanning vectors, the closed-form lower bound, and a sampled search over
 random edge phases, and the gradient and Hessian that drive its descent
-with central differences of lambda_min.  Scaling every operator, spanning
+with central differences of lambda_min; on real and complex members its
+estimate must lie between the minimum over all the descent's starts and the
+difference form, and equal that minimum unless the lower bound is positive.  Scaling every operator, spanning
 vector, coefficient, weight and alpha by 2^k must scale each margin of
 ``images``, ``calculus``, ``graph`` and ``system`` by 2^(jk), j its degree,
 and move no dimension, rank, descent eigh count or refusal but the absolute ones.
@@ -64,6 +66,8 @@ from sumspaces import numerics, reduction, systems
 from sumspaces.cli import main
 from sumspaces.errors import GapTooSmall, HypothesisViolated
 from sumspaces.subspaces import QR_MIN_SIDE, equal, principal_pairs, principal_values
+
+from conftest import family_to_json
 
 SAMPLES = 1024  # random phase vectors in the sampled oracle
 RANK_TOL = ss.DEFAULT_TOL.rank_tol
@@ -435,6 +439,52 @@ def test_modulus_descent_on_a_multiple_bottom_eigenvalue(layout):
     else:  # unit steps made 684 eigh of Q(theta) and stopped 1.8e-8 above the bound
         assert sizes[len(Q)] <= 100, sizes
         assert abs(upper - lower) <= 1e-12 * lower
+
+
+@contextlib.contextmanager
+def _recorded_descents(values):
+    """Append to ``values`` what each systems._modulus_descent call returns."""
+    descent = systems._modulus_descent
+
+    def recorded(*args):
+        values.append(descent(*args))
+        return values[-1]
+
+    systems._modulus_descent = recorded
+    try:
+        yield values
+    finally:
+        systems._modulus_descent = descent
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(graph_systems().filter(lambda case: case[2] != "tree" and case[1].n > 2),
+       st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_modulus_starts_stop_only_above_the_all_starts_minimum(case, real, seed):
+    """The estimate is the lowest of the descents that ran, and each start that
+    runs gets the draw it gets when all of them run, so it never lies below the
+    minimum over all 1 + DESCENT_STARTS descents, nor above the difference
+    form.  Unless ``numerical_rank`` at the largest weight finds the certified
+    lower bound positive, every start runs and the estimate is that minimum."""
+    spans, G, _ = case
+    spans = [X.real if real else X for X in spans]
+    S = ss.SubspaceSystem(spans[0].shape[0], [ss.from_spanning(X) for X in spans])
+    Q, blocks, index = _modulus_problem(S, G)
+    assume(Q is not None and blocks)
+    tol, scale = ss.DEFAULT_TOL, max(w for _, _, w in G.edges)
+    thetas = [np.zeros(len(blocks)), *np.random.default_rng(seed).uniform(
+        0.0, 2 * np.pi, size=(systems.DESCENT_STARTS, len(blocks)))]
+    every = [systems._modulus_descent(Q, blocks, index, theta, tol, scale) for theta in thetas]
+    with _recorded_descents([]) as ran:
+        rep = ss.complement_graph_margin(S, G, modulus=True, seed=seed)
+    lower, upper, difference = (rep.margin(name) for name in (
+        "modulus_form_lower_bound", "modulus_form_epsilon", "difference_form_epsilon"))
+    assert ran == every[:len(ran)] and upper == min(ran)
+    assert min(every) <= upper <= difference
+    if not numerics.numerical_rank([lower], tol, scale):
+        assert len(ran) == len(every) and upper == min(every)
+    elif len(ran) < len(every):
+        assert upper < difference - tol.eig_tol * scale
 
 
 def _scaled_analyses(seed, c):
@@ -1089,7 +1139,7 @@ OPERATOR_MUTATIONS = ["none", "drop", "duplicate", "empty_list", "empty_matrix",
 def test_images_on_mutated_operator_files_exits_0_2_or_3(F, kind, mutation, k, analysis):
     if kind == "nonnegative":  # Hermitian positive semidefinite members
         F = ss.OperatorFamily(F.ambient_dim, [M @ M.conj().T for M in F.members])
-    data = F.to_json()
+    data = family_to_json(F)
     data["kind"] = [kind] * len(F.members)
     data = _mutate_operator_file(data, mutation, k % len(F.members))
     with tempfile.TemporaryDirectory() as tmp:

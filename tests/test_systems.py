@@ -7,7 +7,7 @@ import sumspaces as ss
 from sumspaces import systems
 from sumspaces.errors import DimensionMismatch, GraphDisconnected
 
-from conftest import multiset_distance, random_subspace, random_system
+from conftest import graph_to_json, multiset_distance, random_subspace, random_system
 
 
 def test_weighted_graph_validation():
@@ -29,7 +29,7 @@ def test_weighted_graph_rho_and_connectivity():
     assert not ss.WeightedGraph(3, [(1, 2, 1.0)]).is_connected()
     K4 = ss.WeightedGraph.complete(4)
     assert len(K4.edges) == 6
-    back = ss.WeightedGraph.from_json(K4.to_json())
+    back = ss.WeightedGraph.from_json(graph_to_json(K4))
     assert back.edges == K4.edges
 
 
@@ -121,8 +121,10 @@ def test_modulus_bracket_factorization_counts(monkeypatch):
     # one eigvalsh, for the n x n lower bound; the descent takes one N x N eigh
     # per evaluation of Q(theta) on the N = 32 dimensional sum of the complements,
     # the first, of Q(0) = Q, also giving the difference form (a 1024-phase search
-    # made 1025 eigvalsh, BFGS 52 eigh), and one m x m eigh of the Hessian per
-    # Newton step, m = 3 free edges
+    # made 1025 eigvalsh, BFGS 52 eigh, all four starts 25 eigh), and one m x m
+    # eigh of the Hessian per Newton step, m = 3 free edges; the lower bound is
+    # positive, so the first random start that confirms the minimum the zero
+    # start descended to is the last
     gen = np.random.default_rng(16)
     ranks = (5, 7, 9, 11)
     S = ss.SubspaceSystem(16, [random_subspace(gen, 16, r) for r in ranks])
@@ -140,25 +142,58 @@ def test_modulus_bracket_factorization_counts(monkeypatch):
     ss.complement_graph_margin(S, ss.WeightedGraph.complete(4), modulus=True, seed=1)
     assert {key: c for key, c in counts.items() if key[0] == "eigvalsh"} == {
         ("eigvalsh", 4): 1}, counts
-    assert counts["eigh", N] <= 40, counts
+    assert counts["eigh", N] <= 15, counts
     assert {size for name, size in counts if name == "eigh"} <= {N, 3}, counts
 
 
 @pytest.mark.parametrize("k", [-30, 0, 30])
-def test_modulus_bracket_scales_with_the_weights(k):
+def test_modulus_bracket_scales_with_the_weights(k, monkeypatch):
     # K4 in C^8 with weights 1.1-1.4: stops at an absolute eig_tol ended the
-    # descent early at 2^-30, 1.4e-4 above the estimate at 2^0 and 2^30
+    # descent early at 2^-30, 1.4e-4 above the estimate at 2^0 and 2^30; the
+    # start rule reads the lower bound and the value at the weights' scale, so
+    # at every k the first random start confirms the zero start's minimum
     gen = np.random.default_rng(7)
     S = ss.SubspaceSystem(8, [random_subspace(gen, 8, r) for r in (3, 4, 5, 4)])
     pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
     weights = (1.1, 1.2, 1.3, 1.4, 1.15, 1.25)
     G = ss.WeightedGraph(4, [(i, j, 2.0 ** k * w) for (i, j), w in zip(pairs, weights)])
+    descents = []
+    descent = systems._modulus_descent
+    monkeypatch.setattr(systems, "_modulus_descent",
+                        lambda *args: descents.append(args[3]) or descent(*args))
     rep = ss.complement_graph_margin(S, G, modulus=True, seed=1)
+    assert len(descents) == 2
     expected = {"modulus_form_epsilon": 0.5034548972191961,
                 "modulus_form_lower_bound": 0.11130807153474634,
                 "difference_form_epsilon": 0.5039481834850058}
     for name, value in expected.items():
         assert rep.margin(name) / 2.0 ** k == pytest.approx(value, rel=1e-12), name
+
+
+def test_modulus_starts_run_on_while_the_minimum_is_the_difference_form(monkeypatch):
+    # real members on the 5-cycle in R^6: the gradient vanishes at theta = 0,
+    # where the zero start stays, and the first two random starts of seed 5
+    # end there too, at lambda_min(Q) within eig_tol; the lower bound is positive,
+    # but no start has yet descended below the difference form, so the starts run
+    # on, and the third finds a minimum 4.2e-3 lower
+    gen = np.random.default_rng(1000034)
+    n, d = int(gen.integers(3, 6)), int(gen.integers(3, 7))
+    spans = [gen.normal(size=(d, r)) for r in gen.integers(1, d, size=n)]
+    S = ss.SubspaceSystem(d, [ss.from_spanning(X) for X in spans])
+    G = ss.WeightedGraph(n, [(i, i % n + 1, w)
+                             for i, w in zip(range(1, n + 1), gen.uniform(0.25, 4, n))])
+    values = []
+    descent = systems._modulus_descent
+    monkeypatch.setattr(systems, "_modulus_descent",
+                        lambda *args: values.append(descent(*args)) or values[-1])
+    rep = ss.complement_graph_margin(S, G, modulus=True, seed=5)
+    difference = rep.margin("difference_form_epsilon")
+    slack = ss.DEFAULT_TOL.eig_tol * max(w for _, _, w in G.edges)
+    assert (n, d) == (5, 6) and rep.margin("modulus_form_lower_bound") > 0.1
+    assert values[0] == difference and len(values) == 1 + systems.DESCENT_STARTS
+    assert all(abs(value - difference) <= slack for value in values[1:3])
+    assert values[3] < difference - 4e-3
+    assert rep.margin("modulus_form_epsilon") == min(values)
 
 
 def test_modulus_evaluate_has_no_hessian_at_a_crossing():
